@@ -92,6 +92,14 @@ class TimingProgram:
         arr[:, self.pi_rows, :] = 0.0
         return arr
 
+    def forward(self, delays: np.ndarray) -> np.ndarray:
+        """Arrivals (rows, nets, [rise, fall]) for each row of arc delays."""
+        arr = self.init_arrivals(delays.shape[0])
+        _kernels.sta_forward(
+            self.src, self.dst, self.unate, self.arc_rise, self.arc_fall, delays, arr
+        )
+        return arr
+
 
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
     net_index: dict[str, int] = {}

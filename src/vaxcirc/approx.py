@@ -74,6 +74,17 @@ def validate_genes(cs: CandidateSet, genes) -> np.ndarray:
     return genes
 
 
+def tie_nets(n: Netlist, tie: dict[str, str]) -> Netlist:
+    """Rewire every reader of each net in `tie`, and any PO on it, to the
+    net's constant (GND or VDD), then fold the result."""
+    gates = [
+        Gate(g.name, g.kind, {p: tie.get(w, w) for p, w in g.fanin.items()}, g.output)
+        for g in n.gates
+    ]
+    outputs = [tie.get(po, po) for po in n.outputs]
+    return simplify_constants(Netlist(n.name, n.inputs, outputs, gates))
+
+
 def apply_chromosome(
     n: Netlist, cs: CandidateSet, genes, check_fingerprint: bool = True
 ) -> Netlist:
@@ -93,19 +104,7 @@ def apply_chromosome(
         for net, gene in zip(cs.nets, genes)
         if gene != GENE_EXACT
     }
-    if not tie:
-        return n
-    gates = [
-        Gate(
-            g.name,
-            g.kind,
-            {p: tie.get(w, w) for p, w in g.fanin.items()},
-            g.output,
-        )
-        for g in n.gates
-    ]
-    outputs = [tie.get(po, po) for po in n.outputs]
-    return simplify_constants(Netlist(n.name, n.inputs, outputs, gates))
+    return tie_nets(n, tie) if tie else n
 
 
 def chromosome_distance(a, b) -> int:

@@ -70,19 +70,17 @@ class VariationLibrary:
             self.cells[kind] = tuple(
                 arcs[(p, e)] for p in sorted(cell.input_pins) for e in EDGES
             )
-        self._arc_order: tuple[ArcKey, ...] = tuple(
-            (kind, a.pin, a.edge) for kind in sorted(self.cells)
+        self._arcs: dict[ArcKey, TimingArc] = {
+            (kind, a.pin, a.edge): a for kind in sorted(self.cells)
             for a in self.cells[kind]
-        )
+        }
+        self._arc_order: tuple[ArcKey, ...] = tuple(self._arcs)
         self._arc_index = {k: i for i, k in enumerate(self._arc_order)}
-        self._mu = np.array([self.arc(*k).mu_ps for k in self._arc_order])
-        self._sigma = np.array([self.arc(*k).sigma_ps for k in self._arc_order])
+        self._mu = np.array([a.mu_ps for a in self._arcs.values()])
+        self._sigma = np.array([a.sigma_ps for a in self._arcs.values()])
 
     def arc(self, kind: str, pin: str, edge: str) -> TimingArc:
-        for a in self.cells[kind]:
-            if a.pin == pin and a.edge == edge:
-                return a
-        raise KeyError((kind, pin, edge))
+        return self._arcs[(kind, pin, edge)]
 
     def arc_order(self) -> tuple[ArcKey, ...]:
         """Canonical arc ordering: cells alphabetical, arcs by (pin, edge)."""
@@ -110,18 +108,16 @@ class SampledLibrary:
             raise LibraryError("value vector does not match arc order")
         if np.any(self._values <= 0.0):
             raise LibraryError("sampled delays must be positive")
-        self.delays: dict[ArcKey, float] = {
-            k: float(v) for k, v in zip(self._arc_order, self._values)
-        }
+        self._arc_index = {k: i for i, k in enumerate(self._arc_order)}
 
     def delay(self, kind: str, pin: str, edge: str) -> float:
-        return self.delays[(kind, pin, edge)]
+        return float(self._values[self._arc_index[(kind, pin, edge)]])
 
     def arc_order(self) -> tuple[ArcKey, ...]:
         return self._arc_order
 
     def arc_index(self) -> dict[ArcKey, int]:
-        return {k: i for i, k in enumerate(self._arc_order)}
+        return self._arc_index
 
     def values(self) -> np.ndarray:
         return self._values.copy()

@@ -15,6 +15,7 @@ import sys
 
 from .approx import ChromosomeError, build_candidates
 from .celllib import (
+    LibraryError,
     default_library,
     load_variation_library,
     nominal_library,
@@ -69,7 +70,6 @@ def _build_parser():
     g.add_argument("--family", default=None, choices=("rca_adder", "cla_adder", "array_multiplier", "mac_fir"))
     g.add_argument("--width", type=int, default=None)
     g.add_argument("--taps", type=int, default=None)
-    g.add_argument("--signed", action="store_true", default=None)
     g.add_argument("--out", default=None)
 
     s = sub.add_parser("sample-libs", help="draw process-variation library samples")
@@ -126,7 +126,7 @@ def _build_parser():
 # Hard defaults applied after CLI and config-file layers.
 _DEFAULTS = {
     None: {"seed": 0, "threads": 1},
-    "gen": {"family": "rca_adder", "width": 8, "taps": 1, "signed": False},
+    "gen": {"family": "rca_adder", "width": 8, "taps": 1},
     "sample-libs": {"count": 100, "out": "libs_out"},
     "sta": {"samples": 0},
     "ssta": {"tmap_samples": 200, "cpb_threshold": 1e-3},
@@ -148,6 +148,8 @@ def _resolve(args):
     if args.config is not None:
         with open(args.config) as f:
             config = json.load(f)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
     section = config.get(args.command, {})
     layered = dict(_DEFAULTS[None])
     layered.update(_DEFAULTS.get(args.command, {}))
@@ -164,7 +166,7 @@ def _resolve(args):
 
 
 def _cmd_gen(args):
-    spec = BenchmarkSpec(args.family, args.width, taps=args.taps, signed=args.signed)
+    spec = BenchmarkSpec(args.family, args.width, taps=args.taps)
     n = generate_benchmark(spec)
     text = write_netlist(n)
     if args.out is None:
@@ -259,6 +261,7 @@ def _cmd_optimize(args):
         seed=args.seed,
         search_vectors=args.search_vectors,
     )
+    cfg.validate()  # reject bad GA settings before the run directory is touched
     art = run_optimize(
         args.out, n, lib, cfg,
         cpb_threshold=args.cpb_threshold,
@@ -313,7 +316,10 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         return _COMMANDS[args.command](args)
-    except (NetlistError, SimulationError, ChromosomeError, HarnessError, OSError) as e:
+    except (
+        NetlistError, SimulationError, ChromosomeError, HarnessError, LibraryError,
+        OSError, ValueError,  # ValueError covers GaConfig limits and bad JSON
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -54,7 +54,6 @@ class BenchmarkSpec:
     family: str
     width: int
     taps: int = 1
-    signed: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,11 +62,6 @@ class BenchmarkSpec:
             raise HarnessError(f"width {self.width} not in {WIDTHS}")
         if self.taps < 1:
             raise HarnessError("taps must be >= 1")
-        if self.signed and self.family in ("array_multiplier", "mac_fir"):
-            raise HarnessError(
-                "signed generation is only supported for adder families; "
-                "signedness elsewhere is a dataset interpretation"
-            )
 
 
 class _Builder:
@@ -322,11 +316,7 @@ def stale_nmed_bound(
     """
     program = compile_timing(n, vlib.arc_index())
     delays = sample_matrix(vlib, range(seed, seed + count), rho)
-    arr = program.init_arrivals(count)
-    _kernels.sta_forward(
-        program.src, program.dst, program.unate,
-        program.arc_rise, program.arc_fall, delays, arr,
-    )
+    arr = program.forward(delays)
     n_po = len(n.outputs)
     arrivals = np.full((count, n_po), _kernels.NEG_INF)
     for j, row in enumerate(program.po_rows):
@@ -550,7 +540,11 @@ def _load_run(run_dir):
 
 
 def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
-    """Monte-Carlo evaluation of the stored front against the baseline."""
+    """Monte-Carlo evaluation of the stored front against the baseline.
+
+    Scores exactly the designs listed in fronts/final_front.csv, in that
+    order, so chromosome files left behind by an earlier run are ignored.
+    """
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
     clock = config["clock_ps"]
@@ -559,17 +553,16 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     base_eval = monte_carlo_evaluate(
         baseline, vlib, mc_count, mc_seed, clock, ds, design_id="baseline"
     )
-    chrom_dir = os.path.join(run_dir, "fronts", "chromosomes")
+    with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
+        design_ids = [r["design_id"] for r in csv.DictReader(f)]
     evals = []
-    for fname in sorted(os.listdir(chrom_dir)):
-        if not fname.endswith(".chrom"):
-            continue
-        genes = load_chromosome(os.path.join(chrom_dir, fname), cs)
-        design = apply_chromosome(baseline, cs, genes)
+    for design_id in design_ids:
+        path = os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom")
+        design = apply_chromosome(baseline, cs, load_chromosome(path, cs))
         evals.append(
             monte_carlo_evaluate(
                 design, vlib, mc_count, mc_seed, clock, ds,
-                reference=baseline, design_id=fname[: -len(".chrom")],
+                reference=baseline, design_id=design_id,
             )
         )
     _write_csv(

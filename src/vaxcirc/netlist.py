@@ -402,56 +402,36 @@ def _fold_target(g: Gate, fanin: dict[str, str]):
 
 
 def simplify_constants(n: Netlist) -> Netlist:
-    """Fold constant fanins and drop dead gates; fixpoint rewrite.
+    """Fold constant fanins, then drop dead gates; one pass each.
 
-    The result never contains a gate whose output could be replaced by a
-    constant or by one of its own fanins under the rules above, and every
-    remaining gate is live (reaches a PO).  PI/PO interface is preserved;
+    The forward pass visits gates in topological order, so each gate sees
+    the final replacements of its fanins.  Dropping dead gates changes no
+    live gate's fanins, so the result is a fixed point: no gate in it could
+    be replaced by a constant or by one of its own fanins under the rules
+    above, and every gate reaches a PO.  PI/PO interface is preserved;
     output nets may be renamed to constants or upstream nets.  For any
     non-negative delay assignment the longest-path arrival never increases:
     rewrites only delete gates or shortcut nets, so every surviving
     input-to-output path existed before.
     """
     sub: dict[str, str] = {}
+    kept: list[Gate] = []
+    for g in n.topological_order():
+        fanin = {p: sub.get(w, w) for p, w in g.fanin.items()}
+        target = _fold_target(g, fanin)
+        if target is None:
+            kept.append(Gate(g.name, g.kind, fanin, g.output))
+        else:
+            sub[g.output] = target
 
-    def resolve(net: str) -> str:
-        while net in sub:
-            net = sub[net]
-        return net
-
-    alive: dict[str, Gate] = {g.name: g for g in n.gates}
-    order = [g.name for g in n.topological_order()]
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            g = alive.get(name)
-            if g is None:
-                continue
-            fanin = {p: resolve(w) for p, w in g.fanin.items()}
-            target = _fold_target(g, fanin)
-            if target is not None:
-                sub[g.output] = resolve(target)
-                del alive[name]
-                changed = True
-        # dead-gate sweep: keep gates whose output reaches a PO or a reader
-        needed = {resolve(po) for po in n.outputs}
-        for name in reversed(order):
-            g = alive.get(name)
-            if g is None:
-                continue
-            if g.output in needed:
-                needed.update(resolve(w) for w in g.fanin.values())
-            else:
-                del alive[name]
-                changed = True
-
-    gates = [
-        Gate(g.name, g.kind, {p: resolve(w) for p, w in g.fanin.items()}, g.output)
-        for g in (alive[name] for name in order if name in alive)
-    ]
-    outputs = [resolve(po) for po in n.outputs]
-    return Netlist(n.name, n.inputs, outputs, gates)
+    outputs = [sub.get(po, po) for po in n.outputs]
+    needed = set(outputs)
+    live: list[Gate] = []
+    for g in reversed(kept):
+        if g.output in needed:
+            needed.update(g.fanin.values())
+            live.append(g)
+    return Netlist(n.name, n.inputs, outputs, live[::-1])
 
 
 def depth_to_output(n: Netlist) -> dict[str, int]:

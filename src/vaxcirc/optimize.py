@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import CandidateSet, apply_chromosome, validate_genes
+from .approx import CandidateSet, apply_chromosome, tie_nets, validate_genes
 from .celllib import SampledLibrary, VariationLibrary
 from .errsim import Evaluator, SimulationDataset, _metrics_from_bits, unpack_bits
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
-from .netlist import Gate, simplify_constants
 from .timing import extract_critical_path, ssta_traverse, sta_arrivals
 
 
@@ -121,48 +120,39 @@ def evaluate_individual(
 # -- dominance machinery ------------------------------------------------------
 
 
-def constrained_dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:
-    """Feasible beats infeasible; infeasible rank by violation; else Pareto."""
-    if a.violation == 0.0 and b.violation > 0.0:
-        return True
-    if a.violation > 0.0 and b.violation > 0.0:
-        return a.violation < b.violation
-    if a.violation > 0.0:
-        return False
-    ao, bo = a.objectives, b.objectives
-    return all(x <= y for x, y in zip(ao, bo)) and any(
-        x < y for x, y in zip(ao, bo)
-    )
+def _dominance(obj: np.ndarray, violation: np.ndarray) -> np.ndarray:
+    """D[i, j] is True when design i constrained-dominates design j.
+
+    Feasible beats infeasible; infeasible designs rank by violation; two
+    feasible designs compare by Pareto dominance (minimization).
+    """
+    a, b = obj[:, None, :], obj[None, :, :]
+    v, w = violation[:, None], violation[None, :]
+    pareto = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    return np.where(w > 0, v < w, (v == 0) & pareto)
 
 
 def nondominated_sort(pop: list[EvaluatedDesign]) -> list[list[int]]:
-    """Fronts of indices under constrained dominance; assigns .rank."""
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if constrained_dominates(pop[i], pop[j]):
-                dominated_by[i].append(j)
-                counts[j] += 1
-            elif constrained_dominates(pop[j], pop[i]):
-                dominated_by[j].append(i)
-                counts[i] += 1
+    """Fronts of indices under constrained dominance; assigns .rank.
+
+    Each front lists its indices in ascending order.
+    """
+    if not pop:
+        return []
+    dom = _dominance(
+        np.array([d.objectives for d in pop], dtype=np.float64),
+        np.array([d.violation for d in pop], dtype=np.float64),
+    )
+    counts = dom.sum(axis=0)
     fronts = []
-    current = [i for i in range(n) if counts[i] == 0]
-    rank = 0
-    while current:
-        for i in current:
-            pop[i].rank = rank
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
-        rank += 1
+    front = np.flatnonzero(counts == 0)
+    while front.size:
+        for i in front:
+            pop[i].rank = len(fronts)
+        fronts.append(front.tolist())
+        counts -= dom[front].sum(axis=0)
+        counts[front] = -1
+        front = np.flatnonzero(counts == 0)
     return fronts
 
 
@@ -190,24 +180,17 @@ def crowding_assign(pop: list[EvaluatedDesign], front: list[int]):
 
 
 def pareto_front_indices(points: list[tuple]) -> list[int]:
-    """Indices of nondominated points (minimization, any arity)."""
-    keep = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
-            if all(a <= b for a, b in zip(q, p)) and any(
-                a < b for a, b in zip(q, p)
-            ):
-                dominated = True
-                break
-            if q == p and j < i:  # duplicate objectives: keep the first
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
+    """Indices of nondominated points (minimization, any arity).
+
+    Of several equal points only the first is kept.
+    """
+    if not points:
+        return []
+    obj = np.array(points, dtype=np.float64)
+    dominated = _dominance(obj, np.zeros(len(points))).any(axis=0)
+    equal = np.all(obj[:, None, :] == obj[None, :, :], axis=2)
+    duplicate = np.triu(equal, 1).any(axis=0)  # equal to an earlier point
+    return np.flatnonzero(~(dominated | duplicate)).tolist()
 
 
 # -- variation operators ------------------------------------------------------
@@ -371,15 +354,6 @@ def _min_po_bit(n: Netlist) -> dict[str, int]:
     return best
 
 
-def _tie_net(n: Netlist, net: str, const: str) -> Netlist:
-    gates = [
-        Gate(g.name, g.kind, {p: (const if w == net else w) for p, w in g.fanin.items()}, g.output)
-        for g in n.gates
-    ]
-    outputs = [const if po == net else po for po in n.outputs]
-    return simplify_constants(Netlist(n.name, n.inputs, outputs, gates))
-
-
 def greedy_glp(
     n: Netlist, lib_nominal: SampledLibrary, ds: SimulationDataset, target_cpd: float
 ) -> tuple[Netlist, bool]:
@@ -426,6 +400,6 @@ def greedy_glp(
                 ones = int(np.count_nonzero(bits))
                 value = VDD if 2 * ones > n_vec else GND
                 best = (score, name, out, value)
-        cur = _tie_net(cur, best[2], best[3])
+        cur = tie_nets(cur, {best[2]: best[3]})
     sta = sta_arrivals(cur, lib_nominal)
     return cur, sta.cpd <= target_cpd

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from ._compile import TimingProgram, compile_timing
 from .celllib import SampledLibrary, VariationLibrary, sample_matrix
 from .netlist import CONSTANT_NETS, NEGATIVE, NON_UNATE, Netlist
@@ -107,13 +106,7 @@ def sta_arrivals(n: Netlist, lib: SampledLibrary) -> StaResult:
     gate input pin contributes arc delays according to its unateness.
     """
     program = compile_timing(n, lib.arc_index())
-    delays = lib.values()[None, :]
-    arr = program.init_arrivals(1)
-    _kernels.sta_forward(
-        program.src, program.dst, program.unate,
-        program.arc_rise, program.arc_fall, delays, arr,
-    )
-    a = arr[0]
+    a = program.forward(lib.values()[None, :])[0]
     arrivals = {
         net: (float(a[row, 0]), float(a[row, 1]))
         for net, row in program.net_index.items()
@@ -190,11 +183,7 @@ def mc_sta_cpd(
 
 def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     """CPD per delay row for an already-compiled netlist."""
-    arr = program.init_arrivals(delays.shape[0])
-    _kernels.sta_forward(
-        program.src, program.dst, program.unate,
-        program.arc_rise, program.arc_fall, delays, arr,
-    )
+    arr = program.forward(delays)
     rows = program.po_rows[program.po_rows >= 0]
     if rows.size == 0:
         return np.zeros(delays.shape[0], dtype=np.float64)
@@ -216,11 +205,7 @@ def annotate_edge_transitions(
     """
     program = compile_timing(n, lib.arc_index())
     delays = sample_matrix(lib, range(seed, seed + count), rho)
-    arr = program.init_arrivals(count)
-    _kernels.sta_forward(
-        program.src, program.dst, program.unate,
-        program.arc_rise, program.arc_fall, delays, arr,
-    )
+    arr = program.forward(delays)
     index = program.net_index
     counts: dict[tuple[str, str], dict[str, int]] = {}
     for k in range(count):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vaxcirc.celllib import default_library, nominal_library
+from vaxcirc.celllib import default_library, nominal_library, save_variation_library
 from vaxcirc.cli import main
 from vaxcirc.harness import rca_adder
 from vaxcirc.netlist import parse_netlist, write_netlist
@@ -190,3 +190,38 @@ class TestPipeline:
         )
         assert code == 2
         assert "config.json" in err
+
+
+def _bad_library(tmp_path):
+    path = tmp_path / "lib.json"
+    save_variation_library(path, default_library())
+    doc = json.loads(path.read_text())
+    doc["cells"]["INV"][0]["mu_ps"] = 0.0
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestErrorContract:
+    """Bad user input ends in exit 2 and a single `error:` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["pop_3", "malformed_config", "config_not_object", "nonpositive_mu"],
+    )
+    def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
+        cfg = tmp_path / "cfg.json"
+        argv = {
+            "pop_3": ["optimize", "--netlist", rca4_file, "--pop", "3",
+                      "--out", str(tmp_path / "run")],
+            "malformed_config": ["--config", str(cfg), "gen"],
+            "config_not_object": ["--config", str(cfg), "gen"],
+            "nonpositive_mu": ["sta", "--netlist", rca4_file,
+                               "--library", _bad_library(tmp_path)],
+        }[case]
+        cfg.write_text("{not json" if case == "malformed_config" else "[4]")
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()

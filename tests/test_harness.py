@@ -35,7 +35,6 @@ class TestBenchmarkSpec:
     def test_valid(self):
         BenchmarkSpec("rca_adder", 8)
         BenchmarkSpec("mac_fir", 4, taps=3)
-        BenchmarkSpec("cla_adder", 16, signed=True)
 
     @pytest.mark.parametrize(
         "kw",
@@ -43,8 +42,6 @@ class TestBenchmarkSpec:
             {"family": "csa_adder", "width": 8},
             {"family": "rca_adder", "width": 5},
             {"family": "mac_fir", "width": 4, "taps": 0},
-            {"family": "array_multiplier", "width": 4, "signed": True},
-            {"family": "mac_fir", "width": 4, "signed": True},
         ],
     )
     def test_invalid(self, kw):
@@ -423,6 +420,9 @@ class TestPipelineErrors:
             tmp_path, rca4, default_lib, cfg,
             tmap_count=10, bound_count=10, report_vectors=200,
         )
+        # An empty front: final_front.csv lists no designs, no .chrom files.
+        front_csv = tmp_path / "fronts" / "final_front.csv"
+        front_csv.write_text(front_csv.read_text().splitlines(keepends=True)[0])
         for p in (tmp_path / "fronts" / "chromosomes").glob("*.chrom"):
             p.unlink()
         _, evals = run_evaluate(tmp_path, mc_count=5)
@@ -432,6 +432,34 @@ class TestPipelineErrors:
         for rel in ("report/front.csv", "report/selected.csv", "report/ratio.csv"):
             with open(tmp_path / rel, newline="") as f:
                 assert list(csv.DictReader(f)) == []
+
+
+    def test_evaluate_ignores_stale_designs_of_a_reused_run_dir(
+        self, tmp_path, rca4, default_lib
+    ):
+        kw = dict(tmap_count=10, bound_count=10, report_vectors=200)
+        for pop, gens in ((20, 10), (4, 1)):
+            cfg = GaConfig(population=pop, generations=gens, seed=0, search_vectors=64)
+            art = run_optimize(tmp_path, rca4, default_lib, cfg, **kw)
+        with open(tmp_path / "fronts" / "final_front.csv", newline="") as f:
+            listed = [r["design_id"] for r in csv.DictReader(f)]
+        assert len(listed) == len(art.result.front)
+        # the first, larger run left chromosome files the second did not write
+        stale = len(list((tmp_path / "fronts" / "chromosomes").glob("*.chrom")))
+        assert stale > len(listed)
+        _, evals = run_evaluate(tmp_path, mc_count=5)
+        assert [e.design_id for e in evals] == listed
+
+    def test_missing_listed_chromosome_is_an_error(self, tmp_path, rca4, default_lib):
+        cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
+        art = run_optimize(
+            tmp_path, rca4, default_lib, cfg,
+            tmap_count=10, bound_count=10, report_vectors=200,
+        )
+        assert art.result.front
+        (tmp_path / "fronts" / "chromosomes" / "design_000.chrom").unlink()
+        with pytest.raises(FileNotFoundError):
+            run_evaluate(tmp_path, mc_count=5)
 
 
 class TestPipelineDeterminism:

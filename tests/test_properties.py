@@ -1,0 +1,89 @@
+"""Property tests: the vectorized dominance routines and the one-pass
+constant fold, each checked against an independent slow reference."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vaxcirc.approx import tie_nets
+from vaxcirc.celllib import default_library, nominal_library, sample_library
+from vaxcirc.netlist import GND, VDD, simplify_constants
+from vaxcirc.optimize import nondominated_sort, pareto_front_indices
+
+from _oracles import naive_outputs, path_enum_cpd, random_dag
+from test_netlist import _tie_pi
+from test_optimize import _brute_force_ranks, _design
+
+# Few distinct values, so ties, duplicates and equal violations are common.
+_objective = st.integers(0, 3).map(float)
+_point = st.tuples(_objective, _objective, _objective)
+_violation = st.sampled_from((0.0, 0.0, 0.25, 0.5))
+
+
+def _brute_force_front(points):
+    """Scalar Pareto filter: drop dominated points and later duplicates."""
+    def dominates(q, p):
+        return all(a <= b for a, b in zip(q, p)) and any(a < b for a, b in zip(q, p))
+
+    return [
+        i for i, p in enumerate(points)
+        if not any(dominates(q, p) or (q == p and j < i) for j, q in enumerate(points))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_point, _violation), max_size=40))
+def test_nondominated_sort_matches_brute_force(rows):
+    pop = [
+        _design(*p, feasible=v == 0.0, violation=v, tag=i)
+        for i, (p, v) in enumerate(rows)
+    ]
+    fronts = nondominated_sort(pop)
+    want = _brute_force_ranks(pop)
+    assert [d.rank for d in pop] == [want[i] for i in range(len(pop))]
+    assert fronts == [
+        [i for i in range(len(pop)) if want[i] == r] for r in range(len(fronts))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_point, max_size=40), st.integers(2, 3))
+def test_pareto_front_indices_matches_brute_force(points, arity):
+    points = [p[:arity] for p in points]
+    assert pareto_front_indices(points) == _brute_force_front(points)
+
+
+@st.composite
+def _tied_dag(draw):
+    """A random DAG, its unfolded copy with some nets tied, and the ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = random_dag(rng, draw(st.integers(1, 14)), n_pis=draw(st.integers(1, 5)))
+    nets = list(n.inputs) + [g.output for g in n.gates]
+    ties = draw(st.dictionaries(st.sampled_from(nets), st.sampled_from((GND, VDD)),
+                                min_size=1, max_size=4))
+    tied = n
+    for net, const in ties.items():
+        tied = _tie_pi(tied, net, const)
+    return n, ties, tied
+
+
+_LIB = default_library()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000))
+def test_simplify_constants_on_random_ties(case, lib_seed):
+    n, ties, tied = case
+    s = simplify_constants(tied)
+    assert simplify_constants(s) == s
+    assert tie_nets(n, ties) == s
+    used = {w for g in s.gates for w in g.fanin.values()} | set(s.outputs)
+    assert all(g.output in used for g in s.gates)  # no dead gate survives
+
+    vectors = np.array(list(itertools.product((0, 1), repeat=len(n.inputs))))
+    assert naive_outputs(s, vectors) == naive_outputs(tied, vectors)
+
+    for lib in (nominal_library(_LIB), sample_library(_LIB, lib_seed)):
+        assert path_enum_cpd(s, lib) <= path_enum_cpd(tied, lib)
