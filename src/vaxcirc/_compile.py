@@ -100,6 +100,14 @@ class TimingProgram:
         )
         return arr
 
+    def po_arrivals(self, arr: np.ndarray) -> np.ndarray:
+        """Worst of rise and fall per PO, shape (rows, n_po); -inf for a
+        constant PO."""
+        out = np.full((arr.shape[0], self.po_rows.shape[0]), _kernels.NEG_INF)
+        driven = self.po_rows >= 0
+        out[:, driven] = arr[:, self.po_rows[driven], :].max(axis=2)
+        return out
+
 
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
     net_index: dict[str, int] = {}

@@ -1,20 +1,18 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels over the flat arrays of `_compile`, in numpy.
 
-The numba path is used when it imports cleanly and the environment variable
-``VAXCIRC_NO_NUMBA`` is unset/falsy; otherwise the numpy fallbacks run.
-Both paths compute identical results (same operations, same fold order),
-so everything downstream is implementation-agnostic.
+`eval_words` simulates a logic program bit-parallel over packed uint64
+words; `sta_forward` propagates rise/fall arrivals for many delay rows at
+once.  Callers reach both as module attributes (`_kernels.eval_words`), so
+a wrapper installed on the module sees every call.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 NEG_INF = float("-inf")
 
-# op codes for eval_words; order is load-bearing for both kernel variants
+# op codes for eval_words
 OP_INV = 0
 OP_BUF = 1
 OP_AND2 = 2
@@ -43,7 +41,7 @@ UN_NEG = 1
 UN_NON = 2
 
 
-def _eval_words_numpy(ops, in0, in1, in2, out, words):
+def eval_words(ops, in0, in1, in2, out, words):
     """Bit-parallel evaluation over uint64 words, one row per signal.
 
     words[0] must be all-zero (GND) and words[1] all-one (VDD); gate rows
@@ -78,7 +76,7 @@ def _eval_words_numpy(ops, in0, in1, in2, out, words):
     return words
 
 
-def _sta_forward_numpy(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
+def sta_forward(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
     """Forward arrival propagation for K delay rows at once.
 
     arrivals: (K, n_nets, 2) float64, preloaded with 0.0 at PIs and -inf
@@ -105,85 +103,5 @@ def _sta_forward_numpy(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
     return arrivals
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("VAXCIRC_NO_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
+# Read by callers that report which kernel backend ran; numpy is the only one.
 USING_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit
-
-        @njit(cache=True, nogil=True)
-        def _eval_words_njit(ops, in0, in1, in2, out, words):
-            full = np.uint64(0xFFFFFFFFFFFFFFFF)
-            n_words = words.shape[1]
-            for g in range(ops.shape[0]):
-                op = ops[g]
-                ia = in0[g]
-                ib = in1[g]
-                ic = in2[g]
-                io = out[g]
-                for w in range(n_words):
-                    a = words[ia, w]
-                    if op == OP_INV:
-                        r = a ^ full
-                    elif op == OP_BUF:
-                        r = a
-                    else:
-                        b = words[ib, w]
-                        if op == OP_AND2:
-                            r = a & b
-                        elif op == OP_OR2:
-                            r = a | b
-                        elif op == OP_NAND2:
-                            r = (a & b) ^ full
-                        elif op == OP_NOR2:
-                            r = (a | b) ^ full
-                        elif op == OP_XOR2:
-                            r = a ^ b
-                        elif op == OP_XNOR2:
-                            r = (a ^ b) ^ full
-                        else:
-                            s = words[ic, w]
-                            r = (a & (s ^ full)) | (b & s)
-                    words[io, w] = r
-            return words
-
-        @njit(cache=True, nogil=True)
-        def _sta_forward_njit(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
-            n_k = delays.shape[0]
-            for e in range(src.shape[0]):
-                s = src[e]
-                d = dst[e]
-                u = unate[e]
-                i_r = arc_rise[e]
-                i_f = arc_fall[e]
-                for k in range(n_k):
-                    if u == UN_POS:
-                        a_r = arrivals[k, s, 0]
-                        a_f = arrivals[k, s, 1]
-                    elif u == UN_NEG:
-                        a_r = arrivals[k, s, 1]
-                        a_f = arrivals[k, s, 0]
-                    else:
-                        a_r = max(arrivals[k, s, 0], arrivals[k, s, 1])
-                        a_f = a_r
-                    c_r = a_r + delays[k, i_r]
-                    if c_r > arrivals[k, d, 0]:
-                        arrivals[k, d, 0] = c_r
-                    c_f = a_f + delays[k, i_f]
-                    if c_f > arrivals[k, d, 1]:
-                        arrivals[k, d, 1] = c_f
-            return arrivals
-
-        eval_words = _eval_words_njit
-        sta_forward = _sta_forward_njit
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        pass
-
-if not USING_NUMBA:
-    eval_words = _eval_words_numpy
-    sta_forward = _sta_forward_numpy

@@ -142,7 +142,20 @@ _DEFAULTS = {
 }
 
 
-def _resolve(args):
+# JSON values a config file may give for a flag of each type (bool: store_true)
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _flag_types(parser, command):
+    """Flag dest -> value type, over the global flags and `command`'s."""
+    actions = list(parser._actions)
+    for a in parser._actions:
+        if a.dest == "command":
+            actions += a.choices[command]._actions
+    return {a.dest: bool if a.nargs == 0 else a.type or str for a in actions}
+
+
+def _resolve(args, parser):
     """Fill None flags from --config JSON, then from hard defaults."""
     config = {}
     if args.config is not None:
@@ -150,16 +163,25 @@ def _resolve(args):
             config = json.load(f)
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
+    for command in _COMMANDS:
+        if not isinstance(config.get(command, {}), dict):
+            raise ValueError(f"{args.config}: section {command!r} is not a JSON object")
     section = config.get(args.command, {})
     layered = dict(_DEFAULTS[None])
     layered.update(_DEFAULTS.get(args.command, {}))
+    types = _flag_types(parser, args.command)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is not None:
             continue
-        if key in section:
-            setattr(args, key, section[key])
-        elif key in config and not isinstance(config[key], dict):
-            setattr(args, key, config[key])
+        source = section if key in section else config
+        if key in source:
+            value = source[key]
+            if type(value) not in _JSON_TYPES[types[key]]:
+                raise ValueError(
+                    f"{args.config}: {key!r} must be {types[key].__name__}, "
+                    f"not {json.dumps(value)}"
+                )
+            setattr(args, key, value)
         elif key in layered:
             setattr(args, key, layered[key])
     return args
@@ -261,7 +283,6 @@ def _cmd_optimize(args):
         seed=args.seed,
         search_vectors=args.search_vectors,
     )
-    cfg.validate()  # reject bad GA settings before the run directory is touched
     art = run_optimize(
         args.out, n, lib, cfg,
         cpb_threshold=args.cpb_threshold,
@@ -276,7 +297,7 @@ def _cmd_optimize(args):
     print(f"run_dir {art.run_dir}")
     print(f"candidates {len(art.candidates)}")
     print(f"nominal_cpd_ps {_fmt(art.clock_ps)}")
-    print(f"error_bound {_fmt(cfg.error_bound)}")
+    print(f"error_bound {_fmt(art.error_bound)}")
     print(f"front_size {len(art.result.front)}")
     if art.result.feasible_warning:
         print("warning: no feasible design found; front is empty")
@@ -312,9 +333,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        _resolve(args)
+        _resolve(args, parser)
         return _COMMANDS[args.command](args)
     except (
         NetlistError, SimulationError, ChromosomeError, HarnessError, LibraryError,

@@ -159,12 +159,6 @@ class Evaluator:
             out[:, j] = unpack_bits(words[row], n)
         return out
 
-    def net_bits(self, ds: SimulationDataset, nets) -> dict[str, np.ndarray]:
-        words = self.signal_words(ds)
-        n = ds.n_vectors
-        idx = self.program.signal_index
-        return {w: unpack_bits(words[idx[w]], n) for w in nets}
-
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
         """PO bit matrix for a raw (N, n_pi) 0/1 vector array."""
         ds = SimulationDataset(
@@ -259,10 +253,8 @@ def timing_error_metrics(
     """
     if clock_ps <= 0.0:
         raise SimulationError("clock period must be positive")
-    sta = sta_arrivals(n, lib)
+    late = np.array(sta_arrivals(n, lib).po_arrivals) > clock_ps
     exact_bits = Evaluator(n).po_bits(ds)
     stale = exact_bits.copy()
-    for j, arrival in enumerate(sta.po_arrivals):
-        if arrival > clock_ps:
-            stale[1:, j] = exact_bits[:-1, j]
+    stale[1:, late] = exact_bits[:-1, late]
     return _metrics_from_bits(exact_bits, stale, ds.signed)

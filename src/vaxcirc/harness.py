@@ -10,14 +10,14 @@ produce byte-identical directories.
 from __future__ import annotations
 
 import csv
+import glob
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from ._compile import compile_timing
 from .approx import (
     CandidateSet,
@@ -182,16 +182,7 @@ def array_multiplier(width: int) -> Netlist:
     b = _Builder()
     a = [f"a{i}" for i in range(width)]
     bb = [f"b{i}" for i in range(width)]
-    pp = [
-        [b.add("AND2", {"A": a[i], "B": bb[j]}, f"pp{i}_{j}") for i in range(width)]
-        for j in range(width)
-    ]
-    acc = pp[0]
-    product = [acc[0]]
-    for j in range(1, width):
-        acc = _add_vectors(b, acc[1:], pp[j], f"r{j}")
-        product.append(acc[0])
-    product.extend(acc[1:])
+    product = _mult_into(b, a, bb, "")
     return Netlist(f"mult{width}", a + bb, product, b.gates)
 
 
@@ -316,13 +307,7 @@ def stale_nmed_bound(
     """
     program = compile_timing(n, vlib.arc_index())
     delays = sample_matrix(vlib, range(seed, seed + count), rho)
-    arr = program.forward(delays)
-    n_po = len(n.outputs)
-    arrivals = np.full((count, n_po), _kernels.NEG_INF)
-    for j, row in enumerate(program.po_rows):
-        if row >= 0:
-            arrivals[:, j] = arr[:, row, :].max(axis=1)
-    late = arrivals > clock_ps
+    late = program.po_arrivals(program.forward(delays)) > clock_ps
     exact_bits = Evaluator(n).po_bits(ds)
     per_lib = np.zeros(count, dtype=np.float64)
     cache: dict[bytes, float] = {}
@@ -333,8 +318,7 @@ def stale_nmed_bound(
                 cache[key] = 0.0
             else:
                 stale = exact_bits.copy()
-                for j in np.nonzero(late[k])[0]:
-                    stale[1:, j] = exact_bits[:-1, j]
+                stale[1:, late[k]] = exact_bits[:-1, late[k]]
                 cache[key] = _metrics_from_bits(exact_bits, stale, ds.signed).nmed
         per_lib[k] = cache[key]
     return float(per_lib.max(initial=0.0)), per_lib
@@ -410,7 +394,16 @@ class OptimizeArtifacts:
     tmap: dict
     clock_ps: float
     stale_worst_nmed: float
+    error_bound: float  # E_max the search ran under
     result: object  # NsgaResult
+
+
+def _remove_outputs(run_dir: str, patterns) -> None:
+    """Delete the files under run_dir matching the glob patterns, in order."""
+    for pattern in patterns:
+        for path in sorted(glob.glob(os.path.join(glob.escape(run_dir), pattern))):
+            if os.path.isfile(path):
+                os.remove(path)
 
 
 def run_optimize(
@@ -431,8 +424,20 @@ def run_optimize(
 
     error_bound None derives E_max from the stale-value baseline worst-case
     NMED at the nominal clock (always computed and recorded either way).
+    `cfg` is not modified.  A re-run replaces every artifact of an earlier
+    run in run_dir: config.json, the completion marker, is deleted first and
+    written last, and the front, MC and report files of that run are deleted.
     """
     run_dir = str(run_dir)
+    # a derived bound is an NMED, so it is in range; 0.0 stands in until then
+    cfg = replace(
+        cfg, error_bound=0.0 if error_bound is None else error_bound
+    )
+    cfg.validate()  # reject bad settings before the run directory is touched
+    _remove_outputs(run_dir, (
+        "config.json", "fronts/gen_*.csv", "fronts/final_front.csv",
+        "fronts/chromosomes/*.chrom", "mc/*", "report/*",
+    ))
     for sub in ("netlists", "libs", "fronts", "fronts/chromosomes", "mc", "report"):
         os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
 
@@ -449,8 +454,8 @@ def run_optimize(
     stale_worst, _ = stale_nmed_bound(
         n, vlib, bound_count, bound_seed, clock, ds_report
     )
-    cfg.error_bound = stale_worst if error_bound is None else error_bound
-    cfg.validate()
+    if error_bound is None:
+        cfg = replace(cfg, error_bound=stale_worst)
 
     ds_search = generate_dataset(n, cfg.search_vectors, seed=cfg.seed + 1)
     result = nsga2_run(n, cs, vlib, tmap, ds_search, cfg, threads=threads)
@@ -504,22 +509,14 @@ def run_optimize(
         "clock_ps": clock,
         "stale_worst_nmed": stale_worst,
         "feasible_warning": result.feasible_warning,
-        "ga": {
-            "population": cfg.population,
-            "generations": cfg.generations,
-            "crossover_prob": cfg.crossover_prob,
-            "base_mutation_rate": cfg.base_mutation_rate,
-            "init_exact_prob": cfg.init_exact_prob,
-            "confidence_penalty": cfg.confidence_penalty,
-            "error_bound": cfg.error_bound,
-            "seed": cfg.seed,
-            "search_vectors": cfg.search_vectors,
-        },
+        "ga": asdict(cfg),
     }
     with open(os.path.join(run_dir, "config.json"), "w") as f:
         json.dump(config, f, indent=2, sort_keys=True)
         f.write("\n")
-    return OptimizeArtifacts(run_dir, n, cs, tmap, clock, stale_worst, result)
+    return OptimizeArtifacts(
+        run_dir, n, cs, tmap, clock, stale_worst, cfg.error_bound, result
+    )
 
 
 def _load_run(run_dir):
@@ -547,6 +544,7 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     """
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
+    _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results
     clock = config["clock_ps"]
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
 

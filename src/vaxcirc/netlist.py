@@ -163,11 +163,6 @@ class Netlist:
                 raise NetlistError(f"primary output {po!r} is undriven")
 
         self._driver = driver
-        readers: dict[str, list[tuple[Gate, str]]] = {}
-        for g in self.gates:
-            for pin, net in g.fanin.items():
-                readers.setdefault(net, []).append((g, pin))
-        self._readers = readers
         self._topo = self._toposort()
 
     def _toposort(self) -> tuple[Gate, ...]:
@@ -208,9 +203,6 @@ class Netlist:
     def driver_of(self, net: str):
         """Gate driving `net`, or None for PIs and constants."""
         return self._driver.get(net)
-
-    def readers_of(self, net: str) -> tuple[tuple[Gate, str], ...]:
-        return tuple(self._readers.get(net, ()))
 
     @property
     def nets(self) -> tuple[str, ...]:

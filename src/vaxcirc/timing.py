@@ -106,21 +106,19 @@ def sta_arrivals(n: Netlist, lib: SampledLibrary) -> StaResult:
     gate input pin contributes arc delays according to its unateness.
     """
     program = compile_timing(n, lib.arc_index())
-    a = program.forward(lib.values()[None, :])[0]
+    arr = program.forward(lib.values()[None, :])
+    a = arr[0]
     arrivals = {
         net: (float(a[row, 0]), float(a[row, 1]))
         for net, row in program.net_index.items()
     }
-    po_vals = []
-    for po in n.outputs:
-        row = program.net_index.get(po, -1)
-        po_vals.append(float(max(a[row, 0], a[row, 1])) if row >= 0 else NEG_INF)
+    po_vals = tuple(program.po_arrivals(arr)[0].tolist())
     hit = _endpoint_from_matrix(a, program.po_rows)
     if hit is None:
-        return StaResult(n, lib, arrivals, tuple(po_vals), 0.0, None)
+        return StaResult(n, lib, arrivals, po_vals, 0.0, None)
     cpd, pos, col = hit
     return StaResult(
-        n, lib, arrivals, tuple(po_vals), cpd, (pos, n.outputs[pos], _COL_EDGE[col])
+        n, lib, arrivals, po_vals, cpd, (pos, n.outputs[pos], _COL_EDGE[col])
     )
 
 

@@ -1,9 +1,7 @@
 import pytest
 
 from vaxcirc.celllib import default_library
-from vaxcirc.errsim import generate_dataset, simulate_metrics
 from vaxcirc.harness import BenchmarkSpec, generate_benchmark
-from vaxcirc.timing import mc_sta_cpd
 
 
 @pytest.fixture(scope="session")
@@ -25,10 +23,3 @@ def rca8():
 def mult4():
     return generate_benchmark(BenchmarkSpec("array_multiplier", 4))
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Trigger JIT compilation up front so timed tests measure steady state.
-    n = generate_benchmark(BenchmarkSpec("rca_adder", 4))
-    mc_sta_cpd(n, default_library(), 2, 0)
-    simulate_metrics(n, n, generate_dataset(n, 64, seed=0))

@@ -171,7 +171,8 @@ class TestPipeline:
         )
         assert code == 0
         assert "front_size " in out
-        assert (tmp_path / "run" / "config.json").is_file()
+        config = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert f"error_bound {config['ga']['error_bound']!r}\n" in out
 
         code, out, _ = _run(
             capsys, ["evaluate", "--run", run, "--samples", "25"]
@@ -206,10 +207,13 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "case",
-        ["pop_3", "malformed_config", "config_not_object", "nonpositive_mu"],
+        ["pop_3", "malformed_config", "config_not_object", "nonpositive_mu",
+         "section_number", "section_string", "section_value_string",
+         "flat_value_string"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
+        sta = ["--config", str(cfg), "sta", "--netlist", rca4_file]
         argv = {
             "pop_3": ["optimize", "--netlist", rca4_file, "--pop", "3",
                       "--out", str(tmp_path / "run")],
@@ -217,8 +221,19 @@ class TestErrorContract:
             "config_not_object": ["--config", str(cfg), "gen"],
             "nonpositive_mu": ["sta", "--netlist", rca4_file,
                                "--library", _bad_library(tmp_path)],
+            "section_number": sta,
+            "section_string": sta,
+            "section_value_string": sta,
+            "flat_value_string": ["--config", str(cfg), "optimize", "--netlist",
+                                  rca4_file, "--out", str(tmp_path / "run")],
         }[case]
-        cfg.write_text("{not json" if case == "malformed_config" else "[4]")
+        cfg.write_text({
+            "malformed_config": "{not json",
+            "section_number": '{"sta": 5}',
+            "section_string": '{"sta": "samples"}',
+            "section_value_string": '{"sta": {"samples": "x"}}',
+            "flat_value_string": '{"pop": "ten"}',
+        }.get(case, "[4]"))
         code, _, err = _run(capsys, argv)
         assert code == 2
         lines = err.splitlines()

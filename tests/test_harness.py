@@ -301,7 +301,7 @@ class TestPipeline:
         assert config["netlist"] == "rca4"
         assert config["clock_ps"] == art.clock_ps
         assert config["stale_worst_nmed"] == art.stale_worst_nmed
-        assert config["ga"]["error_bound"] == art.stale_worst_nmed
+        assert config["ga"]["error_bound"] == art.error_bound == art.stale_worst_nmed
 
     def test_tmap_file_round_trips(self, pipeline_run):
         run, art = pipeline_run
@@ -381,8 +381,10 @@ class TestPipeline:
             tmap_count=20, bound_count=20, report_vectors=500,
             error_bound=0.03,
         )
+        # the caller's config is left as it was
+        assert cfg == GaConfig(population=6, generations=2, seed=0, search_vectors=128)
         config = json.loads((tmp_path / "config.json").read_text())
-        assert config["ga"]["error_bound"] == 0.03
+        assert config["ga"]["error_bound"] == art.error_bound == 0.03
         assert config["stale_worst_nmed"] == art.stale_worst_nmed
         assert all(d.nmed <= 0.03 for d in art.result.front)
 
@@ -444,9 +446,13 @@ class TestPipelineErrors:
         with open(tmp_path / "fronts" / "final_front.csv", newline="") as f:
             listed = [r["design_id"] for r in csv.DictReader(f)]
         assert len(listed) == len(art.result.front)
-        # the first, larger run left chromosome files the second did not write
-        stale = len(list((tmp_path / "fronts" / "chromosomes").glob("*.chrom")))
-        assert stale > len(listed)
+        # the second run deleted the first, larger run's chromosome files
+        chroms = tmp_path / "fronts" / "chromosomes"
+        assert sorted(p.stem for p in chroms.glob("*.chrom")) == listed
+        # a chromosome file the front does not list is not scored
+        (chroms / "design_999.chrom").write_text(
+            (chroms / f"{listed[0]}.chrom").read_text()
+        )
         _, evals = run_evaluate(tmp_path, mc_count=5)
         assert [e.design_id for e in evals] == listed
 
@@ -460,6 +466,14 @@ class TestPipelineErrors:
         (tmp_path / "fronts" / "chromosomes" / "design_000.chrom").unlink()
         with pytest.raises(FileNotFoundError):
             run_evaluate(tmp_path, mc_count=5)
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*") if p.is_file()
+    }
 
 
 class TestPipelineDeterminism:
@@ -482,6 +496,24 @@ class TestPipelineDeterminism:
                 if not filecmp.cmp(pa, pb, shallow=False):
                     mismatched.append(os.path.relpath(pa, a))
         assert mismatched == []
+
+    def test_rerun_into_a_used_run_dir_replaces_it(self, tmp_path, rca4, default_lib):
+        kw = dict(tmap_count=10, bound_count=10, report_vectors=200)
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        cfg = GaConfig(population=8, generations=4, seed=0, search_vectors=64)
+        run_optimize(used, rca4, default_lib, cfg, **kw)
+        run_evaluate(used, mc_count=5)
+        run_report(used)
+        for d in (used, fresh):
+            cfg = GaConfig(population=4, generations=1, seed=0, search_vectors=64)
+            run_optimize(d, rca4, default_lib, cfg, **kw)
+        assert _tree(used) == _tree(fresh)
+        for d in (used, fresh):
+            run_evaluate(d, mc_count=5)
+            run_report(d)
+            run_evaluate(d, mc_count=6)  # its report no longer matches mc/
+        assert _tree(used) == _tree(fresh)
+        assert not list((fresh / "report").iterdir())
 
     def test_threads_do_not_change_artifacts(self, tmp_path, rca4, default_lib):
         kw = dict(tmap_count=20, bound_count=20, report_vectors=500)

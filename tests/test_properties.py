@@ -1,5 +1,6 @@
-"""Property tests: the vectorized dominance routines and the one-pass
-constant fold, each checked against an independent slow reference."""
+"""Property tests: the vectorized dominance routines, the one-pass
+constant fold and the per-PO arrival reduction, each checked against an
+independent slow reference; and the netlist text round trip."""
 
 import itertools
 
@@ -7,9 +8,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaxcirc._compile import compile_timing
 from vaxcirc.approx import tie_nets
-from vaxcirc.celllib import default_library, nominal_library, sample_library
-from vaxcirc.netlist import GND, VDD, simplify_constants
+from vaxcirc.celllib import default_library, nominal_library, sample_library, sample_matrix
+from vaxcirc.netlist import (
+    GND,
+    VDD,
+    netlist_fingerprint,
+    parse_netlist,
+    simplify_constants,
+    write_netlist,
+)
 from vaxcirc.optimize import nondominated_sort, pareto_front_indices
 
 from _oracles import naive_outputs, path_enum_cpd, random_dag
@@ -87,3 +96,38 @@ def test_simplify_constants_on_random_ties(case, lib_seed):
 
     for lib in (nominal_library(_LIB), sample_library(_LIB, lib_seed)):
         assert path_enum_cpd(s, lib) <= path_enum_cpd(tied, lib)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag())
+def test_netlist_text_round_trip(case):
+    n, _, tied = case
+    for net in (n, tied, simplify_constants(tied)):
+        back = parse_netlist(write_netlist(net))
+        assert back == net
+        assert netlist_fingerprint(back) == netlist_fingerprint(net)
+
+
+def _po_arrivals_by_loop(program, arr):
+    """The per-PO scalar loop: worst transition of each PO net, -inf if constant."""
+    out = []
+    for k in range(arr.shape[0]):
+        row_k = []
+        for po in program.netlist.outputs:
+            row = program.net_index.get(po, -1)
+            row_k.append(max(arr[k, row, 0], arr[k, row, 1]) if row >= 0 else float("-inf"))
+        out.append(row_k)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(1, 4))
+def test_po_arrivals_matches_per_po_loop(case, lib_seed, count):
+    _, _, tied = case
+    delays = sample_matrix(_LIB, range(lib_seed, lib_seed + count))
+    for net in (tied, simplify_constants(tied)):
+        program = compile_timing(net, _LIB.arc_index())
+        arr = program.forward(delays)
+        got = program.po_arrivals(arr)
+        assert got.shape == (count, len(net.outputs))
+        assert got.tolist() == _po_arrivals_by_loop(program, arr)
