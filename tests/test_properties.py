@@ -110,14 +110,11 @@ def test_netlist_text_round_trip(case):
 
 def _po_arrivals_by_loop(program, arr):
     """The per-PO scalar loop: worst transition of each PO net, -inf if constant."""
-    out = []
-    for k in range(arr.shape[0]):
-        row_k = []
-        for po in program.netlist.outputs:
-            row = program.net_index.get(po, -1)
-            row_k.append(max(arr[k, row, 0], arr[k, row, 1]) if row >= 0 else float("-inf"))
-        out.append(row_k)
-    return out
+    rows = [program.net_index.get(po, -1) for po in program.netlist.outputs]
+    return [
+        [max(a[row, 0], a[row, 1]) if row >= 0 else float("-inf") for row in rows]
+        for a in arr
+    ]
 
 
 @settings(max_examples=150, deadline=None)
