@@ -74,6 +74,14 @@ def validate_genes(cs: CandidateSet, genes) -> np.ndarray:
     return genes
 
 
+def require_fingerprint(n: Netlist, cs: CandidateSet):
+    """Refuse a netlist other than the one `cs` was built for."""
+    if netlist_fingerprint(n) != cs.fingerprint:
+        raise ChromosomeError(
+            "candidate set was built for a different netlist (fingerprint mismatch)"
+        )
+
+
 def tie_nets(n: Netlist, tie: dict[str, str]) -> Netlist:
     """Rewire every reader of each net in `tie`, and any PO on it, to the
     net's constant (GND or VDD), then fold the result."""
@@ -95,10 +103,8 @@ def apply_chromosome(
     (used for effect-level idempotence checks on already-approximate nets).
     """
     genes = validate_genes(cs, genes)
-    if check_fingerprint and netlist_fingerprint(n) != cs.fingerprint:
-        raise ChromosomeError(
-            "candidate set was built for a different netlist (fingerprint mismatch)"
-        )
+    if check_fingerprint:
+        require_fingerprint(n, cs)
     tie = {
         net: (VDD if gene == GENE_VDD else GND)
         for net, gene in zip(cs.nets, genes)

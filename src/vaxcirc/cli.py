@@ -142,6 +142,14 @@ _DEFAULTS = {
 }
 
 
+# Path flags a subcommand cannot run without (simulate also needs
+# --reference unless --clock is given).
+_REQUIRED = {
+    "sta": ("netlist",), "ssta": ("netlist",), "simulate": ("netlist",),
+    "optimize": ("netlist",),
+}
+
+
 # JSON values a config file may give for a flag of each type (bool: store_true)
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
@@ -156,7 +164,8 @@ def _flag_types(parser, command):
 
 
 def _resolve(args, parser):
-    """Fill None flags from --config JSON, then from hard defaults."""
+    """Fill None flags from --config JSON, then from hard defaults; reject
+    a missing required path and a thread or sample count below one."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -184,6 +193,15 @@ def _resolve(args, parser):
             setattr(args, key, value)
         elif key in layered:
             setattr(args, key, layered[key])
+    required = _REQUIRED.get(args.command, ())
+    if args.command == "simulate" and args.clock is None:
+        required += ("reference",)
+    for key in required:
+        if getattr(args, key) is None:
+            raise ValueError(f"--{key} is required")
+    for key in ("threads", "count"):
+        if getattr(args, key, 1) < 1:
+            raise ValueError(f"--{key} must be >= 1")
     return args
 
 

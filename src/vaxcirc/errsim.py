@@ -123,6 +123,14 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].astype(np.uint8)
 
 
+def unpack_rows(words: np.ndarray, rows, n: int) -> np.ndarray:
+    """(n, len(rows)) bit matrix: column j is unpack_bits(words[rows[j]], n)."""
+    out = np.empty((n, len(rows)), dtype=np.uint8)
+    for j, row in enumerate(rows):
+        out[:, j] = unpack_bits(words[row], n)
+    return out
+
+
 class Evaluator:
     """Compiled bit-parallel evaluator for one netlist."""
 
@@ -152,12 +160,7 @@ class Evaluator:
 
     def po_bits(self, ds: SimulationDataset) -> np.ndarray:
         """(N, n_po) output bit matrix."""
-        words = self.signal_words(ds)
-        n = ds.n_vectors
-        out = np.empty((n, len(self.netlist.outputs)), dtype=np.uint8)
-        for j, row in enumerate(self.program.po_index):
-            out[:, j] = unpack_bits(words[row], n)
-        return out
+        return unpack_rows(self.signal_words(ds), self.program.po_index, ds.n_vectors)
 
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
         """PO bit matrix for a raw (N, n_pi) 0/1 vector array."""

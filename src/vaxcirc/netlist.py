@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 from dataclasses import dataclass
 
 GND = "GND"
@@ -391,6 +392,28 @@ def _fold_target(g: Gate, fanin: dict[str, str]):
     elif kind == "BUF":
         pass  # all-const case handled above; BUF of a live net stays
     return None
+
+
+def _fold_table(kind: str) -> dict[tuple[int, ...], int | None]:
+    """`_fold_target` tabulated over every constant pattern of `kind`.
+
+    A key holds one code per input pin, in pin order: 0 for GND, 1 for
+    VDD, 2 for a live net.  Its value is None when the gate is kept, 0 or
+    1 when it collapses to GND or VDD, and 2 + k when it forwards the net
+    on pin k.  The rules look only at which pins are constant, so the
+    table covers every gate of the kind.
+    """
+    pins = CELLS[kind].input_pins
+    nets = (GND, VDD) + pins  # a live pin reads a net named after the pin
+    table = {}
+    for pattern in itertools.product((0, 1, 2), repeat=len(pins)):
+        fanin = {p: nets[c] if c < 2 else p for p, c in zip(pins, pattern)}
+        target = _fold_target(Gate("g", kind, fanin, "y"), fanin)
+        table[pattern] = None if target is None else nets.index(target)
+    return table
+
+
+FOLD_TABLE = {kind: _fold_table(kind) for kind in CELLS}
 
 
 def simplify_constants(n: Netlist) -> Netlist:

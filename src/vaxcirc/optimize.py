@@ -13,11 +13,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import CandidateSet, apply_chromosome, tie_nets, validate_genes
+from . import _kernels
+from .approx import (
+    GENE_EXACT,
+    CandidateSet,
+    require_fingerprint,
+    tie_nets,
+    validate_genes,
+)
+from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
-from .errsim import Evaluator, SimulationDataset, _metrics_from_bits, unpack_bits
-from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
-from .timing import extract_critical_path, ssta_traverse, sta_arrivals
+from .errsim import (
+    Evaluator,
+    SimulationDataset,
+    _metrics_from_bits,
+    unpack_bits,
+    unpack_rows,
+)
+from .netlist import CONSTANT_NETS, FOLD_TABLE, GND, VDD, Netlist, depth_to_output
+from .timing import (
+    arc_rv,
+    extract_critical_path,
+    po_endpoint,
+    rv_sum,
+    running_winner,
+    ssta_traverse,
+    sta_arrivals,
+)
 
 
 @dataclass
@@ -84,6 +106,128 @@ def initialize_population(cfg: GaConfig, cs: CandidateSet) -> np.ndarray:
     return np.where(exact, np.int8(-1), ties)
 
 
+class SearchProgram:
+    """One search problem, compiled once over the baseline's signal rows.
+
+    `score` gives exactly what `apply_chromosome` -> `Evaluator` ->
+    `ssta_traverse` give for a chromosome, without building a netlist.
+    Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.  One
+    topological pass turns the tie set into a per-row alias (GND, VDD, an
+    upstream row or the row itself) by `netlist.FOLD_TABLE`, and re-times
+    each gate it keeps with the running-winner rule of `ssta_traverse`.
+    The pass visits only the fanout of the tied nets and, once any net is
+    tied, of the baseline's own GND/VDD readers, since the reference folds
+    those too.  Every other gate keeps its baseline arrival and signal
+    words; the kept gates the pass visits are re-simulated over a copy of
+    the baseline's words.
+    """
+
+    def __init__(
+        self,
+        n: Netlist,
+        cs: CandidateSet,
+        lib: VariationLibrary,
+        tmap: dict,
+        ds: SimulationDataset,
+    ):
+        require_fingerprint(n, cs)
+        ev = Evaluator(n)
+        p = ev.program
+        self._words = ev.signal_words(ds)
+        self._n_vectors = ds.n_vectors
+        self._signed = ds.signed
+        self._exact_bits = unpack_rows(self._words, p.po_index, ds.n_vectors)
+        self._po_rows = p.po_index.tolist()
+        self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
+        self._ops = p.ops
+        self._out = p.out
+        self._outs = p.out.tolist()
+        gates = n.topological_order()
+        self._fanins = [
+            tuple(p.signal_index[g.fanin[pin]] for pin in g.cell.input_pins)
+            for g in gates
+        ]
+        self._folds = [FOLD_TABLE[g.kind] for g in gates]
+        self._arcs = [
+            tuple(
+                None if g.fanin[pin] in CONSTANT_NETS
+                else arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
+                for pin in g.cell.input_pins
+            )
+            for g in gates
+        ]
+        self._readers: list[list[int]] = [[] for _ in range(p.n_signals)]
+        for gi, fanin in enumerate(self._fanins):
+            for row in set(fanin):
+                self._readers[row].append(gi)
+        self._const_readers = sorted(set(self._readers[0]) | set(self._readers[1]))
+        base = ssta_traverse(n, lib, tmap)
+        self._arrivals = [base.arrivals.get(net) for net in p.signal_index]
+        # Two threads may score one new chromosome at once; both store the
+        # same value, so the race costs time, never correctness.
+        self._memo: dict[bytes, tuple[float, float, float, float]] = {}
+
+    def score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
+        """(nmed, mu_cpd, sigma_cpd, confidence) of a validated chromosome,
+        memoized by its gene bytes."""
+        key = genes.tobytes()
+        scored = self._memo.get(key)
+        if scored is None:
+            scored = self._memo[key] = self._score(genes)
+        return scored
+
+    def _score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
+        alias = list(range(len(self._arrivals)))
+        arrivals = list(self._arrivals)
+        dirty = bytearray(len(self._fanins))
+        hot = np.flatnonzero(genes != GENE_EXACT)
+        # a GND gene (0) and a VDD gene (1) are also the GND and VDD rows
+        for row, const in zip(self._cand_rows[hot].tolist(), genes[hot].tolist()):
+            alias[row] = const
+            for gi in self._readers[row]:
+                dirty[gi] = 1
+        if hot.size:
+            for gi in self._const_readers:
+                dirty[gi] = 1
+
+        kept: list[int] = []
+        kept_fanins: list[list[int]] = []
+        for gi, fanin in enumerate(self._fanins):
+            if not dirty[gi]:
+                continue
+            out = self._outs[gi]
+            if alias[out] != out:
+                continue  # a tied net: its driver is dropped, never folded
+            for reader in self._readers[out]:
+                dirty[reader] = 1
+            rows = [alias[r] for r in fanin]
+            target = self._folds[gi][tuple([r if r < 2 else 2 for r in rows])]
+            if target is not None:
+                alias[out] = (0, 1, *rows)[target]
+                continue
+            pin, rv = running_winner(
+                (k, arrivals[r]) for k, r in enumerate(rows) if arrivals[r] is not None
+            )
+            arrivals[out] = rv_sum(rv, self._arcs[gi][pin])
+            kept.append(gi)
+            kept_fanins.append(rows)
+
+        words = self._words
+        if kept:
+            words = words.copy()
+            # pins a gate lacks read row 0, as in compile_logic
+            fan = np.array([(rows + [0, 0])[:3] for rows in kept_fanins], np.int32)
+            _kernels.eval_words(
+                self._ops[kept], fan[:, 0], fan[:, 1], fan[:, 2], self._out[kept], words
+            )
+        po = [alias[r] for r in self._po_rows]
+        approx_bits = unpack_rows(words, po, self._n_vectors)
+        metrics = _metrics_from_bits(self._exact_bits, approx_bits, self._signed)
+        rvs = [arrivals[r] for r in dict.fromkeys(po) if arrivals[r] is not None]
+        _, cpd, confidence = po_endpoint(rvs)
+        return metrics.nmed, cpd.mu, cpd.sigma, confidence
+
+
 def evaluate_individual(
     n: Netlist,
     cs: CandidateSet,
@@ -92,28 +236,22 @@ def evaluate_individual(
     tmap: dict,
     ds: SimulationDataset,
     cfg: GaConfig,
-    exact_bits: np.ndarray | None = None,
+    program: SearchProgram | None = None,
 ) -> EvaluatedDesign:
-    """Apply, simulate, and time one chromosome.  Pure in its inputs.
+    """Score one chromosome: error, timing and the penalized objective.
 
-    exact_bits optionally carries the baseline's precomputed PO bit matrix
-    over ds (it is identical for every individual).
+    `program` is the `SearchProgram` of these (n, cs, lib, tmap, ds),
+    shared by every individual of a run; None compiles one for this call.
+    Pure in its inputs.
     """
     genes = validate_genes(cs, genes)
-    approx = apply_chromosome(n, cs, genes)
-    if exact_bits is None:
-        exact_bits = Evaluator(n).po_bits(ds)
-    approx_bits = Evaluator(approx).po_bits(ds)
-    metrics = _metrics_from_bits(exact_bits, approx_bits, ds.signed)
-    ssta = ssta_traverse(approx, lib, tmap)
-    mu = ssta.cpd.mu
-    sigma = ssta.cpd.sigma
-    conf = ssta.confidence
+    if program is None:
+        program = SearchProgram(n, cs, lib, tmap, ds)
+    nmed, mu, sigma, conf = program.score(genes)
     mu_eff = mu * (1.0 + cfg.confidence_penalty * (1.0 - conf))
-    violation = max(0.0, metrics.nmed - cfg.error_bound)
+    violation = max(0.0, nmed - cfg.error_bound)
     return EvaluatedDesign(
-        genes.copy(), metrics.nmed, mu, sigma, conf, mu_eff, violation == 0.0,
-        violation,
+        genes.copy(), nmed, mu, sigma, conf, mu_eff, violation == 0.0, violation
     )
 
 
@@ -285,11 +423,11 @@ def nsga2_run(
     """
     cfg.validate()
     depth_map = depth_to_output(n)
-    exact_bits = Evaluator(n).po_bits(ds)
+    program = SearchProgram(n, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
         def one(g):
-            return evaluate_individual(n, cs, g, lib, tmap, ds, cfg, exact_bits)
+            return evaluate_individual(n, cs, g, lib, tmap, ds, cfg, program)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

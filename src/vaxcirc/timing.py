@@ -68,6 +68,47 @@ def rv_gt_prob(x: DelayRV, y: DelayRV) -> float:
     return 1.0 - normal_cdf((y.mu - x.mu) / math.sqrt(v))
 
 
+def running_winner(candidates):
+    """The (key, rv) pair that wins iterated pairwise exceedance.
+
+    The first candidate leads; a later one takes over when
+    P(candidate > leader) > 0.5, so P = 0.5 keeps the earlier one.
+    (None, None) when there are no candidates.
+    """
+    winner = win_rv = None
+    for key, rv in candidates:
+        if win_rv is None or rv_gt_prob(rv, win_rv) > 0.5:
+            winner, win_rv = key, rv
+    return winner, win_rv
+
+
+def endpoint_weight(rvs: list[DelayRV], i: int) -> float:
+    """Product of P(rvs[i] > rvs[j]) over every j != i, in list order."""
+    c = 1.0
+    for j, rv in enumerate(rvs):
+        if j != i:
+            c *= rv_gt_prob(rvs[i], rv)
+    return c
+
+
+def po_endpoint(rvs: list[DelayRV]):
+    """(index, cpd, confidence) of the endpoint among distinct PO arrivals.
+
+    The endpoint is the running winner; its confidence is its
+    `endpoint_weight`.  With no PO arrival: (None, 0 ps, 1.0).
+    """
+    if not rvs:
+        return None, DelayRV(0.0, 0.0), 1.0
+    i, cpd = running_winner(enumerate(rvs))
+    return i, cpd, endpoint_weight(rvs, i)
+
+
+def arc_rv(lib: VariationLibrary, kind: str, pin: str, edge: str) -> DelayRV:
+    """The arc delay of (kind, pin, output edge) as a DelayRV."""
+    arc = lib.arc(kind, pin, edge)
+    return DelayRV(arc.mu_ps, arc.sigma_ps**2)
+
+
 # -- deterministic STA --------------------------------------------------------
 
 
@@ -275,64 +316,37 @@ def ssta_traverse(
     arrivals: dict[str, DelayRV] = {pi: DelayRV(0.0, 0.0) for pi in n.inputs}
     critical_fanin: dict[str, str] = {}
     for g in n.topological_order():
-        winner = None
-        win_rv = None
-        for pin in g.cell.input_pins:
-            w = g.fanin[pin]
-            if w in CONSTANT_NETS:
-                continue
-            rv = arrivals.get(w)
-            if rv is None:
-                continue
-            if win_rv is None or rv_gt_prob(rv, win_rv) > 0.5:
-                winner, win_rv = pin, rv
+        # constants never enter `arrivals`, so they are skipped here
+        winner, win_rv = running_winner(
+            (pin, arrivals[g.fanin[pin]])
+            for pin in g.cell.input_pins
+            if g.fanin[pin] in arrivals
+        )
         if winner is None:
             continue  # all fanins constant: no transitions to time
-        arc = lib.arc(g.kind, winner, tmap[(g.name, winner)])
-        arrivals[g.output] = rv_sum(win_rv, DelayRV(arc.mu_ps, arc.sigma_ps**2))
+        arc = arc_rv(lib, g.kind, winner, tmap[(g.name, winner)])
+        arrivals[g.output] = rv_sum(win_rv, arc)
         critical_fanin[g.name] = winner
 
-    po_rvs: dict[str, DelayRV] = {}
-    for po in n.outputs:
-        if po in CONSTANT_NETS or po in po_rvs:
-            continue
-        rv = arrivals.get(po)
-        if rv is not None:
-            po_rvs[po] = rv
-
-    if not po_rvs:
-        return SstaResult(
-            n, arrivals, {}, None, DelayRV(0.0, 0.0), 1.0, {}, critical_fanin, {}
-        )
-
+    po_rvs = {po: arrivals[po] for po in n.outputs if po in arrivals}
     nets = list(po_rvs)
-    endpoint = nets[0]
-    for cand in nets[1:]:
-        if rv_gt_prob(po_rvs[cand], po_rvs[endpoint]) > 0.5:
-            endpoint = cand
+    rvs = list(po_rvs.values())
+    i, cpd, confidence = po_endpoint(rvs)
+    if i is None:
+        return SstaResult(
+            n, arrivals, {}, None, cpd, confidence, {}, critical_fanin, {}
+        )
+    endpoint = nets[i]
 
-    weights = {}
-    for i in nets:
-        c = 1.0
-        for j in nets:
-            if j != i:
-                c *= rv_gt_prob(po_rvs[i], po_rvs[j])
-        weights[i] = c
+    weights = {net: endpoint_weight(rvs, j) for j, net in enumerate(nets)}
     total = sum(weights.values())
     if total > 0.0:
-        probs = {i: w / total for i, w in weights.items()}
+        probs = {net: w / total for net, w in weights.items()}
     else:  # all weights underflowed; fall back to the selected endpoint
-        probs = {i: (1.0 if i == endpoint else 0.0) for i in nets}
+        probs = {net: (1.0 if net == endpoint else 0.0) for net in nets}
 
     result = SstaResult(
-        n,
-        arrivals,
-        po_rvs,
-        endpoint,
-        po_rvs[endpoint],
-        weights[endpoint],
-        probs,
-        critical_fanin,
+        n, arrivals, po_rvs, endpoint, cpd, confidence, probs, critical_fanin
     )
     result.cpb = cpb_backprop(n, probs, critical_fanin)
     return result

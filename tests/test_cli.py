@@ -209,7 +209,9 @@ class TestErrorContract:
         "case",
         ["pop_3", "malformed_config", "config_not_object", "nonpositive_mu",
          "section_number", "section_string", "section_value_string",
-         "flat_value_string"],
+         "flat_value_string", "sta_no_netlist", "ssta_no_netlist",
+         "simulate_no_netlist", "simulate_no_reference", "optimize_no_netlist",
+         "count_negative", "threads_zero"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -226,6 +228,17 @@ class TestErrorContract:
             "section_value_string": sta,
             "flat_value_string": ["--config", str(cfg), "optimize", "--netlist",
                                   rca4_file, "--out", str(tmp_path / "run")],
+            "sta_no_netlist": ["sta"],
+            "ssta_no_netlist": ["ssta"],
+            "simulate_no_netlist": ["simulate", "--reference", rca4_file],
+            "simulate_no_reference": ["simulate", "--netlist", rca4_file],
+            "optimize_no_netlist": ["optimize", "--out", str(tmp_path / "run")],
+            "count_negative": ["sample-libs", "--count", "-2",
+                               "--out", str(tmp_path / "run")],
+            "threads_zero": ["--threads", "0", "optimize", "--netlist", rca4_file,
+                             "--pop", "2", "--gens", "1", "--search-vectors", "64",
+                             "--report-vectors", "64", "--tmap-samples", "4",
+                             "--bound-samples", "4", "--out", str(tmp_path / "run")],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vaxcirc import optimize
 from vaxcirc.approx import build_candidates, exact_chromosome
 from vaxcirc.celllib import nominal_library
 from vaxcirc.errsim import generate_dataset
@@ -10,6 +11,7 @@ from vaxcirc.netlist import Gate, Netlist, depth_to_output
 from vaxcirc.optimize import (
     EvaluatedDesign,
     GaConfig,
+    SearchProgram,
     crowding_assign,
     evaluate_individual,
     greedy_glp,
@@ -156,6 +158,32 @@ class TestEvaluateIndividual:
             rca4, cs, exact_chromosome(cs), default_lib, tmap, ds, cfg
         )
         assert d.mu_cpd_eff == d.mu_cpd * (1.0 + 0.25 * (1.0 - d.confidence))
+
+
+class TestSearchProgram:
+    def test_duplicate_rows_are_scored_once(
+        self, rca4, default_lib, rca4_setup, monkeypatch
+    ):
+        tmap, _, cs, ds = rca4_setup
+        scored = []
+        metrics = optimize._metrics_from_bits
+        monkeypatch.setattr(
+            optimize, "_metrics_from_bits", lambda *a: scored.append(a) or metrics(*a)
+        )
+        program = SearchProgram(rca4, cs, default_lib, tmap, ds)
+        tied = exact_chromosome(cs)
+        tied[0] = 0
+        rows = [exact_chromosome(cs), tied, exact_chromosome(cs), tied.copy(), tied]
+        cfg = GaConfig(error_bound=0.05)
+        designs = [
+            evaluate_individual(rca4, cs, g, default_lib, tmap, ds, cfg, program)
+            for g in rows
+        ]
+        assert len(scored) == 2
+        assert len({id(d) for d in designs}) == len(rows)
+        assert designs[0].objectives == designs[2].objectives
+        assert designs[1].objectives == designs[3].objectives == designs[4].objectives
+        assert designs[0].objectives != designs[1].objectives
 
 
 def _brute_force_ranks(points):

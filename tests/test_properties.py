@@ -1,16 +1,26 @@
 """Property tests: the vectorized dominance routines, the one-pass
-constant fold and the per-PO arrival reduction, each checked against an
-independent slow reference; and the netlist text round trip."""
+constant fold, the per-PO arrival reduction and the compiled chromosome
+scorer, each checked against an independent slow reference; and the
+netlist text round trip."""
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaxcirc._compile import compile_timing
-from vaxcirc.approx import tie_nets
+from vaxcirc.approx import (
+    CandidateSet,
+    apply_chromosome,
+    build_candidates,
+    exact_chromosome,
+    tie_nets,
+)
 from vaxcirc.celllib import default_library, nominal_library, sample_library, sample_matrix
+from vaxcirc.errsim import generate_dataset, simulate_metrics
+from vaxcirc.harness import BenchmarkSpec, generate_benchmark
 from vaxcirc.netlist import (
     GND,
     VDD,
@@ -19,7 +29,8 @@ from vaxcirc.netlist import (
     simplify_constants,
     write_netlist,
 )
-from vaxcirc.optimize import nondominated_sort, pareto_front_indices
+from vaxcirc.optimize import SearchProgram, nondominated_sort, pareto_front_indices
+from vaxcirc.timing import annotate_edge_transitions, ssta_traverse
 
 from _oracles import naive_outputs, path_enum_cpd, random_dag
 from test_netlist import _tie_pi
@@ -128,3 +139,57 @@ def test_po_arrivals_matches_per_po_loop(case, lib_seed, count):
         got = program.po_arrivals(arr)
         assert got.shape == (count, len(net.outputs))
         assert got.tolist() == _po_arrivals_by_loop(program, arr)
+
+
+def _reference_score(n, cs, genes, lib, tmap, ds):
+    """(nmed, mu_cpd, sigma_cpd, confidence) through the object path:
+    apply the chromosome, simulate both netlists, traverse the result."""
+    approx = apply_chromosome(n, cs, genes)
+    ssta = ssta_traverse(approx, lib, tmap)
+    nmed = simulate_metrics(n, approx, ds).nmed
+    return nmed, ssta.cpd.mu, ssta.cpd.sigma, ssta.confidence
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.data())
+def test_search_program_matches_reference(case, data):
+    n, _, tied = case
+    # `tied` reads GND/VDD itself, which the reference folds once any net is tied
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        tmap = annotate_edge_transitions(base, _LIB, 8, seed=0)
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        program = SearchProgram(base, cs, _LIB, tmap, ds)
+        genes = np.array(
+            data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                               min_size=len(nets), max_size=len(nets))),
+            dtype=np.int8,
+        )
+        for g in (exact_chromosome(cs), genes):
+            assert program.score(g) == _reference_score(base, cs, g, _LIB, tmap, ds)
+
+
+@pytest.mark.parametrize("family,width,taps", [
+    ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 8, 1),
+    ("mac_fir", 8, 2),
+])
+def test_search_program_matches_reference_on_families(family, width, taps):
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    tmap = annotate_edge_transitions(n, _LIB, 50, seed=0)
+    cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
+    ds = generate_dataset(n, 256, seed=3)
+    program = SearchProgram(n, cs, _LIB, tmap, ds)
+    po_genes = [k for k, net in enumerate(cs.nets) if net in n.outputs]
+    assert po_genes
+    rng = np.random.default_rng(7)
+    rows = [exact_chromosome(cs)]
+    for i in range(49):
+        p = (0.02, 0.1, 0.3)[i % 3]
+        genes = np.where(rng.random(len(cs)) < p, rng.integers(0, 2, len(cs)), -1)
+        genes = genes.astype(np.int8)
+        if i % 4 == 0:  # tie a PO net
+            genes[po_genes[i % len(po_genes)]] = i % 8 // 4
+        rows.append(genes)
+    for genes in rows:
+        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
