@@ -88,13 +88,21 @@ class TimingProgram:
         return len(self.net_index)
 
     def init_arrivals(self, count: int) -> np.ndarray:
-        arr = np.full((count, self.n_nets, 2), _kernels.NEG_INF, dtype=np.float64)
-        arr[:, self.pi_rows, :] = 0.0
-        return arr
+        """(count, nets, 2) arrivals, -inf except 0.0 at the PIs.
+
+        The array is a view of a net-major (nets, 2, count) buffer, so the
+        column `sta_forward` reads or writes per edge, one net and one
+        transition over all rows, is contiguous in memory.
+        """
+        buf = np.full((self.n_nets, 2, count), _kernels.NEG_INF, dtype=np.float64)
+        buf[self.pi_rows] = 0.0
+        return buf.transpose(2, 0, 1)
 
     def forward(self, delays: np.ndarray) -> np.ndarray:
         """Arrivals (rows, nets, [rise, fall]) for each row of arc delays."""
         arr = self.init_arrivals(delays.shape[0])
+        # arc-major copy: each arc's delays over all rows are contiguous
+        delays = np.ascontiguousarray(delays.T).T
         _kernels.sta_forward(
             self.src, self.dst, self.unate, self.arc_rise, self.arc_fall, delays, arr
         )

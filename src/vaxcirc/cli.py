@@ -165,7 +165,8 @@ def _flag_types(parser, command):
 
 def _resolve(args, parser):
     """Fill None flags from --config JSON, then from hard defaults; reject
-    a missing required path and a thread or sample count below one."""
+    a missing required path, a thread or sample count below one and a
+    negative `sta --samples`."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -202,6 +203,8 @@ def _resolve(args, parser):
     for key in ("threads", "count"):
         if getattr(args, key, 1) < 1:
             raise ValueError(f"--{key} must be >= 1")
+    if args.command == "sta" and args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     return args
 
 

@@ -19,6 +19,7 @@ from .netlist import Netlist
 from .timing import sta_arrivals
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class SimulationError(Exception):
@@ -181,12 +182,12 @@ def interpret_values(bits: np.ndarray, signed: bool = False):
     """
     n, width = bits.shape
     if width <= 62:
-        weights = (np.int64(1) << np.arange(width, dtype=np.int64))
-        vals = bits.astype(np.int64) @ weights
+        # one column at a time, so no (N, width) int64 temporary is made
+        vals = np.zeros(n, dtype=np.int64)
+        for j in range(width):
+            vals |= bits[:, j].astype(np.int64) << j
         if signed and width:
-            vals = np.where(
-                bits[:, -1].astype(bool), vals - (np.int64(1) << np.int64(width)), vals
-            )
+            vals -= bits[:, -1].astype(np.int64) << width
         return vals
     packed = np.packbits(bits, axis=1, bitorder="little")
     vals = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -205,16 +206,17 @@ class ErrorMetrics:
     n_vectors: int
 
 
-def _metrics_from_bits(
-    exact_bits: np.ndarray, approx_bits: np.ndarray, signed: bool
-) -> ErrorMetrics:
-    n, width = exact_bits.shape
-    exact = interpret_values(exact_bits, signed)
+def _metrics_from_bits(exact, approx_bits: np.ndarray, signed: bool) -> ErrorMetrics:
+    """Error metrics of an approximate PO bit matrix against the exact bus
+    values (`interpret_values` of the exact bits, computed once by the
+    caller)."""
+    n, width = approx_bits.shape
     approx = interpret_values(approx_bits, signed)
     if isinstance(exact, np.ndarray):
         ed = np.abs(approx - exact)
-        total = int(sum(ed.tolist()))
         max_ed = int(ed.max(initial=0))
+        # an int64 sum is exact while n * max_ed fits; else sum Python ints
+        total = int(ed.sum()) if max_ed <= _INT64_MAX // max(n, 1) else sum(ed.tolist())
         errors = int(np.count_nonzero(ed))
         rel = float(np.mean(ed / np.maximum(1, np.abs(exact)))) if n else 0.0
     else:
@@ -229,19 +231,25 @@ def _metrics_from_bits(
 
 
 def simulate_metrics(
-    exact: Netlist, approx: Netlist, ds: SimulationDataset
+    exact: Netlist, approx: Netlist, ds: SimulationDataset, *, exact_values=None
 ) -> ErrorMetrics:
     """Error metrics of `approx` against `exact` over the dataset.
 
     The two netlists must agree on PI names/order and PO count.
+    `exact_values` are the exact bus values over `ds` as `interpret_values`
+    gives them; None simulates `exact` here.  A caller that scores many
+    designs against one reference passes them to simulate it once.
     """
     if exact.inputs != approx.inputs:
         raise SimulationError("netlists disagree on primary inputs")
     if len(exact.outputs) != len(approx.outputs):
         raise SimulationError("netlists disagree on primary output count")
-    e_bits = Evaluator(exact).po_bits(ds)
+    if exact_values is None:
+        exact_values = interpret_values(Evaluator(exact).po_bits(ds), ds.signed)
+    elif len(exact_values) != ds.n_vectors:
+        raise SimulationError("exact values do not match the dataset size")
     a_bits = Evaluator(approx).po_bits(ds)
-    return _metrics_from_bits(e_bits, a_bits, ds.signed)
+    return _metrics_from_bits(exact_values, a_bits, ds.signed)
 
 
 def timing_error_metrics(
@@ -260,4 +268,4 @@ def timing_error_metrics(
     exact_bits = Evaluator(n).po_bits(ds)
     stale = exact_bits.copy()
     stale[1:, late] = exact_bits[:-1, late]
-    return _metrics_from_bits(exact_bits, stale, ds.signed)
+    return _metrics_from_bits(interpret_values(exact_bits, ds.signed), stale, ds.signed)

@@ -34,7 +34,7 @@ from .celllib import (
     save_variation_library,
 )
 from .errsim import Evaluator, SimulationDataset, _metrics_from_bits, generate_dataset
-from .errsim import simulate_metrics
+from .errsim import interpret_values, simulate_metrics
 from .netlist import Gate, Netlist, netlist_fingerprint, parse_netlist, write_netlist
 from .optimize import GaConfig, nsga2_run, pareto_front_indices
 from .timing import annotate_edge_transitions, cpd_over_delays, sta_arrivals
@@ -262,6 +262,9 @@ def monte_carlo_evaluate(
     reference: Netlist | None = None,
     rho=None,
     design_id: str = "design",
+    *,
+    delays: np.ndarray | None = None,
+    reference_values=None,
 ) -> McEvaluation:
     """CPD statistics over `count` sampled libraries plus functional NMED.
 
@@ -269,15 +272,23 @@ def monte_carlo_evaluate(
     designs against the same (seed, count) share process conditions
     library-by-library.  `reference` supplies the exact netlist for the
     NMED leg; None skips it (nmed = 0), used for the baseline itself.
+
+    `delays` is the `sample_matrix` of those libraries and
+    `reference_values` the reference's bus values over `ds`
+    (`interpret_values` of its PO bits); None draws or simulates them
+    here.  A caller scoring many designs passes both to do that once.
     """
     if count < 1:
         raise HarnessError("count must be >= 1")
     program = compile_timing(n, vlib.arc_index())
-    delays = sample_matrix(vlib, range(seed, seed + count), rho)
+    if delays is None:
+        delays = sample_matrix(vlib, range(seed, seed + count), rho)
+    elif delays.shape[0] != count:
+        raise HarnessError(f"{delays.shape[0]} delay rows for count {count}")
     cpd = cpd_over_delays(program, delays)
     nmed = 0.0
     if reference is not None:
-        nmed = simulate_metrics(reference, n, ds).nmed
+        nmed = simulate_metrics(reference, n, ds, exact_values=reference_values).nmed
     return McEvaluation(
         design_id,
         float(cpd.max()),
@@ -309,6 +320,7 @@ def stale_nmed_bound(
     delays = sample_matrix(vlib, range(seed, seed + count), rho)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
     exact_bits = Evaluator(n).po_bits(ds)
+    exact = interpret_values(exact_bits, ds.signed)
     per_lib = np.zeros(count, dtype=np.float64)
     cache: dict[bytes, float] = {}
     for k in range(count):
@@ -319,7 +331,7 @@ def stale_nmed_bound(
             else:
                 stale = exact_bits.copy()
                 stale[1:, late[k]] = exact_bits[:-1, late[k]]
-                cache[key] = _metrics_from_bits(exact_bits, stale, ds.signed).nmed
+                cache[key] = _metrics_from_bits(exact, stale, ds.signed).nmed
         per_lib[k] = cache[key]
     return float(per_lib.max(initial=0.0)), per_lib
 
@@ -429,6 +441,8 @@ def run_optimize(
     written last, and the front, MC and report files of that run are deleted.
     """
     run_dir = str(run_dir)
+    if bound_count < 1:
+        raise HarnessError("bound count must be >= 1")
     # a derived bound is an NMED, so it is in range; 0.0 stands in until then
     cfg = replace(
         cfg, error_bound=0.0 if error_bound is None else error_bound
@@ -541,16 +555,23 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
 
     Scores exactly the designs listed in fronts/final_front.csv, in that
     order, so chromosome files left behind by an earlier run are ignored.
+    The libraries are drawn and the baseline's exact outputs simulated
+    once, and shared by every design.
     """
+    if mc_count < 1:  # before the report of an earlier evaluate is removed
+        raise HarnessError("count must be >= 1")
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
     _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results
     clock = config["clock_ps"]
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
+    delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
 
     base_eval = monte_carlo_evaluate(
-        baseline, vlib, mc_count, mc_seed, clock, ds, design_id="baseline"
+        baseline, vlib, mc_count, mc_seed, clock, ds, design_id="baseline",
+        delays=delays,
     )
+    exact = interpret_values(Evaluator(baseline).po_bits(ds), ds.signed)
     with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
         design_ids = [r["design_id"] for r in csv.DictReader(f)]
     evals = []
@@ -561,6 +582,7 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
             monte_carlo_evaluate(
                 design, vlib, mc_count, mc_seed, clock, ds,
                 reference=baseline, design_id=design_id,
+                delays=delays, reference_values=exact,
             )
         )
     _write_csv(

@@ -27,6 +27,7 @@ from .errsim import (
     Evaluator,
     SimulationDataset,
     _metrics_from_bits,
+    interpret_values,
     unpack_bits,
     unpack_rows,
 )
@@ -136,7 +137,9 @@ class SearchProgram:
         self._words = ev.signal_words(ds)
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
-        self._exact_bits = unpack_rows(self._words, p.po_index, ds.n_vectors)
+        self._exact = interpret_values(
+            unpack_rows(self._words, p.po_index, ds.n_vectors), ds.signed
+        )
         self._po_rows = p.po_index.tolist()
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
         self._ops = p.ops
@@ -222,7 +225,7 @@ class SearchProgram:
             )
         po = [alias[r] for r in self._po_rows]
         approx_bits = unpack_rows(words, po, self._n_vectors)
-        metrics = _metrics_from_bits(self._exact_bits, approx_bits, self._signed)
+        metrics = _metrics_from_bits(self._exact, approx_bits, self._signed)
         rvs = [arrivals[r] for r in dict.fromkeys(po) if arrivals[r] is not None]
         _, cpd, confidence = po_endpoint(rvs)
         return metrics.nmed, cpd.mu, cpd.sigma, confidence

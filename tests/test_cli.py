@@ -211,7 +211,8 @@ class TestErrorContract:
          "section_number", "section_string", "section_value_string",
          "flat_value_string", "sta_no_netlist", "ssta_no_netlist",
          "simulate_no_netlist", "simulate_no_reference", "optimize_no_netlist",
-         "count_negative", "threads_zero"],
+         "count_negative", "threads_zero", "bound_samples_zero",
+         "sta_samples_negative"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -239,6 +240,9 @@ class TestErrorContract:
                              "--pop", "2", "--gens", "1", "--search-vectors", "64",
                              "--report-vectors", "64", "--tmap-samples", "4",
                              "--bound-samples", "4", "--out", str(tmp_path / "run")],
+            "bound_samples_zero": ["optimize", "--netlist", rca4_file,
+                                   "--bound-samples", "0", "--out", str(tmp_path / "run")],
+            "sta_samples_negative": ["sta", "--netlist", rca4_file, "--samples", "-1"],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",

@@ -456,6 +456,24 @@ class TestPipelineErrors:
         _, evals = run_evaluate(tmp_path, mc_count=5)
         assert [e.design_id for e in evals] == listed
 
+    def test_rejected_evaluate_keeps_the_report(self, tmp_path, rca4, default_lib):
+        cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
+        run_optimize(
+            tmp_path, rca4, default_lib, cfg,
+            tmap_count=10, bound_count=10, report_vectors=200,
+        )
+        run_evaluate(tmp_path, mc_count=5)
+        run_report(tmp_path)
+
+        def files():
+            return {p: p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        before = files()
+        assert len(list((tmp_path / "report").iterdir())) == 6
+        with pytest.raises(HarnessError, match="count must be >= 1"):
+            run_evaluate(tmp_path, mc_count=0)
+        assert files() == before
+
     def test_missing_listed_chromosome_is_an_error(self, tmp_path, rca4, default_lib):
         cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
         art = run_optimize(

@@ -1,6 +1,7 @@
 """Property tests: the vectorized dominance routines, the one-pass
-constant fold, the per-PO arrival reduction and the compiled chromosome
-scorer, each checked against an independent slow reference; and the
+constant fold, the batched STA and its per-PO arrival reduction, the bus
+value reading, the compiled chromosome scorer and the shared Monte-Carlo
+evaluation, each checked against an independent slow reference; and the
 netlist text round trip."""
 
 import itertools
@@ -19,8 +20,19 @@ from vaxcirc.approx import (
     tie_nets,
 )
 from vaxcirc.celllib import default_library, nominal_library, sample_library, sample_matrix
-from vaxcirc.errsim import generate_dataset, simulate_metrics
-from vaxcirc.harness import BenchmarkSpec, generate_benchmark
+from vaxcirc.errsim import (
+    _metrics_from_bits,
+    generate_dataset,
+    interpret_values,
+    simulate_metrics,
+)
+from vaxcirc.harness import (
+    BenchmarkSpec,
+    generate_benchmark,
+    monte_carlo_evaluate,
+    run_evaluate,
+    run_optimize,
+)
 from vaxcirc.netlist import (
     GND,
     VDD,
@@ -29,7 +41,12 @@ from vaxcirc.netlist import (
     simplify_constants,
     write_netlist,
 )
-from vaxcirc.optimize import SearchProgram, nondominated_sort, pareto_front_indices
+from vaxcirc.optimize import (
+    GaConfig,
+    SearchProgram,
+    nondominated_sort,
+    pareto_front_indices,
+)
 from vaxcirc.timing import annotate_edge_transitions, ssta_traverse
 
 from _oracles import naive_outputs, path_enum_cpd, random_dag
@@ -141,6 +158,66 @@ def test_po_arrivals_matches_per_po_loop(case, lib_seed, count):
         assert got.tolist() == _po_arrivals_by_loop(program, arr)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(2, 5))
+def test_forward_matches_row_by_row(case, lib_seed, count):
+    _, _, tied = case
+    delays = sample_matrix(_LIB, range(lib_seed, lib_seed + count))
+    for net in (tied, simplify_constants(tied)):
+        program = compile_timing(net, _LIB.arc_index())
+        got = program.forward(delays)
+        want = np.concatenate([program.forward(delays[k:k + 1]) for k in range(count)])
+        assert got.shape == (count, program.n_nets, 2)
+        assert (got == want).all()  # -inf == -inf, so constant nets compare too
+
+
+def _bus_values(max_width, max_rows, per_row=1):
+    """(width, rows of `per_row` unsigned bus values each), widths 0..max_width."""
+    return st.one_of(st.integers(0, 62), st.integers(63, max_width)).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(
+            st.tuples(*[st.integers(0, (1 << w) - 1)] * per_row),
+            min_size=1, max_size=max_rows))
+    )
+
+
+def _to_bits(values, width):
+    return np.array([[(v >> j) & 1 for j in range(width)] for v in values],
+                    dtype=np.uint8).reshape(len(values), width)
+
+
+def _as_signed(v, width, signed):
+    return v - (1 << width) if signed and width and v >> (width - 1) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bus_values(80, 6), st.booleans())
+def test_interpret_values_matches_python_ints(case, signed):
+    width, rows = case
+    values = [v for (v,) in rows]
+    got = interpret_values(_to_bits(values, width), signed)
+    assert isinstance(got, np.ndarray) == (width <= 62)
+    assert [int(v) for v in got] == [_as_signed(v, width, signed) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bus_values(70, 8, per_row=2), st.booleans())
+def test_error_metrics_match_python_ints(case, signed):
+    """Distance sums that overflow int64 (wide buses, many rows) included."""
+    width, pairs = case
+    exact = [_as_signed(e, width, signed) for e, _ in pairs]
+    approx = [_as_signed(a, width, signed) for _, a in pairs]
+    m = _metrics_from_bits(
+        interpret_values(_to_bits([e for e, _ in pairs], width), signed),
+        _to_bits([a for _, a in pairs], width),
+        signed,
+    )
+    ed = [abs(a - e) for e, a in zip(exact, approx)]
+    n = len(pairs)
+    assert m.nmed == sum(ed) / (n * ((1 << width) - 1 if width else 1))
+    assert (m.max_ed, m.error_rate, m.n_vectors) == (
+        max(ed), sum(1 for d in ed if d) / n, n)
+
+
 def _reference_score(n, cs, genes, lib, tmap, ds):
     """(nmed, mu_cpd, sigma_cpd, confidence) through the object path:
     apply the chromosome, simulate both netlists, traverse the result."""
@@ -193,3 +270,26 @@ def test_search_program_matches_reference_on_families(family, width, taps):
         rows.append(genes)
     for genes in rows:
         assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+
+
+@pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])
+def test_run_evaluate_matches_standalone_calls(tmp_path, family, width, taps):
+    """The shared library draw and exact reference change no number: each
+    McEvaluation equals the one a standalone call draws and simulates."""
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    cfg = GaConfig(population=6, generations=2, seed=0, search_vectors=256)
+    art = run_optimize(
+        tmp_path, n, _LIB, cfg, tmap_count=20, bound_count=10, report_vectors=2000
+    )
+    base, evals = run_evaluate(tmp_path, mc_count=30, mc_seed=9000)
+    ds = generate_dataset(n, 2000, seed=cfg.seed + 2)
+    clock = art.clock_ps
+    assert base == monte_carlo_evaluate(
+        n, _LIB, 30, 9000, clock, ds, design_id="baseline"
+    )
+    assert len(evals) == len(art.result.front) > 0
+    for e, d in zip(evals, art.result.front):
+        design = apply_chromosome(n, art.candidates, d.genes)
+        assert e == monte_carlo_evaluate(
+            design, _LIB, 30, 9000, clock, ds, reference=n, design_id=e.design_id
+        )
