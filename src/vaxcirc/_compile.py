@@ -78,8 +78,6 @@ class TimingProgram:
     unate: np.ndarray
     arc_rise: np.ndarray
     arc_fall: np.ndarray
-    edge_gate: tuple[str, ...]  # gate name per edge
-    edge_pin: tuple[str, ...]
     pi_rows: np.ndarray
     po_rows: np.ndarray  # net row per primary output position (-1 = constant)
 
@@ -87,20 +85,28 @@ class TimingProgram:
     def n_nets(self) -> int:
         return len(self.net_index)
 
-    def init_arrivals(self, count: int) -> np.ndarray:
+    def init_arrivals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """(count, nets, 2) arrivals, -inf except 0.0 at the PIs.
 
         The array is a view of a net-major (nets, 2, count) buffer, so the
         column `sta_forward` reads or writes per edge, one net and one
-        transition over all rows, is contiguous in memory.
+        transition over all rows, is contiguous in memory.  The buffer is
+        the head of the contiguous float64 array `out` when given (it must
+        be large enough), else a new one.
         """
-        buf = np.full((self.n_nets, 2, count), _kernels.NEG_INF, dtype=np.float64)
+        shape = (self.n_nets, 2, count)
+        if out is None:
+            buf = np.empty(shape, dtype=np.float64)
+        else:
+            buf = out.reshape(-1)[: self.n_nets * 2 * count].reshape(shape)
+        buf[...] = _kernels.NEG_INF
         buf[self.pi_rows] = 0.0
         return buf.transpose(2, 0, 1)
 
-    def forward(self, delays: np.ndarray) -> np.ndarray:
-        """Arrivals (rows, nets, [rise, fall]) for each row of arc delays."""
-        arr = self.init_arrivals(delays.shape[0])
+    def forward(self, delays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Arrivals (rows, nets, [rise, fall]) for each row of arc delays;
+        `out` as for `init_arrivals`."""
+        arr = self.init_arrivals(delays.shape[0], out)
         # arc-major copy: each arc's delays over all rows are contiguous
         delays = np.ascontiguousarray(delays.T).T
         _kernels.sta_forward(
@@ -126,7 +132,6 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
         net_index[g.output] = len(net_index)
 
     src, dst, unate, a_rise, a_fall = [], [], [], [], []
-    edge_gate, edge_pin = [], []
     for g in topo:
         cell = g.cell
         for pin, un in zip(cell.input_pins, cell.unateness):
@@ -143,8 +148,6 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
                 unate.append(_kernels.UN_POS)
             a_rise.append(arc_index[(g.kind, pin, "rise")])
             a_fall.append(arc_index[(g.kind, pin, "fall")])
-            edge_gate.append(g.name)
-            edge_pin.append(pin)
 
     pi_rows = np.array([net_index[pi] for pi in n.inputs], dtype=np.int32)
     po_rows = np.array(
@@ -158,8 +161,6 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
         np.array(unate, dtype=np.int8),
         np.array(a_rise, dtype=np.int32),
         np.array(a_fall, dtype=np.int32),
-        tuple(edge_gate),
-        tuple(edge_pin),
         pi_rows,
         po_rows,
     )

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import CONSTANT_NETS, GND, VDD, Gate, Netlist, netlist_fingerprint
-from .netlist import simplify_constants
+from ._compile import LogicProgram
+from .netlist import CONSTANT_NETS, FOLD_TABLE, GND, VDD, Gate, Netlist
+from .netlist import netlist_fingerprint, simplify_constants
 from .timing import SstaResult
 
 GENE_EXACT = -1
@@ -111,6 +112,84 @@ def apply_chromosome(
         if gene != GENE_EXACT
     }
     return tie_nets(n, tie) if tie else n
+
+
+@dataclass
+class Fold:
+    """What `apply_chromosome` makes of one chromosome, over the baseline's
+    `compile_logic` rows (row 0 is GND, row 1 VDD, gate rows follow the
+    PIs in topological order)."""
+
+    alias: list[int]  # per row: GND 0, VDD 1, the upstream row it forwards, or itself
+    cone: list[int]  # kept gates the fold visited, topological
+    cone_fanins: list[list[int]]  # their aliased fanin rows, in pin order
+    dropped: list[int]  # tied nets' drivers, then the gates folded away
+
+
+class TieFold:
+    """The tie fold of `apply_chromosome` as one pass over compiled rows.
+
+    Calling it with a validated chromosome gives the `Fold` of that
+    chromosome: each tied net aliases its constant, and each gate, in
+    topological order, is folded by `netlist.FOLD_TABLE` to a constant or
+    to one of its aliased fanins, or kept.  The pass visits only the
+    fanout of the tied nets and, once any net is tied, of the baseline's
+    own GND/VDD readers, since `simplify_constants` folds those too.  A
+    gate it does not visit is kept with its baseline fanins.  A tied net's
+    driver is dropped whether or not the pass visits it.
+    """
+
+    def __init__(self, p: LogicProgram, cs: CandidateSet):
+        require_fingerprint(p.netlist, cs)
+        gates = p.netlist.topological_order()
+        self.first_gate = 2 + len(p.netlist.inputs)  # row of the first gate output
+        self._fanins = [
+            tuple(p.signal_index[g.fanin[pin]] for pin in g.cell.input_pins)
+            for g in gates
+        ]
+        self._folds = [FOLD_TABLE[g.kind] for g in gates]
+        self._outs = p.out.tolist()
+        self._readers: list[list[int]] = [[] for _ in range(p.n_signals)]
+        for gi, fanin in enumerate(self._fanins):
+            for row in set(fanin):
+                self._readers[row].append(gi)
+        self._const_readers = sorted(set(self._readers[0]) | set(self._readers[1]))
+        self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
+
+    def __call__(self, genes: np.ndarray) -> Fold:
+        alias = list(range(len(self._readers)))
+        dirty = bytearray(len(self._fanins))
+        hot = np.flatnonzero(genes != GENE_EXACT)
+        tied = self._cand_rows[hot].tolist()
+        # a GND gene (0) and a VDD gene (1) are also the GND and VDD rows
+        for row, const in zip(tied, genes[hot].tolist()):
+            alias[row] = const
+            for gi in self._readers[row]:
+                dirty[gi] = 1
+        if tied:
+            for gi in self._const_readers:
+                dirty[gi] = 1
+        dropped = [row - self.first_gate for row in tied if row >= self.first_gate]
+
+        cone: list[int] = []
+        cone_fanins: list[list[int]] = []
+        for gi, fanin in enumerate(self._fanins):
+            if not dirty[gi]:
+                continue
+            out = self._outs[gi]
+            if alias[out] != out:
+                continue  # a tied net's driver, dropped above
+            for reader in self._readers[out]:
+                dirty[reader] = 1
+            rows = [alias[r] for r in fanin]
+            target = self._folds[gi][tuple([r if r < 2 else 2 for r in rows])]
+            if target is None:
+                cone.append(gi)
+                cone_fanins.append(rows)
+            else:
+                alias[out] = (0, 1, *rows)[target]
+                dropped.append(gi)
+        return Fold(alias, cone, cone_fanins, dropped)
 
 
 def chromosome_distance(a, b) -> int:

@@ -165,8 +165,8 @@ def _flag_types(parser, command):
 
 def _resolve(args, parser):
     """Fill None flags from --config JSON, then from hard defaults; reject
-    a missing required path, a thread or sample count below one and a
-    negative `sta --samples`."""
+    a missing required path, a thread or sample count below one, a
+    `--tmap-samples` below one and a negative `sta --samples`."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -205,6 +205,8 @@ def _resolve(args, parser):
             raise ValueError(f"--{key} must be >= 1")
     if args.command == "sta" and args.samples < 0:
         raise ValueError("--samples must be >= 0")
+    if args.command in ("ssta", "optimize") and args.tmap_samples < 1:
+        raise ValueError("--tmap-samples must be >= 1")
     return args
 
 

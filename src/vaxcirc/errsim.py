@@ -146,14 +146,22 @@ class Evaluator:
                 f"{self.netlist.inputs}"
             )
 
-    def signal_words(self, ds: SimulationDataset) -> np.ndarray:
-        """All signal rows (constants, PIs, gate outputs) as packed words."""
+    def signal_words(
+        self, ds: SimulationDataset, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """All signal rows (constants, PIs, gate outputs) as packed words,
+        in the head of the uint64 array `out` when given, else in a new
+        array."""
         self._check(ds)
         n = ds.n_vectors
-        n_words = (n + 63) // 64
         p = self.program
-        words = np.zeros((p.n_signals, n_words), dtype=np.uint64)
-        words[1, :] = _FULL
+        shape = (p.n_signals, (n + 63) // 64)
+        if out is None:
+            words = np.empty(shape, dtype=np.uint64)
+        else:
+            words = out.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+        words[0] = 0
+        words[1] = _FULL
         for j, row in enumerate(p.pi_index):
             words[row] = pack_bits(ds.vectors[:, j])
         _kernels.eval_words(p.ops, p.in0, p.in1, p.in2, p.out, words)
@@ -182,18 +190,33 @@ def interpret_values(bits: np.ndarray, signed: bool = False):
     """
     n, width = bits.shape
     if width <= 62:
-        # one column at a time, so no (N, width) int64 temporary is made
-        vals = np.zeros(n, dtype=np.int64)
-        for j in range(width):
-            vals |= bits[:, j].astype(np.int64) << j
-        if signed and width:
-            vals -= bits[:, -1].astype(np.int64) << width
-        return vals
+        return _bus_values(lambda j: bits[:, j], n, width, signed)
     packed = np.packbits(bits, axis=1, bitorder="little")
     vals = [int.from_bytes(row.tobytes(), "little") for row in packed]
     if signed and width:
         top = 1 << width
         vals = [v - top if bits[i, -1] else v for i, v in enumerate(vals)]
+    return vals
+
+
+def interpret_rows(words: np.ndarray, rows, n: int, signed: bool = False):
+    """`interpret_values(unpack_rows(words, rows, n), signed)` without the
+    (n, len(rows)) bit matrix when the bus fits in int64: each row is
+    unpacked only while its bit is added."""
+    if len(rows) > 62:
+        return interpret_values(unpack_rows(words, rows, n), signed)
+    return _bus_values(lambda j: unpack_bits(words[rows[j]], n), n, len(rows), signed)
+
+
+def _bus_values(column, n: int, width: int, signed: bool) -> np.ndarray:
+    """int64 bus values from `column(j)`, the (n,) 0/1 bits of bus bit j,
+    for width <= 62; one column at a time, so no (n, width) int64
+    temporary is made."""
+    vals = np.zeros(n, dtype=np.int64)
+    for j in range(width):
+        vals |= column(j).astype(np.int64) << j
+    if signed and width:
+        vals -= column(width - 1).astype(np.int64) << width
     return vals
 
 
@@ -210,8 +233,14 @@ def _metrics_from_bits(exact, approx_bits: np.ndarray, signed: bool) -> ErrorMet
     """Error metrics of an approximate PO bit matrix against the exact bus
     values (`interpret_values` of the exact bits, computed once by the
     caller)."""
-    n, width = approx_bits.shape
     approx = interpret_values(approx_bits, signed)
+    return _metrics_from_values(exact, approx, approx_bits.shape[1])
+
+
+def _metrics_from_values(exact, approx, width: int) -> ErrorMetrics:
+    """Error metrics of approximate bus values of `width` bits against the
+    exact ones; both as `interpret_values` gives them."""
+    n = len(approx)
     if isinstance(exact, np.ndarray):
         ed = np.abs(approx - exact)
         max_ed = int(ed.max(initial=0))
@@ -266,6 +295,13 @@ def timing_error_metrics(
         raise SimulationError("clock period must be positive")
     late = np.array(sta_arrivals(n, lib).po_arrivals) > clock_ps
     exact_bits = Evaluator(n).po_bits(ds)
-    stale = exact_bits.copy()
-    stale[1:, late] = exact_bits[:-1, late]
+    stale = stale_bits(exact_bits, late)
     return _metrics_from_bits(interpret_values(exact_bits, ds.signed), stale, ds.signed)
+
+
+def stale_bits(bits: np.ndarray, late: np.ndarray) -> np.ndarray:
+    """A copy of the (N, n_po) PO bits in which each PO where `late` is set
+    shows the previous vector's value; the first vector is settled."""
+    stale = bits.copy()
+    stale[1:, late] = bits[:-1, late]
+    return stale

@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from ._compile import compile_timing
 from .approx import (
     CandidateSet,
-    apply_chromosome,
+    TieFold,
     build_candidates,
     format_chromosome,
     load_chromosome,
@@ -34,11 +35,12 @@ from .celllib import (
     save_variation_library,
 )
 from .errsim import Evaluator, SimulationDataset, _metrics_from_bits, generate_dataset
-from .errsim import interpret_values, simulate_metrics
+from .errsim import _metrics_from_values, interpret_rows, interpret_values
+from .errsim import simulate_metrics, stale_bits
 from .netlist import Gate, Netlist, netlist_fingerprint, parse_netlist, write_netlist
 from .optimize import GaConfig, nsga2_run, pareto_front_indices
 from .timing import annotate_edge_transitions, cpd_over_delays, sta_arrivals
-from .timing import ssta_traverse
+from .timing import ssta_traverse, stacked_cpds
 
 
 class HarnessError(Exception):
@@ -283,23 +285,146 @@ def monte_carlo_evaluate(
     program = compile_timing(n, vlib.arc_index())
     if delays is None:
         delays = sample_matrix(vlib, range(seed, seed + count), rho)
-    elif delays.shape[0] != count:
-        raise HarnessError(f"{delays.shape[0]} delay rows for count {count}")
+    elif delays.shape != (count, len(vlib.arc_order())):
+        raise HarnessError(
+            f"delays of shape {delays.shape} for {count} libraries of "
+            f"{len(vlib.arc_order())} arcs"
+        )
     cpd = cpd_over_delays(program, delays)
     nmed = 0.0
     if reference is not None:
         nmed = simulate_metrics(reference, n, ds, exact_values=reference_values).nmed
+    return _mc_result(design_id, cpd, nmed, seed, baseline_clock_ps)
+
+
+def _mc_result(design_id, cpd, nmed, seed, clock_ps) -> McEvaluation:
     return McEvaluation(
         design_id,
         float(cpd.max()),
         float(cpd.mean()),
         float(cpd.std()),
         nmed,
-        int(np.count_nonzero(cpd > baseline_clock_ps)),
-        count,
+        int(np.count_nonzero(cpd > clock_ps)),
+        cpd.shape[0],
         seed,
-        baseline_clock_ps,
+        clock_ps,
     )
+
+
+class MonteCarloFront:
+    """`monte_carlo_evaluate(apply_chromosome(n, cs, genes), ...)` for many
+    chromosomes of one baseline, without building a netlist per design.
+
+    Each design is the `approx.TieFold` of its chromosome.  `evaluate` times a list of designs in one `timing.stacked_cpds` call
+    under the shared library draw `delays`.  It then simulates each
+    design's gates, with aliased fanins, over the report dataset `ds` into
+    words whose constant and PI rows come from the baseline.
+
+    One buffer serves every call.  It holds the baseline's signal words
+    over `ds`, and it is larger if need be.  Its constant and PI words
+    stay put.  The rest holds a call's stacked arrivals first, then each
+    design's gate words in turn.  `chunk` is the number of designs whose
+    arrivals fit in the baseline's gate words, and at least one.  Blocks
+    of this size allocated per design fragment the heap and raise the
+    peak RSS.  The PO values are read straight from the words
+    (`errsim.interpret_rows`), so no PO bit matrix is made either.  After
+    construction the front needs nothing of `ds`.
+    """
+
+    def __init__(
+        self,
+        n: Netlist,
+        cs: CandidateSet,
+        vlib: VariationLibrary,
+        ds: SimulationDataset,
+        delays: np.ndarray,
+        seed: int,
+        clock_ps: float,
+    ):
+        ev = Evaluator(n)
+        p = ev.program
+        self._fold = TieFold(p, cs)
+        self._timing = compile_timing(n, vlib.arc_index())
+        first = self._fold.first_gate
+        self._shape = (p.n_signals, (ds.n_vectors + 63) // 64)
+        size = self._shape[0] * self._shape[1]
+        self._head = first * self._shape[1]  # GND, VDD and the PI words
+        self._arrival_row = 2 * self._timing.n_nets  # float64s per stacked row
+        count = delays.shape[0]
+        self.chunk = max(1, (size - self._head) // (self._arrival_row * count))
+        self._buf = np.empty(
+            max(size, self._head + self._arrival_row * count * self.chunk), np.uint64
+        )
+        words = ev.signal_words(ds, out=self._buf)
+        self._n_vectors = ds.n_vectors
+        self._signed = ds.signed
+        self._exact = interpret_rows(words, p.po_index, ds.n_vectors, ds.signed)
+        self._logic = p
+        self._fanins = np.stack([p.in0, p.in1, p.in2], axis=1)
+        # timing net rows are logic rows less GND and VDD, and gate gi
+        # drives net |PIs| + gi
+        self._edge_gate = self._timing.dst - len(n.inputs)
+        self._delays = delays
+        self._seed = seed
+        self._clock = clock_ps
+
+    def evaluate(self, designs: list[tuple[str, np.ndarray]]) -> list[McEvaluation]:
+        """The `McEvaluation` of each (design_id, validated genes)."""
+        edge_on, forwards, po_rows, gates, aliases = zip(
+            *(self._design(genes) for _, genes in designs)
+        )
+        # the arrivals go after the constant and PI words, which stay put
+        arrivals = self._buf[self._head :].view(np.float64)
+        rows = len(designs) * self._delays.shape[0]
+        cpds = stacked_cpds(
+            self._timing,
+            np.array(edge_on),
+            forwards,
+            po_rows,
+            self._delays,
+            arrivals if rows * self._arrival_row <= arrivals.size else None,
+        )
+        return [
+            _mc_result(d, cpd, self._nmed(g, alias), self._seed, self._clock)
+            for (d, _), cpd, g, alias in zip(designs, cpds, gates, aliases)
+        ]
+
+    def _design(self, genes):
+        """(edge_on, forward edges, PO net rows, kept gates, alias) of one
+        chromosome, over the baseline's timing and logic rows.  POs are read
+        through the alias, so a tied net or PI never counts as one, and the
+        arrivals of the gates that no longer reach a PO are never read."""
+        p = self._logic
+        fold = self._fold(genes)
+        alias = np.array(fold.alias, dtype=np.int32)
+        kept = np.ones(len(p.ops), dtype=bool)
+        kept[fold.dropped] = False
+        t = self._timing
+        # an edge is on when its gate is kept and its source is not a constant
+        edge_on = kept[self._edge_gate] & (alias[t.src + 2] >= 2)
+        # a dropped gate aliased to a net forwards that net's arrivals
+        out = p.out[fold.dropped]
+        out = out[alias[out] >= 2]
+        forwards = np.column_stack([alias[out] - 2, out - 2])
+        po = alias[p.po_index]
+        driven = np.unique(po[po >= 2]) - 2
+        return edge_on, forwards, driven, np.flatnonzero(kept), alias
+
+    def _nmed(self, gates: np.ndarray, alias: np.ndarray) -> float:
+        """NMED of one design: its words are the baseline's constant and PI
+        rows, then one row per kept gate."""
+        p = self._logic
+        first = self._fold.first_gate
+        rows = np.zeros(p.n_signals, dtype=np.int64)  # word row per logic row
+        rows[:first] = np.arange(first)
+        out = first + np.arange(gates.size)
+        rows[p.out[gates]] = out
+        fan = rows[alias[self._fanins[gates]]]
+        words = self._buf[: self._shape[0] * self._shape[1]].reshape(self._shape)
+        _kernels.eval_words(p.ops[gates], fan[:, 0], fan[:, 1], fan[:, 2], out, words)
+        po = rows[alias[p.po_index]]
+        approx = interpret_rows(words, po, self._n_vectors, self._signed)
+        return _metrics_from_values(self._exact, approx, len(po)).nmed
 
 
 def stale_nmed_bound(
@@ -329,8 +454,7 @@ def stale_nmed_bound(
             if not late[k].any():
                 cache[key] = 0.0
             else:
-                stale = exact_bits.copy()
-                stale[1:, late[k]] = exact_bits[:-1, late[k]]
+                stale = stale_bits(exact_bits, late[k])
                 cache[key] = _metrics_from_bits(exact, stale, ds.signed).nmed
         per_lib[k] = cache[key]
     return float(per_lib.max(initial=0.0)), per_lib
@@ -441,6 +565,8 @@ def run_optimize(
     written last, and the front, MC and report files of that run are deleted.
     """
     run_dir = str(run_dir)
+    if tmap_count < 1:
+        raise HarnessError("tmap count must be >= 1")
     if bound_count < 1:
         raise HarnessError("bound count must be >= 1")
     # a derived bound is an NMED, so it is in range; 0.0 stands in until then
@@ -556,7 +682,9 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     Scores exactly the designs listed in fronts/final_front.csv, in that
     order, so chromosome files left behind by an earlier run are ignored.
     The libraries are drawn and the baseline's exact outputs simulated
-    once, and shared by every design.
+    once, and shared by every design.  The designs go through
+    `MonteCarloFront`, `chunk` at a time; each gets the numbers
+    `monte_carlo_evaluate(apply_chromosome(...))` gives it.
     """
     if mc_count < 1:  # before the report of an earlier evaluate is removed
         raise HarnessError("count must be >= 1")
@@ -571,20 +699,19 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
         baseline, vlib, mc_count, mc_seed, clock, ds, design_id="baseline",
         delays=delays,
     )
-    exact = interpret_values(Evaluator(baseline).po_bits(ds), ds.signed)
+    front = MonteCarloFront(baseline, cs, vlib, ds, delays, mc_seed, clock)
+    del ds  # the front keeps the PI words it needs
     with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
         design_ids = [r["design_id"] for r in csv.DictReader(f)]
     evals = []
-    for design_id in design_ids:
-        path = os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom")
-        design = apply_chromosome(baseline, cs, load_chromosome(path, cs))
-        evals.append(
-            monte_carlo_evaluate(
-                design, vlib, mc_count, mc_seed, clock, ds,
-                reference=baseline, design_id=design_id,
-                delays=delays, reference_values=exact,
-            )
-        )
+    for start in range(0, len(design_ids), front.chunk):
+        chunk = [
+            (design_id, load_chromosome(
+                os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
+            ))
+            for design_id in design_ids[start : start + front.chunk]
+        ]
+        evals += front.evaluate(chunk)
     _write_csv(
         os.path.join(run_dir, "mc", "baseline.csv"), _MC_FIELDS, [_mc_row(base_eval)]
     )

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .approx import (
-    GENE_EXACT,
-    CandidateSet,
-    require_fingerprint,
-    tie_nets,
-    validate_genes,
-)
+from .approx import CandidateSet, TieFold, tie_nets, validate_genes
 from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
 from .errsim import (
@@ -31,7 +25,7 @@ from .errsim import (
     unpack_bits,
     unpack_rows,
 )
-from .netlist import CONSTANT_NETS, FOLD_TABLE, GND, VDD, Netlist, depth_to_output
+from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
 from .timing import (
     arc_rv,
     extract_critical_path,
@@ -112,15 +106,12 @@ class SearchProgram:
 
     `score` gives exactly what `apply_chromosome` -> `Evaluator` ->
     `ssta_traverse` give for a chromosome, without building a netlist.
-    Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.  One
-    topological pass turns the tie set into a per-row alias (GND, VDD, an
-    upstream row or the row itself) by `netlist.FOLD_TABLE`, and re-times
-    each gate it keeps with the running-winner rule of `ssta_traverse`.
-    The pass visits only the fanout of the tied nets and, once any net is
-    tied, of the baseline's own GND/VDD readers, since the reference folds
-    those too.  Every other gate keeps its baseline arrival and signal
-    words; the kept gates the pass visits are re-simulated over a copy of
-    the baseline's words.
+    Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.  The
+    baseline's `approx.TieFold` turns the tie set into a per-row alias and
+    the cone of kept gates it visited.  `score` re-times each cone gate
+    with the running-winner rule of `ssta_traverse` and re-simulates the
+    cone over a copy of the baseline's words; every other gate keeps its
+    baseline arrival and signal words.
     """
 
     def __init__(
@@ -131,9 +122,9 @@ class SearchProgram:
         tmap: dict,
         ds: SimulationDataset,
     ):
-        require_fingerprint(n, cs)
         ev = Evaluator(n)
         p = ev.program
+        self._fold = TieFold(p, cs)
         self._words = ev.signal_words(ds)
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
@@ -141,29 +132,17 @@ class SearchProgram:
             unpack_rows(self._words, p.po_index, ds.n_vectors), ds.signed
         )
         self._po_rows = p.po_index.tolist()
-        self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
         self._ops = p.ops
         self._out = p.out
         self._outs = p.out.tolist()
-        gates = n.topological_order()
-        self._fanins = [
-            tuple(p.signal_index[g.fanin[pin]] for pin in g.cell.input_pins)
-            for g in gates
-        ]
-        self._folds = [FOLD_TABLE[g.kind] for g in gates]
         self._arcs = [
             tuple(
                 None if g.fanin[pin] in CONSTANT_NETS
                 else arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
                 for pin in g.cell.input_pins
             )
-            for g in gates
+            for g in n.topological_order()
         ]
-        self._readers: list[list[int]] = [[] for _ in range(p.n_signals)]
-        for gi, fanin in enumerate(self._fanins):
-            for row in set(fanin):
-                self._readers[row].append(gi)
-        self._const_readers = sorted(set(self._readers[0]) | set(self._readers[1]))
         base = ssta_traverse(n, lib, tmap)
         self._arrivals = [base.arrivals.get(net) for net in p.signal_index]
         # Two threads may score one new chromosome at once; both store the
@@ -180,50 +159,24 @@ class SearchProgram:
         return scored
 
     def _score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
-        alias = list(range(len(self._arrivals)))
+        fold = self._fold(genes)
         arrivals = list(self._arrivals)
-        dirty = bytearray(len(self._fanins))
-        hot = np.flatnonzero(genes != GENE_EXACT)
-        # a GND gene (0) and a VDD gene (1) are also the GND and VDD rows
-        for row, const in zip(self._cand_rows[hot].tolist(), genes[hot].tolist()):
-            alias[row] = const
-            for gi in self._readers[row]:
-                dirty[gi] = 1
-        if hot.size:
-            for gi in self._const_readers:
-                dirty[gi] = 1
-
-        kept: list[int] = []
-        kept_fanins: list[list[int]] = []
-        for gi, fanin in enumerate(self._fanins):
-            if not dirty[gi]:
-                continue
-            out = self._outs[gi]
-            if alias[out] != out:
-                continue  # a tied net: its driver is dropped, never folded
-            for reader in self._readers[out]:
-                dirty[reader] = 1
-            rows = [alias[r] for r in fanin]
-            target = self._folds[gi][tuple([r if r < 2 else 2 for r in rows])]
-            if target is not None:
-                alias[out] = (0, 1, *rows)[target]
-                continue
+        for gi, rows in zip(fold.cone, fold.cone_fanins):
             pin, rv = running_winner(
                 (k, arrivals[r]) for k, r in enumerate(rows) if arrivals[r] is not None
             )
-            arrivals[out] = rv_sum(rv, self._arcs[gi][pin])
-            kept.append(gi)
-            kept_fanins.append(rows)
+            arrivals[self._outs[gi]] = rv_sum(rv, self._arcs[gi][pin])
 
         words = self._words
-        if kept:
+        if fold.cone:
             words = words.copy()
             # pins a gate lacks read row 0, as in compile_logic
-            fan = np.array([(rows + [0, 0])[:3] for rows in kept_fanins], np.int32)
+            fan = np.array([(rows + [0, 0])[:3] for rows in fold.cone_fanins], np.int32)
+            cone = fold.cone
             _kernels.eval_words(
-                self._ops[kept], fan[:, 0], fan[:, 1], fan[:, 2], self._out[kept], words
+                self._ops[cone], fan[:, 0], fan[:, 1], fan[:, 2], self._out[cone], words
             )
-        po = [alias[r] for r in self._po_rows]
+        po = [fold.alias[r] for r in self._po_rows]
         approx_bits = unpack_rows(words, po, self._n_vectors)
         metrics = _metrics_from_bits(self._exact, approx_bits, self._signed)
         rvs = [arrivals[r] for r in dict.fromkeys(po) if arrivals[r] is not None]

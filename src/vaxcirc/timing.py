@@ -10,10 +10,12 @@ probabilities (CPB) from the primary outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from ._compile import TimingProgram, compile_timing
 from .celllib import SampledLibrary, VariationLibrary, sample_matrix
 from .netlist import CONSTANT_NETS, NEGATIVE, NON_UNATE, Netlist
@@ -227,6 +229,94 @@ def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.zeros(delays.shape[0], dtype=np.float64)
     return arr[:, rows, :].max(axis=(1, 2))
+
+
+def stacked_cpds(
+    program: TimingProgram,
+    edge_on: np.ndarray,
+    forwards: Sequence[np.ndarray],
+    po_rows: Sequence[np.ndarray],
+    delays: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """CPD per (design, delay row), shape (designs, count), for designs
+    derived from `program`, all timed in one `forward` call.
+
+    Design d is `program` with the edges where `edge_on[d]` is False
+    switched off, plus one zero-delay, positive-unate edge per (src, dst)
+    row of `forwards[d]`: a gate output the design forwards from another
+    net.  Its CPD under each row of `delays` (count, arcs) is the worst
+    arrival over the net rows `po_rows[d]`, or 0.0 when there are none, as
+    `cpd_over_delays` gives it.  `out` is scratch memory for the arrivals,
+    as `TimingProgram.init_arrivals` takes it.
+
+    The union program holds every edge some design uses, each forward edge
+    among its own gate's edges, so the order stays topological.  The
+    designs are stacked along the delay rows.  The delay columns are the
+    library arcs tiled over the designs, one all-0.0 column, and one column
+    per (arc, designs using it) of an edge only some designs use, which is
+    -inf in the rows of the others.  `max`, `x + 0.0` and `-inf` are
+    exact, so every design's arrivals equal those of its own program bit
+    for bit.
+    """
+    n_designs = edge_on.shape[0]
+    count, n_arcs = delays.shape
+    zero = n_arcs  # the all-0.0 column
+    n_nets = program.n_nets
+
+    pairs = np.concatenate(forwards).astype(np.int64)
+    sizes = [len(f) for f in forwards]
+    keys, which = np.unique(pairs[:, 1] * n_nets + pairs[:, 0], return_inverse=True)
+    fwd_on = np.zeros((keys.size, n_designs), dtype=bool)
+    fwd_on[which.reshape(-1), np.repeat(np.arange(n_designs), sizes)] = True
+
+    used = edge_on.any(axis=0)
+    dst = np.concatenate([program.dst[used], keys // n_nets])
+    order = np.argsort(dst, kind="stable")  # a gate's forward edges follow its own
+    dst = dst[order]
+    src = np.concatenate([program.src[used], keys % n_nets])[order]
+    unate = np.concatenate(
+        [program.unate[used], np.full(keys.size, _kernels.UN_POS, np.int8)]
+    )[order]
+    rise = np.concatenate([program.arc_rise[used], np.full(keys.size, zero)])[order]
+    fall = np.concatenate([program.arc_fall[used], np.full(keys.size, zero)])[order]
+    on = np.concatenate([edge_on[:, used].T, fwd_on])[order]
+
+    mixed = np.flatnonzero(~on.all(axis=1))
+    columns, col_of = np.unique(
+        np.concatenate([
+            np.column_stack([rise[mixed], on[mixed]]),
+            np.column_stack([fall[mixed], on[mixed]]),
+        ]),
+        axis=0,
+        return_inverse=True,
+    )
+    col_of = col_of.reshape(-1) + n_arcs + 1
+    rise[mixed] = col_of[: mixed.size]
+    fall[mixed] = col_of[mixed.size :]
+
+    # arc-major: table[c] is delay column c over the stacked rows
+    table = np.empty((n_arcs + 1 + len(columns), n_designs, count))
+    table[:n_arcs] = delays.T[:, None, :]
+    table[zero] = 0.0
+    private = table[n_arcs + 1 :]
+    private[...] = table[columns[:, 0]]
+    private[~columns[:, 1:].astype(bool)] = NEG_INF
+
+    union = replace(
+        program,
+        src=src.astype(np.int32),
+        dst=dst.astype(np.int32),
+        unate=unate,
+        arc_rise=rise.astype(np.int32),
+        arc_fall=fall.astype(np.int32),
+    )
+    arr = union.forward(table.reshape(len(table), -1).T, out)
+    cpds = np.zeros((n_designs, count))
+    for d, rows in enumerate(po_rows):
+        if rows.size:
+            cpds[d] = arr[d * count : (d + 1) * count, rows, :].max(axis=(1, 2))
+    return cpds
 
 
 # -- edge-transition annotation ----------------------------------------------

@@ -212,7 +212,8 @@ class TestErrorContract:
          "flat_value_string", "sta_no_netlist", "ssta_no_netlist",
          "simulate_no_netlist", "simulate_no_reference", "optimize_no_netlist",
          "count_negative", "threads_zero", "bound_samples_zero",
-         "sta_samples_negative"],
+         "sta_samples_negative", "optimize_tmap_samples_zero",
+         "ssta_tmap_samples_negative"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -243,6 +244,11 @@ class TestErrorContract:
             "bound_samples_zero": ["optimize", "--netlist", rca4_file,
                                    "--bound-samples", "0", "--out", str(tmp_path / "run")],
             "sta_samples_negative": ["sta", "--netlist", rca4_file, "--samples", "-1"],
+            "optimize_tmap_samples_zero": ["optimize", "--netlist", rca4_file,
+                                           "--tmap-samples", "0",
+                                           "--out", str(tmp_path / "run")],
+            "ssta_tmap_samples_negative": ["ssta", "--netlist", rca4_file,
+                                           "--tmap-samples", "-3"],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",

@@ -182,6 +182,15 @@ class TestMonteCarloEvaluate:
         with pytest.raises(HarnessError):
             monte_carlo_evaluate(rca4, default_lib, 0, 0, 50.0, ds)
 
+    @pytest.mark.parametrize("shape", [(5, -1), (5, +1), (4, 0)])
+    def test_delays_of_the_wrong_shape_are_rejected(self, rca4, default_lib, shape):
+        """Too few arc columns, too many, or a row count other than `count`."""
+        ds = generate_dataset(rca4, 16, seed=0)
+        rows, extra = shape
+        delays = np.full((rows, len(default_lib.arc_order()) + extra), 10.0)
+        with pytest.raises(HarnessError, match="delays of shape"):
+            monte_carlo_evaluate(rca4, default_lib, 5, 0, 50.0, ds, delays=delays)
+
     def test_rca8_spread_is_plausible(self, rca8, default_lib):
         ds = generate_dataset(rca8, 16, seed=0)
         clock = sta_arrivals(rca8, nominal_library(default_lib)).cpd
@@ -473,6 +482,17 @@ class TestPipelineErrors:
         with pytest.raises(HarnessError, match="count must be >= 1"):
             run_evaluate(tmp_path, mc_count=0)
         assert files() == before
+
+    def test_tmap_count_below_one_leaves_the_run_dir_alone(
+        self, tmp_path, rca4, default_lib
+    ):
+        cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
+        kw = dict(bound_count=10, report_vectors=200)
+        run_optimize(tmp_path, rca4, default_lib, cfg, tmap_count=10, **kw)
+        before = _tree(tmp_path)
+        with pytest.raises(HarnessError, match="tmap count must be >= 1"):
+            run_optimize(tmp_path, rca4, default_lib, cfg, tmap_count=0, **kw)
+        assert _tree(tmp_path) == before
 
     def test_missing_listed_chromosome_is_an_error(self, tmp_path, rca4, default_lib):
         cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)

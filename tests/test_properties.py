@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaxcirc._compile import compile_timing
+from vaxcirc._compile import compile_logic, compile_timing
 from vaxcirc.approx import (
     CandidateSet,
+    TieFold,
     apply_chromosome,
     build_candidates,
     exact_chromosome,
@@ -23,11 +24,14 @@ from vaxcirc.celllib import default_library, nominal_library, sample_library, sa
 from vaxcirc.errsim import (
     _metrics_from_bits,
     generate_dataset,
+    interpret_rows,
     interpret_values,
+    pack_bits,
     simulate_metrics,
 )
 from vaxcirc.harness import (
     BenchmarkSpec,
+    MonteCarloFront,
     generate_benchmark,
     monte_carlo_evaluate,
     run_evaluate,
@@ -47,7 +51,7 @@ from vaxcirc.optimize import (
     nondominated_sort,
     pareto_front_indices,
 )
-from vaxcirc.timing import annotate_edge_transitions, ssta_traverse
+from vaxcirc.timing import annotate_edge_transitions, cpd_over_delays, ssta_traverse
 
 from _oracles import naive_outputs, path_enum_cpd, random_dag
 from test_netlist import _tie_pi
@@ -200,6 +204,21 @@ def test_interpret_values_matches_python_ints(case, signed):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_bus_values(80, 6), st.booleans())
+def test_interpret_rows_matches_python_ints(case, signed):
+    """The bus read straight from packed words, bit j in row width-1-j."""
+    width, rows = case
+    values = [v for (v,) in rows]
+    bits = _to_bits(values, width)
+    words = np.zeros((width, (len(values) + 63) // 64), dtype=np.uint64)
+    for j in range(width):
+        words[width - 1 - j] = pack_bits(bits[:, j])
+    rows = [width - 1 - j for j in range(width)]
+    got = interpret_rows(words, rows, len(values), signed)
+    assert [int(v) for v in got] == [_as_signed(v, width, signed) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
 @given(_bus_values(70, 8, per_row=2), st.booleans())
 def test_error_metrics_match_python_ints(case, signed):
     """Distance sums that overflow int64 (wide buses, many rows) included."""
@@ -293,3 +312,99 @@ def test_run_evaluate_matches_standalone_calls(tmp_path, family, width, taps):
         assert e == monte_carlo_evaluate(
             design, _LIB, 30, 9000, clock, ds, reference=n, design_id=e.design_id
         )
+
+
+def _standalone(base, cs, genes, count, seed, clock, ds, design_id):
+    """The McEvaluation of one chromosome through the object path: apply it,
+    draw the libraries and simulate both netlists in one standalone call."""
+    return monte_carlo_evaluate(
+        apply_chromosome(base, cs, genes), _LIB, count, seed, clock, ds,
+        reference=base, design_id=design_id,
+    )
+
+
+def _front_matches_standalone(base, cs, rows, count, seed, ds):
+    """MonteCarloFront scores `rows` as the standalone calls do, both one
+    design per call and all of them in one stacked call."""
+    clock = 0.5 * cpd_over_delays(
+        compile_timing(base, _LIB.arc_index()), sample_matrix(_LIB, [seed])
+    )[0]  # half the baseline's CPD in one library, so violations vary
+    delays = sample_matrix(_LIB, range(seed, seed + count))
+    front = MonteCarloFront(base, cs, _LIB, ds, delays, seed, clock)
+    designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
+    want = [_standalone(base, cs, g, count, seed, clock, ds, d) for d, g in designs]
+    # repr keeps the comparison exact and lets the NaN std of a design whose
+    # only POs are unfolded constant gates (all -inf) equal itself
+    want_reprs = list(map(repr, want))
+    assert [repr(front.evaluate([d])[0]) for d in designs] == want_reprs
+    assert list(map(repr, front.evaluate(designs))) == want_reprs
+    return want
+
+
+# the std of an all -inf CPD (POs on unfolded constant gates) is NaN on both paths
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@settings(max_examples=100, deadline=None)
+@given(_tied_dag(), st.data())
+def test_monte_carlo_front_matches_standalone_calls(case, data):
+    n, _, tied = case
+    # `tied` reads GND/VDD itself, which the reference folds once any net is tied
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        exact = exact_chromosome(cs)
+        drawn = [
+            np.array(data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                                        min_size=len(nets), max_size=len(nets))),
+                     dtype=np.int8)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        pi = exact.copy()  # a tied PI
+        k = data.draw(st.integers(0, len(base.inputs) - 1))
+        pi[k] = data.draw(st.integers(0, 1))
+        lone = exact.copy()  # one gate output: in `n` the fold never visits its driver
+        lone[data.draw(st.integers(len(base.inputs), len(nets) - 1))] = 0
+        no_po = exact.copy()  # every PO tied: no driven PO is left
+        no_po[[nets.index(po) for po in base.outputs if po in nets]] = 1
+        rows = [exact, pi, lone, no_po, *drawn]
+        seed = data.draw(st.integers(0, 500))
+        got = _front_matches_standalone(base, cs, rows, 3, seed, ds)
+        assert got[3].worst_cpd_ps == got[3].mean_cpd_ps == 0.0
+
+
+@pytest.mark.parametrize("family,width,taps", [
+    ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 8, 1),
+    ("mac_fir", 8, 2),
+])
+def test_monte_carlo_front_matches_standalone_calls_on_families(family, width, taps):
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    tmap = annotate_edge_transitions(n, _LIB, 50, seed=0)
+    cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
+    po_genes = [k for k, net in enumerate(cs.nets) if net in n.outputs]
+    rng = np.random.default_rng(11)
+    rows = [exact_chromosome(cs)]
+    for i in range(9):
+        p = (0.02, 0.1, 0.3)[i % 3]
+        genes = np.where(rng.random(len(cs)) < p, rng.integers(0, 2, len(cs)), -1)
+        genes = genes.astype(np.int8)
+        if i % 2 == 0:  # tie a PO net
+            genes[po_genes[i % len(po_genes)]] = i % 4 // 2
+        rows.append(genes)
+    _front_matches_standalone(n, cs, rows, 20, 9000, generate_dataset(n, 2000, seed=3))
+
+
+def test_monte_carlo_front_drops_undisturbed_drivers_of_tied_nets(rca8):
+    """c1's driver reads only slice 0, which no tie disturbs, so the
+    dirty-only fold never visits it.  It must still count as dropped: its
+    arcs would otherwise time a net that `apply_chromosome` removes."""
+    ties = {"c1": 1, "c2": 1, "c5": 1, "s1_h": 0, "s4_h": 0}
+    nets = tuple(ties)
+    cs = CandidateSet(nets, 1e-3, netlist_fingerprint(rca8))
+    genes = np.array([ties[w] for w in nets], dtype=np.int8)
+    fold = TieFold(compile_logic(rca8), cs)(genes)
+    topo = rca8.topological_order()
+    driver = next(i for i, g in enumerate(topo) if g.output == "c1")
+    assert set(topo[driver].fanin.values()) == {"s0_g", "s0_h"}
+    assert driver in fold.dropped
+    ds = generate_dataset(rca8, 500, seed=1)
+    _front_matches_standalone(rca8, cs, [genes], 200, 9000, ds)
