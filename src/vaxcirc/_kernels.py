@@ -41,38 +41,40 @@ UN_NEG = 1
 UN_NON = 2
 
 
+_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def gate_words(op, a, b=None, s=None):
+    """Output words of op code `op` over its input words `a`, `b` and, for
+    MUX2, the select words `s`, elementwise; pins the op lacks are ignored.
+    BUF returns `a` itself."""
+    if op == OP_INV:
+        return a ^ _FULL
+    if op == OP_BUF:
+        return a
+    if op == OP_AND2:
+        return a & b
+    if op == OP_OR2:
+        return a | b
+    if op == OP_NAND2:
+        return (a & b) ^ _FULL
+    if op == OP_NOR2:
+        return (a | b) ^ _FULL
+    if op == OP_XOR2:
+        return a ^ b
+    if op == OP_XNOR2:
+        return (a ^ b) ^ _FULL
+    return (a & (s ^ _FULL)) | (b & s)  # OP_MUX2
+
+
 def eval_words(ops, in0, in1, in2, out, words):
     """Bit-parallel evaluation over uint64 words, one row per signal.
 
     words[0] must be all-zero (GND) and words[1] all-one (VDD); gate rows
     are written in the order given, which must be topological.
     """
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
     for g in range(ops.shape[0]):
-        op = ops[g]
-        a = words[in0[g]]
-        if op == OP_INV:
-            r = a ^ full
-        elif op == OP_BUF:
-            r = a.copy()
-        else:
-            b = words[in1[g]]
-            if op == OP_AND2:
-                r = a & b
-            elif op == OP_OR2:
-                r = a | b
-            elif op == OP_NAND2:
-                r = (a & b) ^ full
-            elif op == OP_NOR2:
-                r = (a | b) ^ full
-            elif op == OP_XOR2:
-                r = a ^ b
-            elif op == OP_XNOR2:
-                r = (a ^ b) ^ full
-            else:  # OP_MUX2
-                s = words[in2[g]]
-                r = (a & (s ^ full)) | (b & s)
-        words[out[g]] = r
+        words[out[g]] = gate_words(ops[g], words[in0[g]], words[in1[g]], words[in2[g]])
     return words
 
 

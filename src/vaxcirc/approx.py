@@ -21,6 +21,9 @@ GENE_EXACT = -1
 GENE_GND = 0
 GENE_VDD = 1
 
+# pin k's weight in a `netlist.FOLD_TABLE` pattern index
+_PIN_WEIGHTS = np.array([1, 3, 9], dtype=np.int32)
+
 
 class ChromosomeError(Exception):
     """Chromosome/netlist mismatch or malformed gene data."""
@@ -118,78 +121,119 @@ def apply_chromosome(
 class Fold:
     """What `apply_chromosome` makes of one chromosome, over the baseline's
     `compile_logic` rows (row 0 is GND, row 1 VDD, gate rows follow the
-    PIs in topological order)."""
+    PIs in topological order); one row of a `FoldBatch`."""
 
-    alias: list[int]  # per row: GND 0, VDD 1, the upstream row it forwards, or itself
-    cone: list[int]  # kept gates the fold visited, topological
-    cone_fanins: list[list[int]]  # their aliased fanin rows, in pin order
-    dropped: list[int]  # tied nets' drivers, then the gates folded away
+    alias: np.ndarray  # per row: GND 0, VDD 1, the upstream row it forwards, or itself
+    cone: np.ndarray  # kept gates the fold visited, topological
+    dropped: np.ndarray  # tied nets' drivers and the gates folded away, ascending
+
+
+@dataclass
+class FoldBatch:
+    """The folds of B chromosomes: row b is the `Fold` of chromosome b."""
+
+    alias: np.ndarray  # (B, rows) int32
+    visited: np.ndarray  # (B, gates) bool: gates in the fanout of the ties
+    dropped: np.ndarray  # (B, gates) bool
+
+    @property
+    def cone(self) -> np.ndarray:
+        return self.visited & ~self.dropped
+
+
+@dataclass
+class Level:
+    """The gates of one logic level, sorted by op code.  No gate reads
+    another gate of its level."""
+
+    gates: np.ndarray  # gate indices
+    out: np.ndarray  # their output rows
+    fanin: np.ndarray  # (gates, 3) fanin rows; a pin the gate lacks reads GND
+    readers: np.ndarray  # `fanin`, but a pin the gate lacks reads row `n_rows`
+    folds: np.ndarray  # (gates, 27): `netlist.FOLD_TABLE` row of each gate
+    ops: list[tuple[int, int]]  # (op code, pin count) of each run of one op
+    bounds: np.ndarray  # run r is gates[bounds[r]:bounds[r + 1]]
 
 
 class TieFold:
-    """The tie fold of `apply_chromosome` as one pass over compiled rows.
+    """The tie fold of `apply_chromosome` over compiled rows, level by level
+    for a batch of chromosomes.
 
-    Calling it with a validated chromosome gives the `Fold` of that
-    chromosome: each tied net aliases its constant, and each gate, in
-    topological order, is folded by `netlist.FOLD_TABLE` to a constant or
-    to one of its aliased fanins, or kept.  The pass visits only the
-    fanout of the tied nets and, once any net is tied, of the baseline's
-    own GND/VDD readers, since `simplify_constants` folds those too.  A
-    gate it does not visit is kept with its baseline fanins.  A tied net's
-    driver is dropped whether or not the pass visits it.
+    Each tied net aliases its constant; then each gate is folded by
+    `netlist.FOLD_TABLE` to a constant or to one of its aliased fanins, or
+    kept.  The fold visits only the fanout of the tied nets and, once any
+    net of a chromosome is tied, of the baseline's own GND/VDD readers,
+    since `simplify_constants` folds those too.  A gate it does not visit
+    is kept with its baseline fanins.  A tied net's driver is dropped
+    whether or not it is visited.
     """
 
     def __init__(self, p: LogicProgram, cs: CandidateSet):
         require_fingerprint(p.netlist, cs)
-        gates = p.netlist.topological_order()
         self.first_gate = 2 + len(p.netlist.inputs)  # row of the first gate output
-        self._fanins = [
-            tuple(p.signal_index[g.fanin[pin]] for pin in g.cell.input_pins)
-            for g in gates
-        ]
-        self._folds = [FOLD_TABLE[g.kind] for g in gates]
-        self._outs = p.out.tolist()
-        self._readers: list[list[int]] = [[] for _ in range(p.n_signals)]
-        for gi, fanin in enumerate(self._fanins):
-            for row in set(fanin):
-                self._readers[row].append(gi)
-        self._const_readers = sorted(set(self._readers[0]) | set(self._readers[1]))
+        self.n_rows = p.n_signals
+        gates = p.netlist.topological_order()
+        fanin = np.stack([p.in0, p.in1, p.in2], axis=1)
+        pins = np.arange(3) < np.array([len(g.cell.input_pins) for g in gates])[:, None]
+        level = np.zeros(p.n_signals, dtype=np.int64)
+        for gi in range(len(gates)):
+            level[p.out[gi]] = 1 + level[fanin[gi][pins[gi]]].max()
+        level = level[p.out]
+        order = np.lexsort((p.ops, level))
+        self.levels = []
+        for gs in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+            ops = p.ops[gs]
+            bounds = np.array([0, *np.flatnonzero(np.diff(ops)) + 1, len(gs)])
+            runs = [(int(ops[i]), int(pins[gs[i]].sum())) for i in bounds[:-1]]
+            readers = np.where(pins[gs], fanin[gs], self.n_rows)
+            self.levels.append(Level(
+                gs, p.out[gs], fanin[gs], readers, FOLD_TABLE[ops], runs, bounds
+            ))
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
 
     def __call__(self, genes: np.ndarray) -> Fold:
-        alias = list(range(len(self._readers)))
-        dirty = bytearray(len(self._fanins))
-        hot = np.flatnonzero(genes != GENE_EXACT)
-        tied = self._cand_rows[hot].tolist()
-        # a GND gene (0) and a VDD gene (1) are also the GND and VDD rows
-        for row, const in zip(tied, genes[hot].tolist()):
-            alias[row] = const
-            for gi in self._readers[row]:
-                dirty[gi] = 1
-        if tied:
-            for gi in self._const_readers:
-                dirty[gi] = 1
-        dropped = [row - self.first_gate for row in tied if row >= self.first_gate]
+        """The `Fold` of one validated chromosome."""
+        f = self.batch(genes[None])
+        return Fold(
+            f.alias[0], np.flatnonzero(f.cone[0]), np.flatnonzero(f.dropped[0])
+        )
 
-        cone: list[int] = []
-        cone_fanins: list[list[int]] = []
-        for gi, fanin in enumerate(self._fanins):
-            if not dirty[gi]:
+    def batch(self, genes: np.ndarray) -> FoldBatch:
+        """The folds of validated chromosomes, one per row of `genes`."""
+        n_chrom = genes.shape[0]
+        alias = np.tile(np.arange(self.n_rows, dtype=np.int32), (n_chrom, 1))
+        # rows whose readers the fold visits; the last column is never set
+        touched = np.zeros((n_chrom, self.n_rows + 1), dtype=bool)
+        b, k = np.nonzero(genes != GENE_EXACT)
+        rows = self._cand_rows[k]
+        # a GND gene (0) and a VDD gene (1) are also the GND and VDD rows
+        alias[b, rows] = genes[b, k]
+        touched[b, rows] = True
+        touched[b, :2] = True  # the constants' readers fold once a net is tied
+        n_gates = self.n_rows - self.first_gate
+        visited = np.zeros((n_chrom, n_gates), dtype=bool)
+        dropped = np.zeros((n_chrom, n_gates), dtype=bool)
+        gate = rows >= self.first_gate
+        dropped[b[gate], rows[gate] - self.first_gate] = True
+        for lv in self.levels:
+            seen = touched[:, lv.readers].any(axis=2)
+            if not seen.any():
                 continue
-            out = self._outs[gi]
-            if alias[out] != out:
-                continue  # a tied net's driver, dropped above
-            for reader in self._readers[out]:
-                dirty[reader] = 1
-            rows = [alias[r] for r in fanin]
-            target = self._folds[gi][tuple([r if r < 2 else 2 for r in rows])]
-            if target is None:
-                cone.append(gi)
-                cone_fanins.append(rows)
-            else:
-                alias[out] = (0, 1, *rows)[target]
-                dropped.append(gi)
-        return Fold(alias, cone, cone_fanins, dropped)
+            fanin = alias[:, lv.fanin]
+            # a pin the gate lacks reads GND, code 0, as the table has it
+            code = np.minimum(fanin, 2) @ _PIN_WEIGHTS
+            target = lv.folds[np.arange(len(lv.gates)), code]
+            folded = seen & (target >= 0) & ~dropped[:, lv.gates]
+            forward = np.where(
+                target == 2, fanin[..., 0], np.where(target == 3, fanin[..., 1], fanin[..., 2])
+            )
+            alias[:, lv.out] = np.where(
+                folded, np.where(target < 2, target, forward), alias[:, lv.out]
+            )
+            dropped[:, lv.gates] |= folded
+            visited[:, lv.gates] = seen
+            touched[:, lv.out] |= seen
+        return FoldBatch(alias, visited, dropped)
 
 
 def chromosome_distance(a, b) -> int:

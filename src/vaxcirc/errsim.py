@@ -125,8 +125,11 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def unpack_rows(words: np.ndarray, rows, n: int) -> np.ndarray:
-    """(n, len(rows)) bit matrix: column j is unpack_bits(words[rows[j]], n)."""
-    out = np.empty((n, len(rows)), dtype=np.uint8)
+    """(n, len(rows)) bit matrix: column j is unpack_bits(words[rows[j]], n).
+
+    The matrix is column-major, so each column written here and read by
+    `interpret_values` is contiguous."""
+    out = np.empty((n, len(rows)), dtype=np.uint8, order="F")
     for j, row in enumerate(rows):
         out[:, j] = unpack_bits(words[row], n)
     return out
@@ -302,6 +305,6 @@ def timing_error_metrics(
 def stale_bits(bits: np.ndarray, late: np.ndarray) -> np.ndarray:
     """A copy of the (N, n_po) PO bits in which each PO where `late` is set
     shows the previous vector's value; the first vector is settled."""
-    stale = bits.copy()
+    stale = bits.copy(order="K")  # keeps a column-major matrix column-major
     stale[1:, late] = bits[:-1, late]
     return stale

@@ -315,14 +315,15 @@ class MonteCarloFront:
     """`monte_carlo_evaluate(apply_chromosome(n, cs, genes), ...)` for many
     chromosomes of one baseline, without building a netlist per design.
 
-    Each design is the `approx.TieFold` of its chromosome.  `evaluate` times a list of designs in one `timing.stacked_cpds` call
-    under the shared library draw `delays`.  It then simulates each
+    `evaluate` folds a list of designs in one `approx.TieFold.batch` call.
+    It times them `chunk` at a time, each chunk in one `timing.stacked_cpds`
+    call under the shared library draw `delays`, and simulates each
     design's gates, with aliased fanins, over the report dataset `ds` into
     words whose constant and PI rows come from the baseline.
 
-    One buffer serves every call.  It holds the baseline's signal words
+    One buffer serves every chunk.  It holds the baseline's signal words
     over `ds`, and it is larger if need be.  Its constant and PI words
-    stay put.  The rest holds a call's stacked arrivals first, then each
+    stay put.  The rest holds a chunk's stacked arrivals first, then each
     design's gate words in turn.  `chunk` is the number of designs whose
     arrivals fit in the baseline's gate words, and at least one.  Blocks
     of this size allocated per design fragment the heap and raise the
@@ -370,45 +371,43 @@ class MonteCarloFront:
 
     def evaluate(self, designs: list[tuple[str, np.ndarray]]) -> list[McEvaluation]:
         """The `McEvaluation` of each (design_id, validated genes)."""
-        edge_on, forwards, po_rows, gates, aliases = zip(
-            *(self._design(genes) for _, genes in designs)
-        )
+        if not designs:
+            return []
+        folds = self._fold.batch(np.array([genes for _, genes in designs]))
+        parts = list(map(self._design, folds.alias, folds.dropped))
         # the arrivals go after the constant and PI words, which stay put
         arrivals = self._buf[self._head :].view(np.float64)
-        rows = len(designs) * self._delays.shape[0]
-        cpds = stacked_cpds(
-            self._timing,
-            np.array(edge_on),
-            forwards,
-            po_rows,
-            self._delays,
-            arrivals if rows * self._arrival_row <= arrivals.size else None,
-        )
-        return [
-            _mc_result(d, cpd, self._nmed(g, alias), self._seed, self._clock)
-            for (d, _), cpd, g, alias in zip(designs, cpds, gates, aliases)
-        ]
+        evals = []
+        for start in range(0, len(designs), self.chunk):
+            end = start + self.chunk
+            edge_on, forwards, po_rows, gates = zip(*parts[start:end])
+            cpds = stacked_cpds(
+                self._timing, np.array(edge_on), forwards, po_rows, self._delays, arrivals
+            )
+            evals += [
+                _mc_result(d, cpd, self._nmed(g, alias), self._seed, self._clock)
+                for (d, _), cpd, g, alias in zip(
+                    designs[start:end], cpds, gates, folds.alias[start:end]
+                )
+            ]
+        return evals
 
-    def _design(self, genes):
-        """(edge_on, forward edges, PO net rows, kept gates, alias) of one
+    def _design(self, alias: np.ndarray, dropped: np.ndarray):
+        """(edge_on, forward edges, PO net rows, kept gates) of one folded
         chromosome, over the baseline's timing and logic rows.  POs are read
         through the alias, so a tied net or PI never counts as one, and the
         arrivals of the gates that no longer reach a PO are never read."""
         p = self._logic
-        fold = self._fold(genes)
-        alias = np.array(fold.alias, dtype=np.int32)
-        kept = np.ones(len(p.ops), dtype=bool)
-        kept[fold.dropped] = False
         t = self._timing
         # an edge is on when its gate is kept and its source is not a constant
-        edge_on = kept[self._edge_gate] & (alias[t.src + 2] >= 2)
+        edge_on = ~dropped[self._edge_gate] & (alias[t.src + 2] >= 2)
         # a dropped gate aliased to a net forwards that net's arrivals
-        out = p.out[fold.dropped]
+        out = p.out[dropped]
         out = out[alias[out] >= 2]
         forwards = np.column_stack([alias[out] - 2, out - 2])
         po = alias[p.po_index]
         driven = np.unique(po[po >= 2]) - 2
-        return edge_on, forwards, driven, np.flatnonzero(kept), alias
+        return edge_on, forwards, driven, np.flatnonzero(~dropped)
 
     def _nmed(self, gates: np.ndarray, alias: np.ndarray) -> float:
         """NMED of one design: its words are the baseline's constant and PI
@@ -682,8 +681,8 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     Scores exactly the designs listed in fronts/final_front.csv, in that
     order, so chromosome files left behind by an earlier run are ignored.
     The libraries are drawn and the baseline's exact outputs simulated
-    once, and shared by every design.  The designs go through
-    `MonteCarloFront`, `chunk` at a time; each gets the numbers
+    once, and shared by every design.  The designs go through one
+    `MonteCarloFront.evaluate` call; each gets the numbers
     `monte_carlo_evaluate(apply_chromosome(...))` gives it.
     """
     if mc_count < 1:  # before the report of an earlier evaluate is removed
@@ -703,15 +702,12 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     del ds  # the front keeps the PI words it needs
     with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
         design_ids = [r["design_id"] for r in csv.DictReader(f)]
-    evals = []
-    for start in range(0, len(design_ids), front.chunk):
-        chunk = [
-            (design_id, load_chromosome(
-                os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
-            ))
-            for design_id in design_ids[start : start + front.chunk]
-        ]
-        evals += front.evaluate(chunk)
+    evals = front.evaluate([
+        (design_id, load_chromosome(
+            os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
+        ))
+        for design_id in design_ids
+    ])
     _write_csv(
         os.path.join(run_dir, "mc", "baseline.csv"), _MC_FIELDS, [_mc_row(base_eval)]
     )

@@ -12,6 +12,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._kernels import OP_CODES
+
 GND = "GND"
 VDD = "VDD"
 CONSTANT_NETS = frozenset((GND, VDD))
@@ -394,26 +398,31 @@ def _fold_target(g: Gate, fanin: dict[str, str]):
     return None
 
 
-def _fold_table(kind: str) -> dict[tuple[int, ...], int | None]:
+def _fold_table(kind: str) -> np.ndarray:
     """`_fold_target` tabulated over every constant pattern of `kind`.
 
-    A key holds one code per input pin, in pin order: 0 for GND, 1 for
-    VDD, 2 for a live net.  Its value is None when the gate is kept, 0 or
-    1 when it collapses to GND or VDD, and 2 + k when it forwards the net
-    on pin k.  The rules look only at which pins are constant, so the
-    table covers every gate of the kind.
+    Entry c0 + 3 c1 + 9 c2 is for the pattern whose pin k, in pin order,
+    has code c_k: 0 for GND, 1 for VDD, 2 for a live net, and 0 for a pin
+    the kind lacks.  Its value is -1 when the gate is kept, 0 or 1 when it
+    collapses to GND or VDD, and 2 + k when it forwards the net on pin k.
+    The rules look only at which pins are constant, so the table covers
+    every gate of the kind.
     """
     pins = CELLS[kind].input_pins
     nets = (GND, VDD) + pins  # a live pin reads a net named after the pin
-    table = {}
+    table = np.full(27, -1, dtype=np.int8)
     for pattern in itertools.product((0, 1, 2), repeat=len(pins)):
         fanin = {p: nets[c] if c < 2 else p for p, c in zip(pins, pattern)}
         target = _fold_target(Gate("g", kind, fanin, "y"), fanin)
-        table[pattern] = None if target is None else nets.index(target)
+        if target is not None:
+            table[sum(c * 3**k for k, c in enumerate(pattern))] = nets.index(target)
     return table
 
 
-FOLD_TABLE = {kind: _fold_table(kind) for kind in CELLS}
+# row `op` is the `_fold_table` of the kind whose `_kernels` op code is `op`
+FOLD_TABLE = np.stack(
+    [_fold_table(kind) for kind, _ in sorted(OP_CODES.items(), key=lambda t: t[1])]
+)
 
 
 def simplify_constants(n: Netlist) -> Netlist:

@@ -8,13 +8,14 @@ a hard NMED bound handled through constrained dominance.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .approx import CandidateSet, TieFold, tie_nets, validate_genes
+from .approx import CandidateSet, FoldBatch, TieFold, tie_nets, validate_genes
 from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
 from .errsim import (
@@ -27,11 +28,11 @@ from .errsim import (
 )
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
 from .timing import (
+    DelayRV,
     arc_rv,
     extract_critical_path,
     po_endpoint,
-    rv_sum,
-    running_winner,
+    running_winners,
     ssta_traverse,
     sta_arrivals,
 )
@@ -101,17 +102,24 @@ def initialize_population(cfg: GaConfig, cs: CandidateSet) -> np.ndarray:
     return np.where(exact, np.int8(-1), ties)
 
 
+# Bytes of the chromosomes' signal words one `SearchProgram` simulates at once.
+_STACK_BYTES = 8 << 20
+
+
 class SearchProgram:
     """One search problem, compiled once over the baseline's signal rows.
 
-    `score` gives exactly what `apply_chromosome` -> `Evaluator` ->
-    `ssta_traverse` give for a chromosome, without building a netlist.
-    Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.  The
-    baseline's `approx.TieFold` turns the tie set into a per-row alias and
-    the cone of kept gates it visited.  `score` re-times each cone gate
-    with the running-winner rule of `ssta_traverse` and re-simulates the
-    cone over a copy of the baseline's words; every other gate keeps its
-    baseline arrival and signal words.
+    `score_batch` gives exactly what `apply_chromosome` -> `Evaluator` ->
+    `ssta_traverse` give for each of many chromosomes, without building a
+    netlist.  Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.
+    The baseline's `approx.TieFold` turns each tie set into a per-row alias
+    and the cone of kept gates it visited.  Walking the baseline level by
+    level, with one vector step per level over every chromosome and gate
+    of the level, `score_batch` re-times each cone gate with the
+    running-winner rule of `ssta_traverse` (`timing.running_winners`), and
+    re-simulates the cones of `chunk` chromosomes at a time into a stack of
+    word slots; every other gate keeps its baseline arrival, and its words
+    are read from the baseline's.
     """
 
     def __init__(
@@ -125,63 +133,141 @@ class SearchProgram:
         ev = Evaluator(n)
         p = ev.program
         self._fold = TieFold(p, cs)
-        self._words = ev.signal_words(ds)
+        shape = (p.n_signals, (ds.n_vectors + 63) // 64)
+        self.chunk = max(1, _STACK_BYTES // (8 * shape[0] * shape[1]))
+        # `chunk` slots, then the baseline's words.  An anonymous map, which
+        # holds only the pages written and is unmapped when freed.  Freeing a
+        # malloc block this large would raise glibc's mmap threshold to its
+        # size, so the arrays a later `run_evaluate` allocates would stay on
+        # the heap: +8 MB peak RSS on array_multiplier(16).
+        self._stack = np.frombuffer(
+            mmap.mmap(-1, 8 * (self.chunk + 1) * shape[0] * shape[1]), dtype=np.uint64
+        ).reshape(self.chunk + 1, *shape)
+        words = ev.signal_words(ds, out=self._stack[-1])
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
         self._exact = interpret_values(
-            unpack_rows(self._words, p.po_index, ds.n_vectors), ds.signed
+            unpack_rows(words, p.po_index, ds.n_vectors), ds.signed
         )
-        self._po_rows = p.po_index.tolist()
-        self._ops = p.ops
-        self._out = p.out
-        self._outs = p.out.tolist()
-        self._arcs = [
-            tuple(
-                None if g.fanin[pin] in CONSTANT_NETS
-                else arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
-                for pin in g.cell.input_pins
-            )
-            for g in n.topological_order()
-        ]
-        base = ssta_traverse(n, lib, tmap)
-        self._arrivals = [base.arrivals.get(net) for net in p.signal_index]
-        # Two threads may score one new chromosome at once; both store the
-        # same value, so the race costs time, never correctness.
+        self._po_rows = p.po_index
+        # per (gate, pin): the arc mean and variance; 0 for a constant pin
+        self._arc_mu = np.zeros((len(p.ops), 3))
+        self._arc_var = np.zeros((len(p.ops), 3))
+        for gi, g in enumerate(n.topological_order()):
+            for k, pin in enumerate(g.cell.input_pins):
+                if g.fanin[pin] not in CONSTANT_NETS:
+                    rv = arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
+                    self._arc_mu[gi, k], self._arc_var[gi, k] = rv.mu, rv.var
+        base = ssta_traverse(n, lib, tmap).arrivals
+        rvs = [base.get(net) for net in p.signal_index]
+        self._has = np.array([rv is not None for rv in rvs])
+        self._mu = np.array([rv.mu if rv else 0.0 for rv in rvs])
+        self._var = np.array([rv.var if rv else 0.0 for rv in rvs])
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
 
     def score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
         """(nmed, mu_cpd, sigma_cpd, confidence) of a validated chromosome,
         memoized by its gene bytes."""
-        key = genes.tobytes()
-        scored = self._memo.get(key)
-        if scored is None:
-            scored = self._memo[key] = self._score(genes)
-        return scored
+        self.score_batch(genes[None])
+        return self._memo[genes.tobytes()]
 
-    def _score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
-        fold = self._fold(genes)
-        arrivals = list(self._arrivals)
-        for gi, rows in zip(fold.cone, fold.cone_fanins):
-            pin, rv = running_winner(
-                (k, arrivals[r]) for k, r in enumerate(rows) if arrivals[r] is not None
-            )
-            arrivals[self._outs[gi]] = rv_sum(rv, self._arcs[gi][pin])
+    def score_batch(self, genes: np.ndarray, threads: int = 1):
+        """Score and memoize each row of validated chromosomes `genes` whose
+        gene bytes are not memoized yet, each distinct row once.
 
-        words = self._words
-        if fold.cone:
-            words = words.copy()
-            # pins a gate lacks read row 0, as in compile_logic
-            fan = np.array([(rows + [0, 0])[:3] for rows in fold.cone_fanins], np.int32)
-            cone = fold.cone
-            _kernels.eval_words(
-                self._ops[cone], fan[:, 0], fan[:, 1], fan[:, 2], self._out[cone], words
-            )
-        po = [fold.alias[r] for r in self._po_rows]
-        approx_bits = unpack_rows(words, po, self._n_vectors)
-        metrics = _metrics_from_bits(self._exact, approx_bits, self._signed)
-        rvs = [arrivals[r] for r in dict.fromkeys(po) if arrivals[r] is not None]
-        _, cpd, confidence = po_endpoint(rvs)
-        return metrics.nmed, cpd.mu, cpd.sigma, confidence
+        With `threads` > 1 the new rows are split into up to `threads`
+        parts, scored in parallel, each in its own share of the slots.
+        """
+        new = {}
+        for row in genes:
+            key = row.tobytes()
+            if key not in self._memo:
+                new[key] = row
+        if not new:
+            return
+        rows = np.array(list(new.values()))
+        parts = max(1, min(threads, self.chunk, len(rows)))
+        share = self.chunk // parts
+        if parts == 1:
+            scores = self._score_rows(rows, range(share))
+        else:
+            slots = [range(i * share, (i + 1) * share) for i in range(parts)]
+            with ThreadPoolExecutor(max_workers=parts) as pool:
+                done = pool.map(self._score_rows, np.array_split(rows, parts), slots)
+                scores = [s for part in done for s in part]
+        self._memo.update(zip(new, scores))
+
+    def _score_rows(self, genes: np.ndarray, slots: range) -> list[tuple]:
+        fold = self._fold.batch(genes)
+        mu, var, has = self._ssta(fold)
+        po = fold.alias[:, self._po_rows]
+        scores = []
+        for b, nmed in enumerate(self._nmeds(fold, slots)):
+            rows = [r for r in dict.fromkeys(po[b].tolist()) if has[b, r]]
+            rvs = map(DelayRV, mu[b, rows].tolist(), var[b, rows].tolist())
+            _, cpd, confidence = po_endpoint(list(rvs))
+            scores.append((nmed, cpd.mu, cpd.sigma, confidence))
+        return scores
+
+    def _ssta(self, fold: FoldBatch):
+        """(mu, var, has) per (chromosome, row): the arrival of each row's
+        net, `has` False where it has none (a constant, or a gate whose
+        fanins all are)."""
+        n_chrom = fold.alias.shape[0]
+        mu = np.tile(self._mu, (n_chrom, 1))
+        var = np.tile(self._var, (n_chrom, 1))
+        has = np.tile(self._has, (n_chrom, 1))
+        cone = fold.cone
+        at = np.arange(n_chrom)[:, None, None]
+        for lv in self._fold.levels:
+            redo = cone[:, lv.gates]
+            if not redo.any():
+                continue
+            fanin = fold.alias[:, lv.fanin]
+            # a pin the gate lacks reads GND, which has no arrival
+            pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin], has[at, fanin])
+            k = np.maximum(pin, 0)
+            out = lv.out
+            mu[:, out] = np.where(redo, wmu + self._arc_mu[lv.gates, k], mu[:, out])
+            var[:, out] = np.where(redo, wvar + self._arc_var[lv.gates, k], var[:, out])
+            has[:, out] = np.where(redo, pin >= 0, has[:, out])
+        return mu, var, has
+
+    def _nmeds(self, fold: FoldBatch, slots: range) -> list[float]:
+        """NMED per chromosome: its cone simulated into one of `slots`, as
+        many chromosomes at a time as there are slots, with one gather, gate
+        op and scatter per (level, op code)."""
+        n_rows = self._stack.shape[1]
+        flat = self._stack.reshape(-1, self._stack.shape[2])
+        # flat row of each logic row: in a chromosome's slot for its cone
+        # gates, else in the baseline's
+        own = (np.arange(slots.start, slots.stop) * n_rows)[:, None] + np.arange(n_rows)
+        base = (len(self._stack) - 1) * n_rows + np.arange(n_rows)
+        first_gate = self._fold.first_gate
+        nmeds = []
+        for start in range(0, fold.alias.shape[0], len(slots)):
+            alias = fold.alias[start : start + len(slots)]
+            cone = fold.cone[start : start + len(slots)]
+            at = np.where(np.pad(cone, ((0, 0), (first_gate, 0))), own[: len(alias)], base)
+            # flat row that each (chromosome, logic row) reads, through the alias
+            src = np.take_along_axis(at, alias, 1)
+            offset = own[: len(alias), 0]
+            for lv in self._fold.levels:
+                gi, ci = np.nonzero(cone[:, lv.gates].T)
+                if not gi.size:
+                    continue
+                bounds = np.searchsorted(gi, lv.bounds)
+                for (op, n_pins), lo, hi in zip(lv.ops, bounds, bounds[1:]):
+                    if lo == hi:
+                        continue
+                    c, g = ci[lo:hi], gi[lo:hi]
+                    rows = src[c[:, None], lv.fanin[g, :n_pins]]
+                    ins = [np.take(flat, rows[:, k], axis=0) for k in range(n_pins)]
+                    flat[offset[c] + lv.out[g]] = _kernels.gate_words(op, *ins)
+            for b in range(len(alias)):
+                bits = unpack_rows(flat, src[b, self._po_rows], self._n_vectors)
+                nmeds.append(_metrics_from_bits(self._exact, bits, self._signed).nmed)
+        return nmeds
 
 
 def evaluate_individual(
@@ -372,9 +458,11 @@ def nsga2_run(
 ) -> NsgaResult:
     """Standard NSGA-II over chromosomes; deterministic for a given seed.
 
-    All stochastic choices happen sequentially in the main thread;
-    individual evaluations are pure, so the thread count can only change
-    timing, never results.  The returned front is the archive of feasible
+    All stochastic choices happen sequentially in the main thread.  Each
+    generation's new chromosomes are scored in one
+    `SearchProgram.score_batch` call, split into `threads` parallel parts;
+    scores are pure, so the thread count can only change timing, never
+    results.  The returned front is the archive of feasible
     nondominated designs over the whole run (elitist: it never regresses).
     """
     cfg.validate()
@@ -382,13 +470,10 @@ def nsga2_run(
     program = SearchProgram(n, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
-        def one(g):
-            return evaluate_individual(n, cs, g, lib, tmap, ds, cfg, program)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, gene_rows))
-        return [one(g) for g in gene_rows]
+        program.score_batch(np.array(gene_rows), threads)
+        return [
+            evaluate_individual(n, cs, g, lib, tmap, ds, cfg, program) for g in gene_rows
+        ]
 
     genes0 = initialize_population(cfg, cs)
     pop = evaluate_all([genes0[i] for i in range(cfg.population)])

@@ -84,6 +84,45 @@ def running_winner(candidates):
     return winner, win_rv
 
 
+# Below this |z| the erfc in `rv_gt_prob` may round P(X > Y) to 0.5 exactly.
+_Z_BAND = 1e-9
+
+
+def running_winners(mu: np.ndarray, var: np.ndarray, live: np.ndarray):
+    """`running_winner` over the last axis of (..., pins) arrays at once.
+
+    Entry [..., k] is the arrival of pin k; only pins where `live` is set
+    compete.  Returns the winning pin per leading index, -1 where no pin is
+    live, and the winner's mean and variance (pin 0's where none is).
+
+    A candidate takes over when `rv_gt_prob(candidate, leader) > 0.5`,
+    decided exactly as that function decides it: by the means when both
+    variances are 0, else by the sign of z = (leader.mu - candidate.mu) /
+    sqrt(var sum), a candidate winning when z < 0.  For 0 < |z| < 1e-9,
+    where the erfc may round, `rv_gt_prob` itself decides.
+    """
+    win = np.where(live[..., 0], 0, -1)
+    wmu, wvar = mu[..., 0], var[..., 0]
+    for k in range(1, mu.shape[-1]):
+        cmu, cvar, on = mu[..., k], var[..., k], live[..., k]
+        v = cvar + wvar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (wmu - cmu) / np.sqrt(v)
+        takes = np.where(v == 0.0, cmu > wmu, z < 0.0)
+        band = on & (win >= 0) & (v > 0.0) & (z != 0.0) & (np.abs(z) < _Z_BAND)
+        for i in zip(*np.nonzero(band)):
+            takes[i] = rv_gt_prob(
+                DelayRV(float(cmu[i]), float(cvar[i])),
+                DelayRV(float(wmu[i]), float(wvar[i])),
+            ) > 0.5
+        takes &= on
+        takes |= on & (win < 0)
+        win = np.where(takes, k, win)
+        wmu = np.where(takes, cmu, wmu)
+        wvar = np.where(takes, cvar, wvar)
+    return win, wmu, wvar
+
+
 def endpoint_weight(rvs: list[DelayRV], i: int) -> float:
     """Product of P(rvs[i] > rvs[j]) over every j != i, in list order."""
     c = 1.0

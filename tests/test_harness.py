@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from vaxcirc.celllib import nominal_library, sample_library
-from vaxcirc.errsim import Evaluator, generate_dataset, interpret_values, timing_error_metrics
+from vaxcirc._compile import compile_timing
+from vaxcirc.celllib import nominal_library, sample_library, sample_matrix
+from vaxcirc.errsim import Evaluator, generate_dataset, interpret_values, stale_bits
+from vaxcirc.errsim import timing_error_metrics
 from vaxcirc.harness import (
     BenchmarkSpec,
     HarnessError,
@@ -230,6 +232,30 @@ class TestStaleNmedBound:
         b = stale_nmed_bound(rca4, default_lib, 10, 5, 30.0, ds)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
+
+    def test_matches_row_major_python_int_reference(self, rca8, default_lib):
+        """The column-major PO bits change no number: each library's NMED
+        equals the stale rewrite of a row-major copy, summed in Python ints."""
+        ds = generate_dataset(rca8, 700, seed=3)
+        clock = 0.95 * sta_arrivals(rca8, nominal_library(default_lib)).cpd
+        _, per_lib = stale_nmed_bound(rca8, default_lib, 12, 0, clock, ds)
+        bits = Evaluator(rca8).po_bits(ds)
+        assert bits.flags.f_contiguous and not bits.flags.c_contiguous
+        rows = np.ascontiguousarray(bits)
+        exact = [sum(int(b) << j for j, b in enumerate(r)) for r in rows]
+        program = compile_timing(rca8, default_lib.arc_index())
+        late = program.po_arrivals(program.forward(sample_matrix(default_lib, range(12))))
+        late = late > clock
+        assert 0 < late.any(axis=1).sum() < 12
+        denom = len(ds.vectors) * ((1 << bits.shape[1]) - 1)
+        for k in range(12):
+            stale = stale_bits(rows, late[k])
+            assert stale.flags.c_contiguous
+            assert np.array_equal(stale_bits(bits, late[k]), stale)
+            assert stale_bits(bits, late[k]).flags.f_contiguous
+            approx = [sum(int(b) << j for j, b in enumerate(r)) for r in stale]
+            want = sum(abs(a - e) for a, e in zip(approx, exact)) / denom
+            assert per_lib[k] == want
 
 
 def _mc(design_id, nmed, worst, clock=100.0):

@@ -1,16 +1,18 @@
 """Property tests: the vectorized dominance routines, the one-pass
 constant fold, the batched STA and its per-PO arrival reduction, the bus
-value reading, the compiled chromosome scorer and the shared Monte-Carlo
-evaluation, each checked against an independent slow reference; and the
-netlist text round trip."""
+value reading, the compiled chromosome scorer one chromosome and a batch
+at a time, and the shared Monte-Carlo evaluation, each checked against an
+independent slow reference; and the netlist text round trip."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaxcirc import optimize
 from vaxcirc._compile import compile_logic, compile_timing
 from vaxcirc.approx import (
     CandidateSet,
@@ -237,6 +239,25 @@ def test_error_metrics_match_python_ints(case, signed):
         max(ed), sum(1 for d in ed if d) / n, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_bus_values(70, 8, per_row=2), st.booleans())
+def test_error_metrics_equal_for_row_and_column_major_bits(case, signed):
+    """`unpack_rows` gives column-major matrices; the metrics of either
+    layout equal the Python-int reference."""
+    width, pairs = case
+    exact = [_as_signed(e, width, signed) for e, _ in pairs]
+    approx = [_as_signed(a, width, signed) for _, a in pairs]
+    ed = [abs(a - e) for e, a in zip(exact, approx)]
+    n = len(pairs)
+    want = (sum(ed) / (n * ((1 << width) - 1 if width else 1)), max(ed),
+            sum(1 for d in ed if d) / n, n)
+    exact_values = interpret_values(_to_bits([e for e, _ in pairs], width), signed)
+    bits = _to_bits([a for _, a in pairs], width)
+    for layout in (np.ascontiguousarray(bits), np.asfortranarray(bits)):
+        m = _metrics_from_bits(exact_values, layout, signed)
+        assert (m.nmed, m.max_ed, m.error_rate, m.n_vectors) == want
+
+
 def _reference_score(n, cs, genes, lib, tmap, ds):
     """(nmed, mu_cpd, sigma_cpd, confidence) through the object path:
     apply the chromosome, simulate both netlists, traverse the result."""
@@ -289,6 +310,73 @@ def test_search_program_matches_reference_on_families(family, width, taps):
         rows.append(genes)
     for genes in rows:
         assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+
+
+def _batch_matches_reference(n, cs, rows, tmap, ds, chunk, threads=1):
+    """`score_batch` over `rows` with a simulation chunk of `chunk`, after
+    the first row was scored alone, gives each row its object-path score;
+    each distinct row is scored once."""
+    program = SearchProgram(n, cs, _LIB, tmap, ds)
+    program.chunk = chunk
+    program.score(rows[0])  # memoized before the batch
+    batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
+    distinct = {r.tobytes() for r in rows}
+    new = len(distinct - {rows[0].tobytes()})
+    assert new > chunk  # each thread's share of the rows spans more than one chunk
+    with mock.patch.object(optimize, "_metrics_from_bits",
+                           wraps=optimize._metrics_from_bits) as metrics:
+        program.score_batch(batch, threads)
+    assert metrics.call_count == new
+    assert len(program._memo) == len(distinct)
+    for genes in rows:
+        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+    assert len(program._memo) == len(distinct)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tied_dag(), st.data())
+def test_score_batch_matches_reference(case, data):
+    n, _, tied = case
+    # `tied` reads GND/VDD itself, which the reference folds once any net is tied
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        tmap = annotate_edge_transitions(base, _LIB, 8, seed=0)
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        exact = exact_chromosome(cs)
+        all_gnd = np.zeros(len(nets), dtype=np.int8)
+        po_vdd = exact.copy()  # every PO net tied, and the last net
+        po_vdd[[nets.index(po) for po in base.outputs if po in nets] + [-1]] = 1
+        drawn = [
+            np.array(data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                                        min_size=len(nets), max_size=len(nets))),
+                     dtype=np.int8)
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        _batch_matches_reference(base, cs, [all_gnd, exact, po_vdd, *drawn],
+                                 tmap, ds, chunk=1)
+
+
+@pytest.mark.parametrize("family,width,taps", [
+    ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 8, 1),
+    ("mac_fir", 8, 2),
+])
+def test_score_batch_matches_reference_on_families(family, width, taps):
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    tmap = annotate_edge_transitions(n, _LIB, 50, seed=0)
+    cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
+    po_genes = [k for k, net in enumerate(cs.nets) if net in n.outputs]
+    rng = np.random.default_rng(13)
+    rows = [exact_chromosome(cs)]
+    for i in range(11):
+        p = (0.02, 0.1, 0.3)[i % 3]
+        genes = np.where(rng.random(len(cs)) < p, rng.integers(0, 2, len(cs)), -1)
+        genes = genes.astype(np.int8)
+        if i % 2 == 0:  # tie a PO net
+            genes[po_genes[i % len(po_genes)]] = i % 4 // 2
+        rows.append(genes)
+    ds = generate_dataset(n, 300, seed=3)
+    _batch_matches_reference(n, cs, rows, tmap, ds, chunk=4, threads=2)
 
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])

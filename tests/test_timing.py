@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from vaxcirc.timing import (
     extract_critical_path,
     mc_sta_cpd,
     rv_gt_prob,
+    running_winner,
+    running_winners,
     rv_sum,
     ssta_traverse,
     sta_arrivals,
@@ -98,6 +101,47 @@ class TestRvGtProb:
         probs = [rv_gt_prob(DelayRV(mu, 1.0), y) for mu in (4.0, 5.0, 6.0, 7.0)]
         assert probs == sorted(probs)
         assert probs[0] < probs[1] < probs[2]
+
+
+class TestRunningWinners:
+    """The vectorized pick of `running_winner`, on the cases where the
+    sign of z alone would decide wrongly or not at all."""
+
+    # 100 and the next double up: z = -1.6e-17 at these variances, so
+    # rv_gt_prob rounds P to exactly 0.5 and the earlier pin keeps the lead
+    MU = (100.0, math.nextafter(100.0, math.inf), 100.0 + 1e-7, 101.0)
+    VAR = (0.0, 1e-6, 4e5)
+
+    def _check(self, n_pins):
+        choices = list(itertools.product(self.MU, self.VAR, (True, False)))
+        cases = list(itertools.product(choices, repeat=n_pins))
+        mu, var, live = (np.array([[p[i] for p in c] for c in cases]) for i in range(3))
+        got, win_mu, win_var = running_winners(mu, var, live)
+        want = [
+            running_winner(
+                (k, DelayRV(m, v)) for k, (m, v, on) in enumerate(c) if on
+            )[0]
+            for c in cases
+        ]
+        assert got.tolist() == [-1 if w is None else w for w in want]
+        at = np.maximum(got, 0)[:, None]
+        assert np.array_equal(win_mu, np.take_along_axis(mu, at, 1)[:, 0])
+        assert np.array_equal(win_var, np.take_along_axis(var, at, 1)[:, 0])
+        return mu, var, live
+
+    def test_two_pins(self):
+        mu, var, live = self._check(2)
+        v = var[:, 0] + var[:, 1]
+        z = (mu[:, 0] - mu[:, 1]) / np.sqrt(np.where(v > 0, v, 1.0))
+        both = live.all(axis=1) & (v > 0)
+        assert np.any(both & (z == 0.0))  # equal means, var > 0
+        assert np.any(both & (z != 0.0) & (np.abs(z) < 1e-9))  # inside the band
+        assert np.any(live.all(axis=1) & (v == 0.0) & (mu[:, 0] == mu[:, 1]))
+        band = DelayRV(self.MU[1], self.VAR[2]), DelayRV(self.MU[0], self.VAR[2])
+        assert rv_gt_prob(*band) == 0.5  # z < 0, yet no takeover
+
+    def test_three_pins(self):
+        self._check(3)
 
 
 class TestStaArrivals:
