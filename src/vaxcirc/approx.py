@@ -73,7 +73,7 @@ def validate_genes(cs: CandidateSet, genes) -> np.ndarray:
         raise ChromosomeError(
             f"chromosome length {genes.shape} does not match {len(cs)} candidates"
         )
-    if not np.all(np.isin(genes, (-1, 0, 1))):
+    if genes.size and (genes.min() < -1 or genes.max() > 1):
         raise ChromosomeError("genes must be -1, 0 or 1")
     return genes
 

@@ -124,17 +124,6 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].astype(np.uint8)
 
 
-def unpack_rows(words: np.ndarray, rows, n: int) -> np.ndarray:
-    """(n, len(rows)) bit matrix: column j is unpack_bits(words[rows[j]], n).
-
-    The matrix is column-major, so each column written here and read by
-    `interpret_values` is contiguous."""
-    out = np.empty((n, len(rows)), dtype=np.uint8, order="F")
-    for j, row in enumerate(rows):
-        out[:, j] = unpack_bits(words[row], n)
-    return out
-
-
 class Evaluator:
     """Compiled bit-parallel evaluator for one netlist."""
 
@@ -171,8 +160,14 @@ class Evaluator:
         return words
 
     def po_bits(self, ds: SimulationDataset) -> np.ndarray:
-        """(N, n_po) output bit matrix."""
-        return unpack_rows(self.signal_words(ds), self.program.po_index, ds.n_vectors)
+        """(N, n_po) output bit matrix.  It is column-major, so each column
+        written here and read by `interpret_values` is contiguous."""
+        words = self.signal_words(ds)
+        n = ds.n_vectors
+        out = np.empty((n, len(self.program.po_index)), dtype=np.uint8, order="F")
+        for j, row in enumerate(self.program.po_index):
+            out[:, j] = unpack_bits(words[row], n)
+        return out
 
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
         """PO bit matrix for a raw (N, n_pi) 0/1 vector array."""
@@ -189,37 +184,23 @@ def compile_evaluator(n: Netlist) -> Evaluator:
 def interpret_values(bits: np.ndarray, signed: bool = False):
     """Bus values from a (N, n_po) bit matrix, LSB-first.
 
-    Returns int64 when the bus fits, else a list of Python ints.
+    Returns int64 when the bus fits, else a list of Python ints.  An int64
+    bus is built one column at a time, so no (N, n_po) int64 temporary is
+    made.
     """
     n, width = bits.shape
     if width <= 62:
-        return _bus_values(lambda j: bits[:, j], n, width, signed)
+        vals = np.zeros(n, dtype=np.int64)
+        for j in range(width):
+            vals |= bits[:, j].astype(np.int64) << j
+        if signed and width:
+            vals -= bits[:, -1].astype(np.int64) << width
+        return vals
     packed = np.packbits(bits, axis=1, bitorder="little")
     vals = [int.from_bytes(row.tobytes(), "little") for row in packed]
     if signed and width:
         top = 1 << width
         vals = [v - top if bits[i, -1] else v for i, v in enumerate(vals)]
-    return vals
-
-
-def interpret_rows(words: np.ndarray, rows, n: int, signed: bool = False):
-    """`interpret_values(unpack_rows(words, rows, n), signed)` without the
-    (n, len(rows)) bit matrix when the bus fits in int64: each row is
-    unpacked only while its bit is added."""
-    if len(rows) > 62:
-        return interpret_values(unpack_rows(words, rows, n), signed)
-    return _bus_values(lambda j: unpack_bits(words[rows[j]], n), n, len(rows), signed)
-
-
-def _bus_values(column, n: int, width: int, signed: bool) -> np.ndarray:
-    """int64 bus values from `column(j)`, the (n,) 0/1 bits of bus bit j,
-    for width <= 62; one column at a time, so no (n, width) int64
-    temporary is made."""
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        vals |= column(j).astype(np.int64) << j
-    if signed and width:
-        vals -= column(width - 1).astype(np.int64) << width
     return vals
 
 
@@ -237,13 +218,7 @@ def _metrics_from_bits(exact, approx_bits: np.ndarray, signed: bool) -> ErrorMet
     values (`interpret_values` of the exact bits, computed once by the
     caller)."""
     approx = interpret_values(approx_bits, signed)
-    return _metrics_from_values(exact, approx, approx_bits.shape[1])
-
-
-def _metrics_from_values(exact, approx, width: int) -> ErrorMetrics:
-    """Error metrics of approximate bus values of `width` bits against the
-    exact ones; both as `interpret_values` gives them."""
-    n = len(approx)
+    n, width = approx_bits.shape
     if isinstance(exact, np.ndarray):
         ed = np.abs(approx - exact)
         max_ed = int(ed.max(initial=0))
@@ -260,6 +235,45 @@ def _metrics_from_values(exact, approx, width: int) -> ErrorMetrics:
     denom = (1 << width) - 1 if width else 1
     nmed = total / (n * denom) if n else 0.0
     return ErrorMetrics(nmed, rel, errors / n if n else 0.0, max_ed, n)
+
+
+def nmed_words(
+    exact: np.ndarray, approx: np.ndarray, n: int, signed: bool = False
+) -> list[float]:
+    """NMED of each approximate bus against the exact one, read straight
+    from packed words: bitwise `_metrics_from_bits(...).nmed` of the same
+    buses, at any width.
+
+    `exact` is (width, words) and `approx` (count, width, words), with
+    words = ceil(n / 64); row j holds bus bit j (LSB first) of the `n`
+    vectors, and the bits past `n` are ignored.  Per vector, A < E is found in one pass from LSB to
+    MSB, 64 vectors per word op; the larger bus then has bit j set on
+    `d_j & (a_j ^ lt)` of the bits `d_j = a_j ^ e_j` that differ, so
+    |A - E| sums to sum_j w_j * (2 * popcount(d_j & (a_j ^ lt)) - popcount(d_j))
+    with w_j = 2^j, and -2^(width-1) for the sign bit of a signed bus.
+    The sum is an exact Python int, so no per-vector value is built.
+    """
+    count, width, n_words = approx.shape
+    if not n or not width:
+        return [0.0] * count
+    diff = approx ^ exact
+    if n % 64:  # the padding bits of the last word
+        diff[..., -1] &= np.uint64((1 << (n % 64)) - 1)
+    lt = np.zeros((count, n_words), dtype=np.uint64)  # A < E, per vector
+    for j in range(width):
+        d = diff[:, j]
+        wins = approx[:, j] if signed and j == width - 1 else exact[j]
+        lt = (d & wins) | (~d & lt)
+    larger = np.bitwise_count(diff & (approx ^ lt[:, None])).sum(axis=2, dtype=np.int64)
+    ones = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    weights = [1 << j for j in range(width)]
+    if signed:
+        weights[-1] = -weights[-1]
+    denom = n * ((1 << width) - 1)
+    return [
+        sum(w * c for w, c in zip(weights, row)) / denom
+        for row in (2 * larger - ones).tolist()
+    ]
 
 
 def simulate_metrics(
@@ -307,4 +321,17 @@ def stale_bits(bits: np.ndarray, late: np.ndarray) -> np.ndarray:
     shows the previous vector's value; the first vector is settled."""
     stale = bits.copy(order="K")  # keeps a column-major matrix column-major
     stale[1:, late] = bits[:-1, late]
+    return stale
+
+
+def stale_words(words: np.ndarray, late: np.ndarray) -> np.ndarray:
+    """A copy of the (n_po, words) PO words in which each PO where `late`
+    is set shows the previous vector's value; the first vector is settled.
+    The words of `stale_bits`, without unpacking them."""
+    stale = words.copy()
+    w = words[late]
+    shifted = w << np.uint64(1)
+    shifted[:, 1:] |= w[:, :-1] >> np.uint64(63)
+    shifted[:, :1] |= w[:, :1] & np.uint64(1)
+    stale[late] = shifted
     return stale

@@ -24,6 +24,7 @@ from .approx import (
     CandidateSet,
     TieFold,
     build_candidates,
+    exact_chromosome,
     format_chromosome,
     load_chromosome,
 )
@@ -34,9 +35,8 @@ from .celllib import (
     sample_matrix,
     save_variation_library,
 )
-from .errsim import Evaluator, SimulationDataset, _metrics_from_bits, generate_dataset
-from .errsim import _metrics_from_values, interpret_rows, interpret_values
-from .errsim import simulate_metrics, stale_bits
+from .errsim import Evaluator, SimulationDataset, generate_dataset, nmed_words
+from .errsim import simulate_metrics, stale_words
 from .netlist import Gate, Netlist, netlist_fingerprint, parse_netlist, write_netlist
 from .optimize import GaConfig, nsga2_run, pareto_front_indices
 from .timing import annotate_edge_transitions, cpd_over_delays, sta_arrivals
@@ -327,8 +327,8 @@ class MonteCarloFront:
     design's gate words in turn.  `chunk` is the number of designs whose
     arrivals fit in the baseline's gate words, and at least one.  Blocks
     of this size allocated per design fragment the heap and raise the
-    peak RSS.  The PO values are read straight from the words
-    (`errsim.interpret_rows`), so no PO bit matrix is made either.  After
+    peak RSS.  The NMED is read straight from the PO words
+    (`errsim.nmed_words`), so no PO bit matrix is made either.  After
     construction the front needs nothing of `ds`.
     """
 
@@ -359,7 +359,7 @@ class MonteCarloFront:
         words = ev.signal_words(ds, out=self._buf)
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
-        self._exact = interpret_rows(words, p.po_index, ds.n_vectors, ds.signed)
+        self._exact = words[p.po_index]
         self._logic = p
         self._fanins = np.stack([p.in0, p.in1, p.in2], axis=1)
         # timing net rows are logic rows less GND and VDD, and gate gi
@@ -422,8 +422,7 @@ class MonteCarloFront:
         words = self._buf[: self._shape[0] * self._shape[1]].reshape(self._shape)
         _kernels.eval_words(p.ops[gates], fan[:, 0], fan[:, 1], fan[:, 2], out, words)
         po = rows[alias[p.po_index]]
-        approx = interpret_rows(words, po, self._n_vectors, self._signed)
-        return _metrics_from_values(self._exact, approx, len(po)).nmed
+        return nmed_words(self._exact, words[po][None], self._n_vectors, self._signed)[0]
 
 
 def stale_nmed_bound(
@@ -438,13 +437,15 @@ def stale_nmed_bound(
     """Worst stale-value NMED over sampled libraries at a fixed clock.
 
     For each library, POs whose arrival exceeds the clock go stale
-    (previous vector's value); returns (max NMED, per-library NMED array).
+    (previous vector's value, as `errsim.stale_words` gives it); returns
+    (max NMED, per-library NMED array).  Each distinct late pattern is
+    scored once, on PO words shifted by one vector.
     """
     program = compile_timing(n, vlib.arc_index())
     delays = sample_matrix(vlib, range(seed, seed + count), rho)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
-    exact_bits = Evaluator(n).po_bits(ds)
-    exact = interpret_values(exact_bits, ds.signed)
+    ev = Evaluator(n)
+    exact = ev.signal_words(ds)[ev.program.po_index]
     per_lib = np.zeros(count, dtype=np.float64)
     cache: dict[bytes, float] = {}
     for k in range(count):
@@ -453,8 +454,8 @@ def stale_nmed_bound(
             if not late[k].any():
                 cache[key] = 0.0
             else:
-                stale = stale_bits(exact_bits, late[k])
-                cache[key] = _metrics_from_bits(exact, stale, ds.signed).nmed
+                stale = stale_words(exact, late[k])
+                cache[key] = nmed_words(exact, stale[None], ds.n_vectors, ds.signed)[0]
         per_lib[k] = cache[key]
     return float(per_lib.max(initial=0.0)), per_lib
 
@@ -681,9 +682,9 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     Scores exactly the designs listed in fronts/final_front.csv, in that
     order, so chromosome files left behind by an earlier run are ignored.
     The libraries are drawn and the baseline's exact outputs simulated
-    once, and shared by every design.  The designs go through one
-    `MonteCarloFront.evaluate` call; each gets the numbers
-    `monte_carlo_evaluate(apply_chromosome(...))` gives it.
+    once, and shared by every design.  The baseline, as the all-exact
+    chromosome, and the designs go through one `MonteCarloFront.evaluate`
+    call; each gets the numbers `monte_carlo_evaluate` gives it.
     """
     if mc_count < 1:  # before the report of an earlier evaluate is removed
         raise HarnessError("count must be >= 1")
@@ -694,15 +695,11 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
     delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
 
-    base_eval = monte_carlo_evaluate(
-        baseline, vlib, mc_count, mc_seed, clock, ds, design_id="baseline",
-        delays=delays,
-    )
     front = MonteCarloFront(baseline, cs, vlib, ds, delays, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
     with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
         design_ids = [r["design_id"] for r in csv.DictReader(f)]
-    evals = front.evaluate([
+    base_eval, *evals = front.evaluate([("baseline", exact_chromosome(cs))] + [
         (design_id, load_chromosome(
             os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
         ))

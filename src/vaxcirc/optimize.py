@@ -18,14 +18,8 @@ from . import _kernels
 from .approx import CandidateSet, FoldBatch, TieFold, tie_nets, validate_genes
 from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
-from .errsim import (
-    Evaluator,
-    SimulationDataset,
-    _metrics_from_bits,
-    interpret_values,
-    unpack_bits,
-    unpack_rows,
-)
+from .errsim import Evaluator, SimulationDataset, nmed_words, unpack_bits
+from .errsim import _metrics_from_bits  # noqa: F401  perfbench's tracer wraps this name
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
 from .timing import (
     DelayRV,
@@ -146,9 +140,7 @@ class SearchProgram:
         words = ev.signal_words(ds, out=self._stack[-1])
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
-        self._exact = interpret_values(
-            unpack_rows(words, p.po_index, ds.n_vectors), ds.signed
-        )
+        self._exact = words[p.po_index]
         self._po_rows = p.po_index
         # per (gate, pin): the arc mean and variance; 0 for a constant pin
         self._arc_mu = np.zeros((len(p.ops), 3))
@@ -236,7 +228,8 @@ class SearchProgram:
     def _nmeds(self, fold: FoldBatch, slots: range) -> list[float]:
         """NMED per chromosome: its cone simulated into one of `slots`, as
         many chromosomes at a time as there are slots, with one gather, gate
-        op and scatter per (level, op code)."""
+        op and scatter per (level, op code), then their PO words scored
+        against the baseline's in one `errsim.nmed_words` call."""
         n_rows = self._stack.shape[1]
         flat = self._stack.reshape(-1, self._stack.shape[2])
         # flat row of each logic row: in a chromosome's slot for its cone
@@ -264,9 +257,8 @@ class SearchProgram:
                     rows = src[c[:, None], lv.fanin[g, :n_pins]]
                     ins = [np.take(flat, rows[:, k], axis=0) for k in range(n_pins)]
                     flat[offset[c] + lv.out[g]] = _kernels.gate_words(op, *ins)
-            for b in range(len(alias)):
-                bits = unpack_rows(flat, src[b, self._po_rows], self._n_vectors)
-                nmeds.append(_metrics_from_bits(self._exact, bits, self._signed).nmed)
+            po = flat[src[:, self._po_rows]]
+            nmeds += nmed_words(self._exact, po, self._n_vectors, self._signed)
         return nmeds
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vaxcirc.approx import (
+    CandidateSet,
     ChromosomeError,
     apply_chromosome,
     build_candidates,
@@ -11,6 +12,7 @@ from vaxcirc.approx import (
     load_chromosome,
     parse_chromosome,
     save_chromosome,
+    validate_genes,
 )
 from vaxcirc.celllib import sample_library
 from vaxcirc.errsim import compile_evaluator, generate_dataset
@@ -155,6 +157,24 @@ class TestApplyChromosome:
         bad[0] = 2
         with pytest.raises(ChromosomeError):
             apply_chromosome(rca4, rca4_cs, bad)
+
+    def test_gene_range_check(self, rca4_cs):
+        """Every int8 value, -128, -2, 2 and 127 among them, at either end:
+        only -1, 0 and 1 pass."""
+        base = np.resize(np.array([-1, 0, 1], dtype=np.int8), len(rca4_cs))
+        for value in range(-128, 128):
+            for k in (0, len(rca4_cs) - 1):
+                genes = base.copy()
+                genes[k] = value
+                if value in (-1, 0, 1):
+                    assert validate_genes(rca4_cs, genes).tolist() == genes.tolist()
+                else:
+                    with pytest.raises(ChromosomeError, match="-1, 0 or 1"):
+                        validate_genes(rca4_cs, genes)
+
+    def test_empty_chromosome_accepted(self):
+        cs = CandidateSet((), 1e-3, "none")
+        assert validate_genes(cs, []).shape == (0,)
 
 
 def _forced_eval(n, assignment, forced):

@@ -423,6 +423,29 @@ class TestPipeline:
         assert config["stale_worst_nmed"] == art.stale_worst_nmed
         assert all(d.nmed <= 0.03 for d in art.result.front)
 
+    @pytest.mark.parametrize(
+        "family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 4, 2)]
+    )
+    def test_evaluate_baseline_equals_monte_carlo_evaluate(
+        self, tmp_path, default_lib, family, width, taps
+    ):
+        """The baseline, scored as the all-exact chromosome in the front's
+        first chunk, gets the numbers of its own standalone call."""
+        n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+        cfg = GaConfig(population=4, generations=1, seed=0, search_vectors=128)
+        art = run_optimize(
+            tmp_path, n, default_lib, cfg,
+            tmap_count=20, bound_count=10, report_vectors=700,
+        )
+        base_eval, _ = run_evaluate(tmp_path, mc_count=25, mc_seed=321)
+        ds = generate_dataset(n, 700, seed=cfg.seed + 2)
+        delays = sample_matrix(default_lib, range(321, 346))
+        want = monte_carlo_evaluate(
+            n, default_lib, 25, 321, art.clock_ps, ds, design_id="baseline",
+            delays=delays,
+        )
+        assert base_eval == want
+
 
 class TestPipelineErrors:
     def test_evaluate_before_optimize(self, tmp_path):

@@ -166,9 +166,10 @@ class TestSearchProgram:
     ):
         tmap, _, cs, ds = rca4_setup
         scored = []
-        metrics = optimize._metrics_from_bits
+        nmed_words = optimize.nmed_words
         monkeypatch.setattr(
-            optimize, "_metrics_from_bits", lambda *a: scored.append(a) or metrics(*a)
+            optimize, "nmed_words",
+            lambda e, a, *rest: scored.extend(a) or nmed_words(e, a, *rest),
         )
         program = SearchProgram(rca4, cs, default_lib, tmap, ds)
         tied = exact_chromosome(cs)

@@ -26,10 +26,12 @@ from vaxcirc.celllib import default_library, nominal_library, sample_library, sa
 from vaxcirc.errsim import (
     _metrics_from_bits,
     generate_dataset,
-    interpret_rows,
     interpret_values,
-    pack_bits,
+    nmed_words,
     simulate_metrics,
+    stale_bits,
+    stale_words,
+    unpack_bits,
 )
 from vaxcirc.harness import (
     BenchmarkSpec,
@@ -206,21 +208,6 @@ def test_interpret_values_matches_python_ints(case, signed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_bus_values(80, 6), st.booleans())
-def test_interpret_rows_matches_python_ints(case, signed):
-    """The bus read straight from packed words, bit j in row width-1-j."""
-    width, rows = case
-    values = [v for (v,) in rows]
-    bits = _to_bits(values, width)
-    words = np.zeros((width, (len(values) + 63) // 64), dtype=np.uint64)
-    for j in range(width):
-        words[width - 1 - j] = pack_bits(bits[:, j])
-    rows = [width - 1 - j for j in range(width)]
-    got = interpret_rows(words, rows, len(values), signed)
-    assert [int(v) for v in got] == [_as_signed(v, width, signed) for v in values]
-
-
-@settings(max_examples=300, deadline=None)
 @given(_bus_values(70, 8, per_row=2), st.booleans())
 def test_error_metrics_match_python_ints(case, signed):
     """Distance sums that overflow int64 (wide buses, many rows) included."""
@@ -242,7 +229,7 @@ def test_error_metrics_match_python_ints(case, signed):
 @settings(max_examples=200, deadline=None)
 @given(_bus_values(70, 8, per_row=2), st.booleans())
 def test_error_metrics_equal_for_row_and_column_major_bits(case, signed):
-    """`unpack_rows` gives column-major matrices; the metrics of either
+    """`Evaluator.po_bits` gives column-major matrices; the metrics of either
     layout equal the Python-int reference."""
     width, pairs = case
     exact = [_as_signed(e, width, signed) for e, _ in pairs]
@@ -256,6 +243,62 @@ def test_error_metrics_equal_for_row_and_column_major_bits(case, signed):
     for layout in (np.ascontiguousarray(bits), np.asfortranarray(bits)):
         m = _metrics_from_bits(exact_values, layout, signed)
         assert (m.nmed, m.max_ed, m.error_rate, m.n_vectors) == want
+
+
+def _random_words(rng, shape):
+    """uint64 words of uniform random bits, the padding bits included."""
+    size = int(np.prod(shape))
+    return np.frombuffer(rng.bytes(8 * size), dtype=np.uint64).reshape(shape).copy()
+
+
+def _words_to_bits(words, n):
+    """(n, width) bit matrix of the first `n` vectors of (width, words) rows."""
+    bits = np.zeros((n, words.shape[0]), dtype=np.uint8)
+    for j, row in enumerate(words):
+        bits[:, j] = unpack_bits(row, n)
+    return bits
+
+
+# widths on both sides of the int64 bus; n never a whole number of words
+_nmed_case = st.tuples(
+    st.one_of(st.integers(0, 62), st.integers(63, 80)),
+    st.integers(1, 200).filter(lambda n: n % 64),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nmed_case, st.integers(2, 4), st.data())
+def test_nmed_words_matches_metrics_from_bits(case, count, data):
+    """Random padding bits in every bus, and approximate buses that agree
+    with the exact one above a drawn bit, so small distances and equal
+    buses occur."""
+    width, n, signed, seed = case
+    rng = np.random.default_rng(seed)
+    n_words = (n + 63) // 64
+    exact = _random_words(rng, (width, n_words))
+    approx = _random_words(rng, (count, width, n_words))
+    for b in range(count):
+        keep = data.draw(st.integers(0, width))
+        approx[b, keep:, :] = exact[keep:]
+        approx[b, keep:, -1] ^= _random_words(rng, (width - keep,)) << np.uint64(n % 64)
+    exact_values = interpret_values(_words_to_bits(exact, n), signed)
+    want = [
+        _metrics_from_bits(exact_values, _words_to_bits(a, n), signed).nmed for a in approx
+    ]
+    assert nmed_words(exact, approx, n, signed) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nmed_case, st.data())
+def test_stale_words_unpack_to_stale_bits(case, data):
+    width, n, _, seed = case
+    words = _random_words(np.random.default_rng(seed), (width, (n + 63) // 64))
+    late = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)),
+                    dtype=bool)
+    got = _words_to_bits(stale_words(words, late), n)
+    assert (got == stale_bits(_words_to_bits(words, n), late)).all()
 
 
 def _reference_score(n, cs, genes, lib, tmap, ds):
@@ -323,10 +366,9 @@ def _batch_matches_reference(n, cs, rows, tmap, ds, chunk, threads=1):
     distinct = {r.tobytes() for r in rows}
     new = len(distinct - {rows[0].tobytes()})
     assert new > chunk  # each thread's share of the rows spans more than one chunk
-    with mock.patch.object(optimize, "_metrics_from_bits",
-                           wraps=optimize._metrics_from_bits) as metrics:
+    with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
         program.score_batch(batch, threads)
-    assert metrics.call_count == new
+    assert sum(len(call.args[1]) for call in nmeds.call_args_list) == new
     assert len(program._memo) == len(distinct)
     for genes in rows:
         assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
