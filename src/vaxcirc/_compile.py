@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class TimingProgram:
 
     One edge per (gate, input pin).  Edges carry the source/destination net
     rows, the pin's unateness code, and arc-row indices (into a library's
-    canonical arc vector) for the rise and fall output transitions.
+    canonical arc vector) for the rise and fall output transitions.  The
+    arrivals have `n_rows` rows: one per net, or one per slot once
+    `compact`ed.
     """
 
     netlist: Netlist
@@ -80,25 +82,26 @@ class TimingProgram:
     arc_fall: np.ndarray
     pi_rows: np.ndarray
     po_rows: np.ndarray  # net row per primary output position (-1 = constant)
+    n_rows: int
 
     @property
     def n_nets(self) -> int:
         return len(self.net_index)
 
     def init_arrivals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """(count, nets, 2) arrivals, -inf except 0.0 at the PIs.
+        """(count, rows, 2) arrivals, -inf except 0.0 at the PIs.
 
-        The array is a view of a net-major (nets, 2, count) buffer, so the
+        The array is a view of a net-major (rows, 2, count) buffer, so the
         column `sta_forward` reads or writes per edge, one net and one
         transition over all rows, is contiguous in memory.  The buffer is
         the head of the contiguous float64 array `out` when given (it must
         be large enough), else a new one.
         """
-        shape = (self.n_nets, 2, count)
+        shape = (self.n_rows, 2, count)
         if out is None:
             buf = np.empty(shape, dtype=np.float64)
         else:
-            buf = out.reshape(-1)[: self.n_nets * 2 * count].reshape(shape)
+            buf = out.reshape(-1)[: self.n_rows * 2 * count].reshape(shape)
         buf[...] = _kernels.NEG_INF
         buf[self.pi_rows] = 0.0
         return buf.transpose(2, 0, 1)
@@ -121,6 +124,62 @@ class TimingProgram:
         driven = self.po_rows >= 0
         out[:, driven] = arr[:, self.po_rows[driven], :].max(axis=2)
         return out
+
+    def compact(self, keep: np.ndarray) -> tuple[TimingProgram, np.ndarray]:
+        """This program over reused arrival slots, for a caller that reads
+        only the arrivals of the net rows `keep` (-1 entries are ignored);
+        and the slot of each net row.
+
+        Slot 0 holds every PI (0.0) and slot 1 every net no edge writes
+        (-inf).  Scanning the edges, which must be grouped by destination in
+        topological order, each gate takes a free slot at its first edge,
+        flagged `UN_FIRST` so that the kernel overwrites what the slot held.
+        A source's slot is freed after the last edge that reads it, and the
+        slot of a gate nobody reads at once; kept nets are never freed.  So
+        there are at most nets + 2 slots, and a net's slot holds its arrival
+        while it is live, which for a kept net is to the end.  Every row
+        field, `net_index` included, is mapped to slots.
+        """
+        n_edges = self.src.shape[0]
+        first = np.ones(n_edges, dtype=bool)
+        first[1:] = self.dst[1:] != self.dst[:-1]
+        last = np.full(self.n_nets, -1, dtype=np.int64)  # last edge reading a net
+        nets, at = np.unique(self.src[::-1], return_index=True)
+        last[nets] = n_edges - 1 - at
+        last[keep[keep >= 0]] = n_edges
+        last = last.tolist()
+        slot = [1] * self.n_nets
+        for row in self.pi_rows.tolist():
+            slot[row] = 0
+        free: list[int] = []
+        n_rows = 2
+        for e, (s, d, f) in enumerate(
+            zip(self.src.tolist(), self.dst.tolist(), first.tolist())
+        ):
+            if f:
+                if free:
+                    slot[d] = free.pop()
+                else:
+                    slot[d] = n_rows
+                    n_rows += 1
+                if last[d] < 0:
+                    free.append(slot[d])
+            if last[s] == e and slot[s] >= 2:
+                free.append(slot[s])
+        slots = np.array(slot, dtype=np.int32)
+        po_rows = self.po_rows.copy()
+        po_rows[po_rows >= 0] = slots[po_rows[po_rows >= 0]]
+        program = replace(
+            self,
+            net_index={w: slot[row] for w, row in self.net_index.items()},
+            src=slots[self.src],
+            dst=slots[self.dst],
+            unate=self.unate + _kernels.UN_FIRST * first.astype(np.int8),
+            pi_rows=slots[self.pi_rows],
+            po_rows=po_rows,
+            n_rows=n_rows,
+        )
+        return program, slots
 
 
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
@@ -163,4 +222,5 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
         np.array(a_fall, dtype=np.int32),
         pi_rows,
         po_rows,
+        len(net_index),
     )

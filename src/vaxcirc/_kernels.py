@@ -35,10 +35,12 @@ OP_CODES = {
     "MUX2": OP_MUX2,
 }
 
-# unateness codes for sta_forward
+# unateness codes for sta_forward; UN_FIRST + code marks the first edge into
+# its destination, which writes the arrival instead of raising it
 UN_POS = 0
 UN_NEG = 1
 UN_NON = 2
+UN_FIRST = 3
 
 
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -81,14 +83,23 @@ def eval_words(ops, in0, in1, in2, out, words):
 def sta_forward(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
     """Forward arrival propagation for K delay rows at once.
 
-    arrivals: (K, n_nets, 2) float64, preloaded with 0.0 at PIs and -inf
+    arrivals: (K, rows, 2) float64, preloaded with 0.0 at PIs and -inf
     elsewhere (constants stay -inf).  Edges must arrive in topological
     order of their gates.  Column 0 is rise, column 1 is fall.
+
+    An edge whose code is UN_FIRST or more writes `a + d` to its
+    destination instead of `max(arrival, a + d)`.  On the first edge into
+    that destination the result is the same, because arrivals and delays
+    are finite or -inf, and `max(-inf, x) == x`; the destination's row may
+    therefore hold anything beforehand.
     """
     for e in range(src.shape[0]):
         s = src[e]
         d = dst[e]
         u = unate[e]
+        first = u >= UN_FIRST
+        if first:
+            u -= UN_FIRST
         d_r = delays[:, arc_rise[e]]
         d_f = delays[:, arc_fall[e]]
         if u == UN_POS:
@@ -100,8 +111,12 @@ def sta_forward(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
         else:
             a_r = np.maximum(arrivals[:, s, 0], arrivals[:, s, 1])
             a_f = a_r
-        np.maximum(arrivals[:, d, 0], a_r + d_r, out=arrivals[:, d, 0])
-        np.maximum(arrivals[:, d, 1], a_f + d_f, out=arrivals[:, d, 1])
+        if first:
+            np.add(a_r, d_r, out=arrivals[:, d, 0])
+            np.add(a_f, d_f, out=arrivals[:, d, 1])
+        else:
+            np.maximum(arrivals[:, d, 0], a_r + d_r, out=arrivals[:, d, 0])
+            np.maximum(arrivals[:, d, 1], a_f + d_f, out=arrivals[:, d, 1])
     return arrivals
 
 

@@ -123,16 +123,6 @@ class SampledLibrary:
         return self._values.copy()
 
 
-def _sample_row(lib: VariationLibrary, seed: int, rho: float) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal()
-    z = rng.standard_normal(len(lib.arc_order()))
-    mu = lib._mu
-    sigma = lib._sigma
-    raw = mu + sigma * (math.sqrt(rho) * g + math.sqrt(1.0 - rho) * z)
-    return np.maximum(0.05 * mu, raw)
-
-
 def sample_library(lib: VariationLibrary, seed: int, rho=None) -> SampledLibrary:
     """Draw one delay per arc: mu + sigma*(sqrt(rho)*g + sqrt(1-rho)*z).
 
@@ -140,26 +130,30 @@ def sample_library(lib: VariationLibrary, seed: int, rho=None) -> SampledLibrary
     both from numpy's default generator seeded with `seed`.  Delays clamp
     at 5% of mu from below.
     """
-    if rho is None:
-        rho = lib.rho_default
-    if not (0.0 <= rho <= 1.0):
-        raise LibraryError(f"rho {rho} outside [0, 1]")
     return SampledLibrary(
-        f"{lib.name}@{seed}", seed, lib.arc_order(), _sample_row(lib, seed, rho)
+        f"{lib.name}@{seed}", seed, lib.arc_order(), sample_matrix(lib, [seed], rho)[0]
     )
 
 
 def sample_matrix(lib: VariationLibrary, seeds, rho=None) -> np.ndarray:
-    """Stack sample_library value rows for `seeds`: shape (len(seeds), arcs)."""
+    """Stack sample_library value rows for `seeds`: shape (len(seeds), arcs).
+
+    Each seed's generator draws its g and then its z; the arithmetic and
+    the clamp then run once over the whole matrix.
+    """
     if rho is None:
         rho = lib.rho_default
     if not (0.0 <= rho <= 1.0):
         raise LibraryError(f"rho {rho} outside [0, 1]")
     seeds = list(seeds)
-    out = np.empty((len(seeds), len(lib.arc_order())), dtype=np.float64)
+    g = np.empty(len(seeds), dtype=np.float64)
+    z = np.empty((len(seeds), len(lib.arc_order())), dtype=np.float64)
     for i, s in enumerate(seeds):
-        out[i] = _sample_row(lib, s, rho)
-    return out
+        rng = np.random.default_rng(s)
+        g[i] = rng.standard_normal()
+        rng.standard_normal(out=z[i])
+    raw = lib._mu + lib._sigma * (math.sqrt(rho) * g[:, None] + math.sqrt(1.0 - rho) * z)
+    return np.maximum(0.05 * lib._mu, raw, out=raw)
 
 
 def nominal_library(lib: VariationLibrary) -> SampledLibrary:

@@ -166,7 +166,8 @@ def _flag_types(parser, command):
 def _resolve(args, parser):
     """Fill None flags from --config JSON, then from hard defaults; reject
     a missing required path, a thread or sample count below one, a
-    `--tmap-samples` below one and a negative `sta --samples`."""
+    `--tmap-samples` below one, a `--cpb-threshold` outside (0, 1] (NaN
+    included) and a negative `sta --samples`."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -207,6 +208,8 @@ def _resolve(args, parser):
         raise ValueError("--samples must be >= 0")
     if args.command in ("ssta", "optimize") and args.tmap_samples < 1:
         raise ValueError("--tmap-samples must be >= 1")
+    if args.command in ("ssta", "optimize") and not 0.0 < args.cpb_threshold <= 1.0:
+        raise ValueError("--cpb-threshold must be in (0, 1]")
     return args
 
 

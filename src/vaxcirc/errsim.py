@@ -308,8 +308,8 @@ def timing_error_metrics(
     vector is assumed settled.  Error metrics compare against the fully
     settled outputs.
     """
-    if clock_ps <= 0.0:
-        raise SimulationError("clock period must be positive")
+    if not (0.0 < clock_ps < float("inf")):
+        raise SimulationError("clock period must be positive and finite")
     late = np.array(sta_arrivals(n, lib).po_arrivals) > clock_ps
     exact_bits = Evaluator(n).po_bits(ds)
     stale = stale_bits(exact_bits, late)

@@ -325,9 +325,12 @@ class MonteCarloFront:
     over `ds`, and it is larger if need be.  Its constant and PI words
     stay put.  The rest holds a chunk's stacked arrivals first, then each
     design's gate words in turn.  `chunk` is the number of designs whose
-    arrivals fit in the baseline's gate words, and at least one.  Blocks
-    of this size allocated per design fragment the heap and raise the
-    peak RSS.  The NMED is read straight from the PO words
+    per-net arrivals would fit in the baseline's gate words, and at least
+    one.  The arrivals are timed over a compacted program, with one row
+    per live slot rather than per net, and the buffer is sized for the
+    nets + 2 slots it may use at most; the pages beyond the slots used are
+    never touched.  Blocks of this size allocated per design fragment the
+    heap and raise the peak RSS.  The NMED is read straight from the PO words
     (`errsim.nmed_words`), so no PO bit matrix is made either.  After
     construction the front needs nothing of `ds`.
     """
@@ -350,11 +353,13 @@ class MonteCarloFront:
         self._shape = (p.n_signals, (ds.n_vectors + 63) // 64)
         size = self._shape[0] * self._shape[1]
         self._head = first * self._shape[1]  # GND, VDD and the PI words
-        self._arrival_row = 2 * self._timing.n_nets  # float64s per stacked row
         count = delays.shape[0]
-        self.chunk = max(1, (size - self._head) // (self._arrival_row * count))
+        n_nets = self._timing.n_nets
+        self.chunk = max(1, (size - self._head) // (2 * n_nets * count))
+        # float64s per stacked row: a compacted program has at most nets + 2 slots
+        arrival_row = 2 * (n_nets + 2)
         self._buf = np.empty(
-            max(size, self._head + self._arrival_row * count * self.chunk), np.uint64
+            max(size, self._head + arrival_row * count * self.chunk), np.uint64
         )
         words = ev.signal_words(ds, out=self._buf)
         self._n_vectors = ds.n_vectors
@@ -443,6 +448,7 @@ def stale_nmed_bound(
     """
     program = compile_timing(n, vlib.arc_index())
     delays = sample_matrix(vlib, range(seed, seed + count), rho)
+    program, _ = program.compact(program.po_rows)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
     ev = Evaluator(n)
     exact = ev.signal_words(ds)[ev.program.po_index]
@@ -569,6 +575,8 @@ def run_optimize(
         raise HarnessError("tmap count must be >= 1")
     if bound_count < 1:
         raise HarnessError("bound count must be >= 1")
+    if report_vectors < 1:
+        raise HarnessError("report vectors must be >= 1")
     # a derived bound is an NMED, so it is in range; 0.0 stands in until then
     cfg = replace(
         cfg, error_bound=0.0 if error_bound is None else error_bound

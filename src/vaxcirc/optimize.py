@@ -57,8 +57,8 @@ class GaConfig:
             raise ValueError("base_mutation_rate outside (0, 1]")
         if not (0.0 <= self.init_exact_prob <= 1.0):
             raise ValueError("init_exact_prob outside [0, 1]")
-        if self.confidence_penalty < 0.0:
-            raise ValueError("confidence_penalty must be >= 0")
+        if not (0.0 <= self.confidence_penalty < math.inf):
+            raise ValueError("confidence_penalty must be finite and >= 0")
         if not (0.0 <= self.error_bound <= 1.0):
             raise ValueError("error_bound outside [0, 1]")
         if self.search_vectors < 1:

@@ -262,7 +262,9 @@ def mc_sta_cpd(
 
 
 def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
-    """CPD per delay row for an already-compiled netlist."""
+    """CPD per delay row for an already-compiled netlist, timed over the
+    program compacted for its POs."""
+    program, _ = program.compact(program.po_rows)
     arr = program.forward(delays)
     rows = program.po_rows[program.po_rows >= 0]
     if rows.size == 0:
@@ -296,7 +298,8 @@ def stacked_cpds(
     per (arc, designs using it) of an edge only some designs use, which is
     -inf in the rows of the others.  `max`, `x + 0.0` and `-inf` are
     exact, so every design's arrivals equal those of its own program bit
-    for bit.
+    for bit.  The union program is timed `compact`ed, keeping every
+    design's PO nets, so its arrivals take one row per live slot.
     """
     n_designs = edge_on.shape[0]
     count, n_arcs = delays.shape
@@ -342,19 +345,19 @@ def stacked_cpds(
     private[...] = table[columns[:, 0]]
     private[~columns[:, 1:].astype(bool)] = NEG_INF
 
-    union = replace(
+    union, slot = replace(
         program,
         src=src.astype(np.int32),
         dst=dst.astype(np.int32),
         unate=unate,
         arc_rise=rise.astype(np.int32),
         arc_fall=fall.astype(np.int32),
-    )
+    ).compact(np.concatenate(po_rows))
     arr = union.forward(table.reshape(len(table), -1).T, out)
     cpds = np.zeros((n_designs, count))
     for d, rows in enumerate(po_rows):
         if rows.size:
-            cpds[d] = arr[d * count : (d + 1) * count, rows, :].max(axis=(1, 2))
+            cpds[d] = arr[d * count : (d + 1) * count, slot[rows], :].max(axis=(1, 2))
     return cpds
 
 

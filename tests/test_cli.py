@@ -213,7 +213,9 @@ class TestErrorContract:
          "simulate_no_netlist", "simulate_no_reference", "optimize_no_netlist",
          "count_negative", "threads_zero", "bound_samples_zero",
          "sta_samples_negative", "optimize_tmap_samples_zero",
-         "ssta_tmap_samples_negative"],
+         "ssta_tmap_samples_negative", "optimize_lambda_nan", "optimize_lambda_inf",
+         "optimize_report_vectors_zero", "simulate_clock_nan",
+         "ssta_cpb_threshold_nan"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -249,6 +251,16 @@ class TestErrorContract:
                                            "--out", str(tmp_path / "run")],
             "ssta_tmap_samples_negative": ["ssta", "--netlist", rca4_file,
                                            "--tmap-samples", "-3"],
+            "optimize_lambda_nan": ["optimize", "--netlist", rca4_file, "--lambda", "nan",
+                                    "--out", str(tmp_path / "run")],
+            "optimize_lambda_inf": ["optimize", "--netlist", rca4_file, "--lambda", "inf",
+                                    "--out", str(tmp_path / "run")],
+            "optimize_report_vectors_zero": ["optimize", "--netlist", rca4_file,
+                                             "--report-vectors", "0",
+                                             "--out", str(tmp_path / "run")],
+            "simulate_clock_nan": ["simulate", "--netlist", rca4_file, "--clock", "nan"],
+            "ssta_cpb_threshold_nan": ["ssta", "--netlist", rca4_file,
+                                       "--cpb-threshold", "nan"],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",

@@ -543,6 +543,17 @@ class TestPipelineErrors:
             run_optimize(tmp_path, rca4, default_lib, cfg, tmap_count=0, **kw)
         assert _tree(tmp_path) == before
 
+    def test_report_vectors_below_one_leaves_the_run_dir_alone(
+        self, tmp_path, rca4, default_lib
+    ):
+        cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
+        kw = dict(tmap_count=10, bound_count=10)
+        run_optimize(tmp_path, rca4, default_lib, cfg, report_vectors=200, **kw)
+        before = _tree(tmp_path)
+        with pytest.raises(HarnessError, match="report vectors must be >= 1"):
+            run_optimize(tmp_path, rca4, default_lib, cfg, report_vectors=0, **kw)
+        assert _tree(tmp_path) == before
+
     def test_missing_listed_chromosome_is_an_error(self, tmp_path, rca4, default_lib):
         cfg = GaConfig(population=6, generations=1, seed=0, search_vectors=64)
         art = run_optimize(

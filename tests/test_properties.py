@@ -1,10 +1,12 @@
 """Property tests: the vectorized dominance routines, the one-pass
-constant fold, the batched STA and its per-PO arrival reduction, the bus
+constant fold, the batched STA, its first-write flags, its slot-compacted
+programs and its per-PO arrival reduction, the bus
 value reading, the compiled chromosome scorer one chromosome and a batch
 at a time, and the shared Monte-Carlo evaluation, each checked against an
 independent slow reference; and the netlist text round trip."""
 
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaxcirc import optimize
+from vaxcirc import _kernels, optimize
 from vaxcirc._compile import compile_logic, compile_timing
 from vaxcirc.approx import (
     CandidateSet,
@@ -44,6 +46,8 @@ from vaxcirc.harness import (
 from vaxcirc.netlist import (
     GND,
     VDD,
+    Gate,
+    Netlist,
     netlist_fingerprint,
     parse_netlist,
     simplify_constants,
@@ -177,6 +181,84 @@ def test_forward_matches_row_by_row(case, lib_seed, count):
         want = np.concatenate([program.forward(delays[k:k + 1]) for k in range(count)])
         assert got.shape == (count, program.n_nets, 2)
         assert (got == want).all()  # -inf == -inf, so constant nets compare too
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(1, 4))
+def test_first_write_flags_match_unflagged_kernel(case, lib_seed, count):
+    n, _, tied = case
+    delays = sample_matrix(_LIB, range(lib_seed, lib_seed + count))
+    for net in (n, tied, simplify_constants(tied)):
+        program = compile_timing(net, _LIB.arc_index())
+        first = np.ones(program.dst.shape[0], dtype=np.int8)  # first edge per gate
+        first[1:] = program.dst[1:] != program.dst[:-1]
+        flagged = replace(program, unate=program.unate + _kernels.UN_FIRST * first)
+        assert (flagged.forward(delays) == program.forward(delays)).all()
+
+
+def _with_corner_gates(base, data):
+    """`base` plus three gates after its own: one of all-constant fanins,
+    one reading a drawn net on both pins, and one reading those two.  Its
+    POs are a PI, the second gate (which the third reads), the first, and
+    drawn nets, constants and repeats included."""
+    nets = list(base.inputs) + [g.output for g in base.gates]
+    twice = data.draw(st.sampled_from(nets))
+    kind = data.draw(st.sampled_from(("AND2", "NAND2", "XOR2")))
+    gates = base.gates + (
+        Gate("k_const", data.draw(st.sampled_from(("AND2", "XOR2"))),
+             {"A": GND, "B": VDD}, "k_const_o"),
+        Gate("k_twice", kind, {"A": twice, "B": twice}, "k_twice_o"),
+        Gate("k_both", "OR2", {"A": "k_const_o", "B": "k_twice_o"}, "k_both_o"),
+    )
+    drawn = data.draw(st.lists(
+        st.sampled_from(nets + [GND, "k_both_o"]), max_size=6
+    ))
+    pos = (base.inputs[0], "k_twice_o", "k_const_o", *drawn)
+    return Netlist(base.name, base.inputs, pos, gates)
+
+
+def _assert_compact_matches_full(program, delays):
+    """The program compacted for its POs gives the PO arrivals of the full
+    `forward`, PIs share slot 0 and unwritten nets slot 1, and no more than
+    written nets + 2 slots are used."""
+    compact, slot = program.compact(program.po_rows)
+    want = program.po_arrivals(program.forward(delays))
+    assert (compact.po_arrivals(compact.forward(delays)) == want).all()  # -inf too
+    written = np.zeros(program.n_nets, dtype=bool)
+    written[program.dst] = True
+    assert (slot[program.pi_rows] == 0).all()
+    unwritten = ~written
+    unwritten[program.pi_rows] = False
+    assert (slot[unwritten] == 1).all()
+    assert (slot[written] >= 2).all()
+    assert compact.n_rows <= np.count_nonzero(written) + 2 <= program.n_nets + 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(1, 4), st.data())
+def test_compacted_po_arrivals_match_full_forward(case, lib_seed, count, data):
+    n, _, tied = case
+    delays = sample_matrix(_LIB, range(lib_seed, lib_seed + count))
+    # `tied` reads GND/VDD itself, so some of its gates have constant fanins
+    for base in (n, tied):
+        net = _with_corner_gates(base, data)
+        _assert_compact_matches_full(compile_timing(net, _LIB.arc_index()), delays)
+
+
+@pytest.mark.parametrize("family,width,taps", [
+    ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 8, 1),
+    ("mac_fir", 8, 2),
+])
+def test_compacted_po_arrivals_match_full_forward_on_families(family, width, taps):
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    program = compile_timing(n, _LIB.arc_index())
+    delays = sample_matrix(_LIB, range(40))
+    _assert_compact_matches_full(program, delays)
+    rng = np.random.default_rng(5)
+    for _ in range(5):  # also keep internal nets, which later gates read
+        extra = rng.choice(program.n_nets, size=8)
+        po_rows = np.concatenate([program.po_rows, extra, [-1]]).astype(np.int32)
+        _assert_compact_matches_full(replace(program, po_rows=po_rows), delays)
 
 
 def _bus_values(max_width, max_rows, per_row=1):
