@@ -118,23 +118,15 @@ def apply_chromosome(
 
 
 @dataclass
-class Fold:
-    """What `apply_chromosome` makes of one chromosome, over the baseline's
-    `compile_logic` rows (row 0 is GND, row 1 VDD, gate rows follow the
-    PIs in topological order); one row of a `FoldBatch`."""
-
-    alias: np.ndarray  # per row: GND 0, VDD 1, the upstream row it forwards, or itself
-    cone: np.ndarray  # kept gates the fold visited, topological
-    dropped: np.ndarray  # tied nets' drivers and the gates folded away, ascending
-
-
-@dataclass
 class FoldBatch:
-    """The folds of B chromosomes: row b is the `Fold` of chromosome b."""
+    """What `apply_chromosome` makes of each of B chromosomes, over the
+    baseline's `compile_logic` rows (row 0 is GND, row 1 VDD, gate rows
+    follow the PIs in topological order)."""
 
+    # per row: GND 0, VDD 1, the upstream row it forwards, or itself
     alias: np.ndarray  # (B, rows) int32
     visited: np.ndarray  # (B, gates) bool: gates in the fanout of the ties
-    dropped: np.ndarray  # (B, gates) bool
+    dropped: np.ndarray  # (B, gates) bool: tied nets' drivers and the gates folded away
 
     @property
     def cone(self) -> np.ndarray:
@@ -190,13 +182,6 @@ class TieFold:
                 gs, p.out[gs], fanin[gs], readers, FOLD_TABLE[ops], runs, bounds
             ))
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
-
-    def __call__(self, genes: np.ndarray) -> Fold:
-        """The `Fold` of one validated chromosome."""
-        f = self.batch(genes[None])
-        return Fold(
-            f.alias[0], np.flatnonzero(f.cone[0]), np.flatnonzero(f.dropped[0])
-        )
 
     def batch(self, genes: np.ndarray) -> FoldBatch:
         """The folds of validated chromosomes, one per row of `genes`."""

@@ -62,7 +62,7 @@ def _fmt(x):
 def _build_parser():
     p = argparse.ArgumentParser(prog="vaxcirc")
     p.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=int, default=None, help="accepted (>= 1) but unused")
     p.add_argument("--config", default=None, help="JSON file with flag defaults")
     sub = p.add_subparsers(dest="command", required=True)
 

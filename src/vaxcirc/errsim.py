@@ -276,24 +276,16 @@ def nmed_words(
     ]
 
 
-def simulate_metrics(
-    exact: Netlist, approx: Netlist, ds: SimulationDataset, *, exact_values=None
-) -> ErrorMetrics:
+def simulate_metrics(exact: Netlist, approx: Netlist, ds: SimulationDataset) -> ErrorMetrics:
     """Error metrics of `approx` against `exact` over the dataset.
 
     The two netlists must agree on PI names/order and PO count.
-    `exact_values` are the exact bus values over `ds` as `interpret_values`
-    gives them; None simulates `exact` here.  A caller that scores many
-    designs against one reference passes them to simulate it once.
     """
     if exact.inputs != approx.inputs:
         raise SimulationError("netlists disagree on primary inputs")
     if len(exact.outputs) != len(approx.outputs):
         raise SimulationError("netlists disagree on primary output count")
-    if exact_values is None:
-        exact_values = interpret_values(Evaluator(exact).po_bits(ds), ds.signed)
-    elif len(exact_values) != ds.n_vectors:
-        raise SimulationError("exact values do not match the dataset size")
+    exact_values = interpret_values(Evaluator(exact).po_bits(ds), ds.signed)
     a_bits = Evaluator(approx).po_bits(ds)
     return _metrics_from_bits(exact_values, a_bits, ds.signed)
 

@@ -266,7 +266,6 @@ def monte_carlo_evaluate(
     design_id: str = "design",
     *,
     delays: np.ndarray | None = None,
-    reference_values=None,
 ) -> McEvaluation:
     """CPD statistics over `count` sampled libraries plus functional NMED.
 
@@ -275,10 +274,8 @@ def monte_carlo_evaluate(
     library-by-library.  `reference` supplies the exact netlist for the
     NMED leg; None skips it (nmed = 0), used for the baseline itself.
 
-    `delays` is the `sample_matrix` of those libraries and
-    `reference_values` the reference's bus values over `ds`
-    (`interpret_values` of its PO bits); None draws or simulates them
-    here.  A caller scoring many designs passes both to do that once.
+    `delays` is the `sample_matrix` of those libraries; None draws them
+    here.
     """
     if count < 1:
         raise HarnessError("count must be >= 1")
@@ -293,7 +290,7 @@ def monte_carlo_evaluate(
     cpd = cpd_over_delays(program, delays)
     nmed = 0.0
     if reference is not None:
-        nmed = simulate_metrics(reference, n, ds, exact_values=reference_values).nmed
+        nmed = simulate_metrics(reference, n, ds).nmed
     return _mc_result(design_id, cpd, nmed, seed, baseline_clock_ps)
 
 
@@ -415,19 +412,15 @@ class MonteCarloFront:
         return edge_on, forwards, driven, np.flatnonzero(~dropped)
 
     def _nmed(self, gates: np.ndarray, alias: np.ndarray) -> float:
-        """NMED of one design: its words are the baseline's constant and PI
-        rows, then one row per kept gate."""
+        """NMED of one design: its kept gates simulated, with aliased
+        fanins, each into its own logic row of the baseline's image, whose
+        constant and PI rows stay put."""
         p = self._logic
-        first = self._fold.first_gate
-        rows = np.zeros(p.n_signals, dtype=np.int64)  # word row per logic row
-        rows[:first] = np.arange(first)
-        out = first + np.arange(gates.size)
-        rows[p.out[gates]] = out
-        fan = rows[alias[self._fanins[gates]]]
+        fan = alias[self._fanins[gates]]
         words = self._buf[: self._shape[0] * self._shape[1]].reshape(self._shape)
-        _kernels.eval_words(p.ops[gates], fan[:, 0], fan[:, 1], fan[:, 2], out, words)
-        po = rows[alias[p.po_index]]
-        return nmed_words(self._exact, words[po][None], self._n_vectors, self._signed)[0]
+        _kernels.eval_words(p.ops[gates], fan[:, 0], fan[:, 1], fan[:, 2], p.out[gates], words)
+        po = words[alias[p.po_index]]
+        return nmed_words(self._exact, po[None], self._n_vectors, self._signed)[0]
 
 
 def stale_nmed_bound(
@@ -490,6 +483,11 @@ _MC_FIELDS = (
     "violations", "count", "seed", "baseline_clock_ps",
 )
 _FRONT_FIELDS = ("nmed", "mu_cpd_eff", "sigma_cpd", "mu_cpd", "confidence", "genes")
+# the config.json keys that `evaluate` reads
+_RUN_FIELDS = (
+    "cpb_threshold", "fingerprint", "clock_ps", "report_vectors", "report_seed",
+    "stale_worst_nmed",
+)
 
 
 def _fmt(x) -> str:
@@ -511,9 +509,23 @@ def _mc_row(e: McEvaluation):
     ]
 
 
-def _read_mc_csv(path) -> list[McEvaluation]:
+def _require(path, fields, have) -> None:
+    """Refuse a run file that lacks one of `fields`."""
+    for field_name in fields:
+        if field_name not in have:
+            raise HarnessError(f"{path}: missing field {field_name!r}")
+
+
+def _read_csv(path, fields) -> list[dict]:
+    """The rows of a run's CSV file, which must have the columns `fields`."""
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        _require(path, fields, reader.fieldnames or ())
+        return list(reader)
+
+
+def _read_mc_csv(path) -> list[McEvaluation]:
+    rows = _read_csv(path, _MC_FIELDS)
     return [
         McEvaluation(
             r["design_id"], float(r["worst_cpd_ps"]), float(r["mean_cpd_ps"]),
@@ -566,7 +578,9 @@ def run_optimize(
 
     error_bound None derives E_max from the stale-value baseline worst-case
     NMED at the nominal clock (always computed and recorded either way).
-    `cfg` is not modified.  A re-run replaces every artifact of an earlier
+    `cfg` is not modified.  `threads` is accepted for compatibility and
+    changes neither results nor time: the search scores each generation in
+    one thread.  A re-run replaces every artifact of an earlier
     run in run_dir: config.json, the completion marker, is deleted first and
     written last, and the front, MC and report files of that run are deleted.
     """
@@ -606,7 +620,7 @@ def run_optimize(
         cfg = replace(cfg, error_bound=stale_worst)
 
     ds_search = generate_dataset(n, cfg.search_vectors, seed=cfg.seed + 1)
-    result = nsga2_run(n, cs, vlib, tmap, ds_search, cfg, threads=threads)
+    result = nsga2_run(n, cs, vlib, tmap, ds_search, cfg)
 
     with open(os.path.join(run_dir, "netlists", "tmap.txt"), "w") as f:
         for (gate, pin), edge in sorted(tmap.items()):
@@ -673,11 +687,12 @@ def _load_run(run_dir):
         raise HarnessError(f"{run_dir}: missing config.json (run optimize first)")
     with open(cfg_path) as f:
         config = json.load(f)
+    _require(cfg_path, _RUN_FIELDS, config)
     with open(os.path.join(run_dir, "netlists", "baseline.nl")) as f:
         baseline = parse_netlist(f.read())
     vlib = load_variation_library(os.path.join(run_dir, "libs", "variation.json"))
-    with open(os.path.join(run_dir, "netlists", "candidates.csv"), newline="") as f:
-        nets = tuple(r["net"] for r in csv.DictReader(f))
+    rows = _read_csv(os.path.join(run_dir, "netlists", "candidates.csv"), ("net",))
+    nets = tuple(r["net"] for r in rows)
     cs = CandidateSet(nets, config["cpb_threshold"], config["fingerprint"])
     if netlist_fingerprint(baseline) != cs.fingerprint:
         raise HarnessError(f"{run_dir}: baseline netlist does not match candidates")
@@ -705,8 +720,8 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
 
     front = MonteCarloFront(baseline, cs, vlib, ds, delays, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
-    with open(os.path.join(run_dir, "fronts", "final_front.csv"), newline="") as f:
-        design_ids = [r["design_id"] for r in csv.DictReader(f)]
+    rows = _read_csv(os.path.join(run_dir, "fronts", "final_front.csv"), ("design_id",))
+    design_ids = [r["design_id"] for r in rows]
     base_eval, *evals = front.evaluate([("baseline", exact_chromosome(cs))] + [
         (design_id, load_chromosome(
             os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
@@ -750,37 +765,26 @@ def run_report(run_dir) -> list[McEvaluation]:
     front = pareto_filter(designs, baseline, bound)
     front_ids = {d.design_id for d in front}
 
-    def reductions(d: McEvaluation):
+    def reduction_row(d: McEvaluation):
         cpd_red = 100.0 * (1.0 - d.mean_cpd_ps / baseline.mean_cpd_ps)
         std_red = (
             100.0 * (1.0 - d.std_cpd_ps / baseline.std_cpd_ps)
             if baseline.std_cpd_ps > 0.0
             else 0.0
         )
-        return cpd_red, std_red
+        return _mc_row(d) + [_fmt(cpd_red), _fmt(std_red)]
 
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
 
     header = _MC_FIELDS + ("cpd_reduction_pct", "std_reduction_pct")
-    rows = []
-    for d in designs:
-        cpd_red, std_red = reductions(d)
-        rows.append(_mc_row(d) + [_fmt(cpd_red), _fmt(std_red)])
-    _write_csv(os.path.join(report_dir, "designs.csv"), header, rows)
-
-    rows = []
-    for d in front:
-        cpd_red, std_red = reductions(d)
-        rows.append(_mc_row(d) + [_fmt(cpd_red), _fmt(std_red)])
-    _write_csv(os.path.join(report_dir, "front.csv"), header, rows)
-
     selected = min(front, key=lambda d: (d.nmed, d.design_id), default=None)
-    rows = []
-    if selected is not None:
-        cpd_red, std_red = reductions(selected)
-        rows.append(_mc_row(selected) + [_fmt(cpd_red), _fmt(std_red)])
-    _write_csv(os.path.join(report_dir, "selected.csv"), header, rows)
+    for name, table in (
+        ("designs.csv", designs),
+        ("front.csv", front),
+        ("selected.csv", [] if selected is None else [selected]),
+    ):
+        _write_csv(os.path.join(report_dir, name), header, map(reduction_row, table))
 
     rows = []
     for d in front:

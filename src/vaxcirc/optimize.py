@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,13 +162,9 @@ class SearchProgram:
         self.score_batch(genes[None])
         return self._memo[genes.tobytes()]
 
-    def score_batch(self, genes: np.ndarray, threads: int = 1):
+    def score_batch(self, genes: np.ndarray):
         """Score and memoize each row of validated chromosomes `genes` whose
-        gene bytes are not memoized yet, each distinct row once.
-
-        With `threads` > 1 the new rows are split into up to `threads`
-        parts, scored in parallel, each in its own share of the slots.
-        """
+        gene bytes are not memoized yet, each distinct row once."""
         new = {}
         for row in genes:
             key = row.tobytes()
@@ -177,29 +172,14 @@ class SearchProgram:
                 new[key] = row
         if not new:
             return
-        rows = np.array(list(new.values()))
-        parts = max(1, min(threads, self.chunk, len(rows)))
-        share = self.chunk // parts
-        if parts == 1:
-            scores = self._score_rows(rows, range(share))
-        else:
-            slots = [range(i * share, (i + 1) * share) for i in range(parts)]
-            with ThreadPoolExecutor(max_workers=parts) as pool:
-                done = pool.map(self._score_rows, np.array_split(rows, parts), slots)
-                scores = [s for part in done for s in part]
-        self._memo.update(zip(new, scores))
-
-    def _score_rows(self, genes: np.ndarray, slots: range) -> list[tuple]:
-        fold = self._fold.batch(genes)
+        fold = self._fold.batch(np.array(list(new.values())))
         mu, var, has = self._ssta(fold)
         po = fold.alias[:, self._po_rows]
-        scores = []
-        for b, nmed in enumerate(self._nmeds(fold, slots)):
+        for b, (key, nmed) in enumerate(zip(new, self._nmeds(fold))):
             rows = [r for r in dict.fromkeys(po[b].tolist()) if has[b, r]]
             rvs = map(DelayRV, mu[b, rows].tolist(), var[b, rows].tolist())
             _, cpd, confidence = po_endpoint(list(rvs))
-            scores.append((nmed, cpd.mu, cpd.sigma, confidence))
-        return scores
+            self._memo[key] = (nmed, cpd.mu, cpd.sigma, confidence)
 
     def _ssta(self, fold: FoldBatch):
         """(mu, var, has) per (chromosome, row): the arrival of each row's
@@ -225,22 +205,22 @@ class SearchProgram:
             has[:, out] = np.where(redo, pin >= 0, has[:, out])
         return mu, var, has
 
-    def _nmeds(self, fold: FoldBatch, slots: range) -> list[float]:
-        """NMED per chromosome: its cone simulated into one of `slots`, as
-        many chromosomes at a time as there are slots, with one gather, gate
+    def _nmeds(self, fold: FoldBatch) -> list[float]:
+        """NMED per chromosome: its cone simulated into one of the `chunk`
+        slots, `chunk` chromosomes at a time, with one gather, gate
         op and scatter per (level, op code), then their PO words scored
         against the baseline's in one `errsim.nmed_words` call."""
         n_rows = self._stack.shape[1]
         flat = self._stack.reshape(-1, self._stack.shape[2])
         # flat row of each logic row: in a chromosome's slot for its cone
         # gates, else in the baseline's
-        own = (np.arange(slots.start, slots.stop) * n_rows)[:, None] + np.arange(n_rows)
+        own = (np.arange(self.chunk) * n_rows)[:, None] + np.arange(n_rows)
         base = (len(self._stack) - 1) * n_rows + np.arange(n_rows)
         first_gate = self._fold.first_gate
         nmeds = []
-        for start in range(0, fold.alias.shape[0], len(slots)):
-            alias = fold.alias[start : start + len(slots)]
-            cone = fold.cone[start : start + len(slots)]
+        for start in range(0, fold.alias.shape[0], self.chunk):
+            alias = fold.alias[start : start + self.chunk]
+            cone = fold.cone[start : start + self.chunk]
             at = np.where(np.pad(cone, ((0, 0), (first_gate, 0))), own[: len(alias)], base)
             # flat row that each (chromosome, logic row) reads, through the alias
             src = np.take_along_axis(at, alias, 1)
@@ -446,23 +426,20 @@ def nsga2_run(
     tmap: dict,
     ds: SimulationDataset,
     cfg: GaConfig,
-    threads: int = 1,
 ) -> NsgaResult:
     """Standard NSGA-II over chromosomes; deterministic for a given seed.
 
-    All stochastic choices happen sequentially in the main thread.  Each
-    generation's new chromosomes are scored in one
-    `SearchProgram.score_batch` call, split into `threads` parallel parts;
-    scores are pure, so the thread count can only change timing, never
-    results.  The returned front is the archive of feasible
-    nondominated designs over the whole run (elitist: it never regresses).
+    All stochastic choices happen sequentially.  Each generation's new
+    chromosomes are scored in one `SearchProgram.score_batch` call.  The
+    returned front is the archive of feasible nondominated designs over
+    the whole run (elitist: it never regresses).
     """
     cfg.validate()
     depth_map = depth_to_output(n)
     program = SearchProgram(n, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
-        program.score_batch(np.array(gene_rows), threads)
+        program.score_batch(np.array(gene_rows))
         return [
             evaluate_individual(n, cs, g, lib, tmap, ds, cfg, program) for g in gene_rows
         ]

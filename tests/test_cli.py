@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -193,6 +194,55 @@ class TestPipeline:
         assert "config.json" in err
 
 
+@pytest.fixture(scope="module")
+def rca4_run(tmp_path_factory):
+    """A small optimized and evaluated rca4 run directory."""
+    root = tmp_path_factory.mktemp("rca4_run")
+    netlist = root / "rca4.nl"
+    netlist.write_text(write_netlist(rca_adder(4)))
+    run = str(root / "run")
+    assert main(["optimize", "--netlist", str(netlist), "--pop", "4", "--gens", "2",
+                 "--search-vectors", "64", "--report-vectors", "64",
+                 "--tmap-samples", "8", "--bound-samples", "8", "--out", run]) == 0
+    assert main(["evaluate", "--run", run, "--samples", "8"]) == 0
+    return run
+
+
+class TestRunDirErrors:
+    """A run file that lacks a field `evaluate` or `report` reads ends in
+    exit 2 and one `error:` line naming the file and the field."""
+
+    def _break(self, tmp_path, rca4_run, case):
+        run = tmp_path / "run"
+        shutil.copytree(rca4_run, run)
+        if case == "front_without_design_id":
+            (run / "fronts" / "final_front.csv").write_text("id,nmed\ndesign_000,0.0\n")
+        elif case == "config_without_clock":
+            config = json.loads((run / "config.json").read_text())
+            del config["clock_ps"]
+            (run / "config.json").write_text(json.dumps(config))
+        else:
+            (run / "mc" / "designs.csv").write_text("design_id,error\ndesign_000,0.0\n")
+        return str(run)
+
+    @pytest.mark.parametrize("case,command,path,field", [
+        ("front_without_design_id", "evaluate", "final_front.csv", "design_id"),
+        ("config_without_clock", "evaluate", "config.json", "clock_ps"),
+        ("mc_designs_other_columns", "report", "designs.csv", "worst_cpd_ps"),
+    ])
+    def test_missing_field_is_one_error_line(
+        self, case, command, path, field, capsys, tmp_path, rca4_run
+    ):
+        run = self._break(tmp_path, rca4_run, case)
+        code, out, err = _run(capsys, [command, "--run", run])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert path in lines[0] and repr(field) in lines[0]
+        assert "Traceback" not in err
+
+
 def _bad_library(tmp_path):
     path = tmp_path / "lib.json"
     save_variation_library(path, default_library())
@@ -269,8 +319,9 @@ class TestErrorContract:
             "section_value_string": '{"sta": {"samples": "x"}}',
             "flat_value_string": '{"pop": "ten"}',
         }.get(case, "[4]"))
-        code, _, err = _run(capsys, argv)
+        code, out, err = _run(capsys, argv)
         assert code == 2
+        assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in err

@@ -397,15 +397,6 @@ class TestNsga2:
             assert np.array_equal(a.genes, b.genes)
             assert a.objectives == b.objectives
 
-    def test_threads_do_not_change_results(self, rca4, default_lib, rca4_setup):
-        tmap, ssta, cs, ds = rca4_setup
-        cfg = GaConfig(population=12, generations=6, error_bound=0.05, seed=7)
-        r1 = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg, threads=1)
-        r2 = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg, threads=4)
-        for a, b in zip(r1.front, r2.front):
-            assert np.array_equal(a.genes, b.genes)
-            assert a.objectives == b.objectives
-
     def test_infeasible_everything_warns(self, rca4, default_lib, rca4_setup):
         tmap, ssta, cs, ds = rca4_setup
         # error_bound is a hard wall no approximation can pass, and the

@@ -437,7 +437,7 @@ def test_search_program_matches_reference_on_families(family, width, taps):
         assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
 
 
-def _batch_matches_reference(n, cs, rows, tmap, ds, chunk, threads=1):
+def _batch_matches_reference(n, cs, rows, tmap, ds, chunk):
     """`score_batch` over `rows` with a simulation chunk of `chunk`, after
     the first row was scored alone, gives each row its object-path score;
     each distinct row is scored once."""
@@ -447,9 +447,9 @@ def _batch_matches_reference(n, cs, rows, tmap, ds, chunk, threads=1):
     batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
     distinct = {r.tobytes() for r in rows}
     new = len(distinct - {rows[0].tobytes()})
-    assert new > chunk  # each thread's share of the rows spans more than one chunk
+    assert new > chunk  # the new rows span more than one chunk
     with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
-        program.score_batch(batch, threads)
+        program.score_batch(batch)
     assert sum(len(call.args[1]) for call in nmeds.call_args_list) == new
     assert len(program._memo) == len(distinct)
     for genes in rows:
@@ -500,7 +500,7 @@ def test_score_batch_matches_reference_on_families(family, width, taps):
             genes[po_genes[i % len(po_genes)]] = i % 4 // 2
         rows.append(genes)
     ds = generate_dataset(n, 300, seed=3)
-    _batch_matches_reference(n, cs, rows, tmap, ds, chunk=4, threads=2)
+    _batch_matches_reference(n, cs, rows, tmap, ds, chunk=4)
 
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])
@@ -613,10 +613,10 @@ def test_monte_carlo_front_drops_undisturbed_drivers_of_tied_nets(rca8):
     nets = tuple(ties)
     cs = CandidateSet(nets, 1e-3, netlist_fingerprint(rca8))
     genes = np.array([ties[w] for w in nets], dtype=np.int8)
-    fold = TieFold(compile_logic(rca8), cs)(genes)
+    dropped = TieFold(compile_logic(rca8), cs).batch(genes[None]).dropped[0]
     topo = rca8.topological_order()
     driver = next(i for i, g in enumerate(topo) if g.output == "c1")
     assert set(topo[driver].fanin.values()) == {"s0_g", "s0_h"}
-    assert driver in fold.dropped
+    assert dropped[driver]
     ds = generate_dataset(rca8, 500, seed=1)
     _front_matches_standalone(rca8, cs, [genes], 200, 9000, ds)
