@@ -43,40 +43,42 @@ UN_NON = 2
 UN_FIRST = 3
 
 
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+# the ufunc of each op but MUX2, and whether its result is then inverted
+_UFUNC = {
+    OP_INV: (np.invert, False), OP_BUF: (np.positive, False),
+    OP_AND2: (np.bitwise_and, False), OP_NAND2: (np.bitwise_and, True),
+    OP_OR2: (np.bitwise_or, False), OP_NOR2: (np.bitwise_or, True),
+    OP_XOR2: (np.bitwise_xor, False), OP_XNOR2: (np.bitwise_xor, True),
+}
 
 
-def gate_words(op, a, b=None, s=None):
+def gate_words(op, a, b=None, s=None, out=None):
     """Output words of op code `op` over its input words `a`, `b` and, for
     MUX2, the select words `s`, elementwise; pins the op lacks are ignored.
-    BUF returns `a` itself."""
-    if op == OP_INV:
-        return a ^ _FULL
-    if op == OP_BUF:
-        return a
-    if op == OP_AND2:
-        return a & b
-    if op == OP_OR2:
-        return a | b
-    if op == OP_NAND2:
-        return (a & b) ^ _FULL
-    if op == OP_NOR2:
-        return (a | b) ^ _FULL
-    if op == OP_XOR2:
-        return a ^ b
-    if op == OP_XNOR2:
-        return (a ^ b) ^ _FULL
-    return (a & (s ^ _FULL)) | (b & s)  # OP_MUX2
+    They are written into `out` when given, which must not be an input,
+    else into a new array.  MUX2 is a ^ ((a ^ b) & s)."""
+    if op == OP_MUX2:
+        out = np.bitwise_xor(a, b, out=out)
+        out &= s
+        out ^= a
+        return out
+    ufunc, inverted = _UFUNC[op]
+    out = ufunc(a, out=out) if ufunc.nin == 1 else ufunc(a, b, out=out)
+    if inverted:
+        np.invert(out, out=out)
+    return out
 
 
 def eval_words(ops, in0, in1, in2, out, words):
     """Bit-parallel evaluation over uint64 words, one row per signal.
 
     words[0] must be all-zero (GND) and words[1] all-one (VDD); gate rows
-    are written in the order given, which must be topological.
+    are written in the order given, which must be topological, each in
+    place by `gate_words`, so no gate may read its own row.
     """
-    for g in range(ops.shape[0]):
-        words[out[g]] = gate_words(ops[g], words[in0[g]], words[in1[g]], words[in2[g]])
+    rows = zip(ops.tolist(), in0.tolist(), in1.tolist(), in2.tolist(), out.tolist())
+    for op, i0, i1, i2, o in rows:
+        gate_words(op, words[i0], words[i1], words[i2], words[o])
     return words
 
 

@@ -312,115 +312,85 @@ class MonteCarloFront:
     """`monte_carlo_evaluate(apply_chromosome(n, cs, genes), ...)` for many
     chromosomes of one baseline, without building a netlist per design.
 
-    `evaluate` folds a list of designs in one `approx.TieFold.batch` call.
-    It times them `chunk` at a time, each chunk in one `timing.stacked_cpds`
-    call under the shared library draw `delays`, and simulates each
-    design's gates, with aliased fanins, over the report dataset `ds` into
-    words whose constant and PI rows come from the baseline.
+    `evaluate` folds its designs in one `approx.TieFold.batch` call, scores
+    each one's NMED over the report dataset `ds`, then times them all in one
+    `timing.stacked_cpds` call under the shared library draw `delays`.
 
-    One buffer serves every chunk.  It holds the baseline's signal words
-    over `ds`, and it is larger if need be.  Its constant and PI words
-    stay put.  The rest holds a chunk's stacked arrivals first, then each
-    design's gate words in turn.  `chunk` is the number of designs whose
-    per-net arrivals would fit in the baseline's gate words, and at least
-    one.  The arrivals are timed over a compacted program, with one row
-    per live slot rather than per net, and the buffer is sized for the
-    nets + 2 slots it may use at most; the pages beyond the slots used are
-    never touched.  Blocks of this size allocated per design fragment the
-    heap and raise the peak RSS.  The NMED is read straight from the PO words
-    (`errsim.nmed_words`), so no PO bit matrix is made either.  After
-    construction the front needs nothing of `ds`.
+    One buffer serves both: the baseline's signal words over `ds`, a head
+    of constant and PI words that never changes, then the gate rows.  A
+    design's NMED simulates, with aliased fanins, only its kept gates in
+    its fold's cone or whose row is dirty (written by an earlier design's
+    cone or by an earlier timing); every other row holds the baseline's
+    words, which are the design's too.  The PO words go straight to
+    `errsim.nmed_words`.  The timing then writes the stacked arrivals, and
+    the delay table when it fits, after the head, which dirties every gate
+    row.  Its chunk of designs is sized so that their arrivals fit in the
+    gate rows.  One design may need nets + 2 slots, so the buffer is at
+    least that large; the pages past the slots used are never touched.
+    Blocks of this size allocated per call fragment the heap and raise the
+    peak RSS.  After construction the front needs nothing of `ds`.
     """
 
     def __init__(
-        self,
-        n: Netlist,
-        cs: CandidateSet,
-        vlib: VariationLibrary,
-        ds: SimulationDataset,
-        delays: np.ndarray,
-        seed: int,
-        clock_ps: float,
+        self, n: Netlist, cs: CandidateSet, vlib: VariationLibrary, ds: SimulationDataset,
+        delays: np.ndarray, seed: int, clock_ps: float,
     ):
         ev = Evaluator(n)
         p = ev.program
         self._fold = TieFold(p, cs)
         self._timing = compile_timing(n, vlib.arc_index())
-        first = self._fold.first_gate
-        self._shape = (p.n_signals, (ds.n_vectors + 63) // 64)
-        size = self._shape[0] * self._shape[1]
-        self._head = first * self._shape[1]  # GND, VDD and the PI words
-        count = delays.shape[0]
-        n_nets = self._timing.n_nets
-        self.chunk = max(1, (size - self._head) // (2 * n_nets * count))
-        # float64s per stacked row: a compacted program has at most nets + 2 slots
-        arrival_row = 2 * (n_nets + 2)
-        self._buf = np.empty(
-            max(size, self._head + arrival_row * count * self.chunk), np.uint64
-        )
-        words = ev.signal_words(ds, out=self._buf)
-        self._n_vectors = ds.n_vectors
-        self._signed = ds.signed
-        self._exact = words[p.po_index]
+        n_words = (ds.n_vectors + 63) // 64
+        size = p.n_signals * n_words
+        self._head = self._fold.first_gate * n_words  # GND, VDD and the PI words
+        self._budget = size - self._head
+        arrivals = 2 * (self._timing.n_nets + 2) * delays.shape[0]
+        self._buf = np.empty(max(size, self._head + arrivals), np.uint64)
+        self._words = ev.signal_words(ds, out=self._buf)
+        self._dirty = np.zeros(len(p.ops), dtype=bool)  # per gate row
+        self._ds = (ds.n_vectors, ds.signed)  # what `nmed_words` needs of `ds`
+        self._exact = self._words[p.po_index]
         self._logic = p
         self._fanins = np.stack([p.in0, p.in1, p.in2], axis=1)
         # timing net rows are logic rows less GND and VDD, and gate gi
         # drives net |PIs| + gi
         self._edge_gate = self._timing.dst - len(n.inputs)
+        self._src = self._timing.src + 2  # each edge's source logic row
         self._delays = delays
         self._seed = seed
         self._clock = clock_ps
 
     def evaluate(self, designs: list[tuple[str, np.ndarray]]) -> list[McEvaluation]:
-        """The `McEvaluation` of each (design_id, validated genes)."""
+        """The `McEvaluation` of each (design_id, validated genes).  POs are
+        read through the alias, so a tied net or PI never counts as one, and
+        the arrivals of the gates that no longer reach a PO are never read."""
         if not designs:
             return []
         folds = self._fold.batch(np.array([genes for _, genes in designs]))
-        parts = list(map(self._design, folds.alias, folds.dropped))
-        # the arrivals go after the constant and PI words, which stay put
-        arrivals = self._buf[self._head :].view(np.float64)
-        evals = []
-        for start in range(0, len(designs), self.chunk):
-            end = start + self.chunk
-            edge_on, forwards, po_rows, gates = zip(*parts[start:end])
-            cpds = stacked_cpds(
-                self._timing, np.array(edge_on), forwards, po_rows, self._delays, arrivals
-            )
-            evals += [
-                _mc_result(d, cpd, self._nmed(g, alias), self._seed, self._clock)
-                for (d, _), cpd, g, alias in zip(
-                    designs[start:end], cpds, gates, folds.alias[start:end]
-                )
-            ]
-        return evals
-
-    def _design(self, alias: np.ndarray, dropped: np.ndarray):
-        """(edge_on, forward edges, PO net rows, kept gates) of one folded
-        chromosome, over the baseline's timing and logic rows.  POs are read
-        through the alias, so a tied net or PI never counts as one, and the
-        arrivals of the gates that no longer reach a PO are never read."""
         p = self._logic
-        t = self._timing
+        nmeds, forwards, po_rows = [], [], []
+        for alias, dropped, cone in zip(folds.alias, folds.dropped, folds.cone):
+            gates = np.flatnonzero(cone | (self._dirty & ~dropped))
+            ins = alias[self._fanins[gates]].T
+            _kernels.eval_words(p.ops[gates], *ins, p.out[gates], self._words)
+            self._dirty = (self._dirty & dropped) | cone
+            po = alias[p.po_index]
+            nmeds.append(nmed_words(self._exact, self._words[po][None], *self._ds)[0])
+            po_rows.append(np.unique(po[po >= 2]) - 2)  # timing rows: logic rows - 2
+            # a dropped gate aliased to a net forwards that net's arrivals
+            out = p.out[dropped]
+            out = out[alias[out] >= 2]
+            forwards.append(np.column_stack([alias[out] - 2, out - 2]))
+        self._dirty[:] = True
         # an edge is on when its gate is kept and its source is not a constant
-        edge_on = ~dropped[self._edge_gate] & (alias[t.src + 2] >= 2)
-        # a dropped gate aliased to a net forwards that net's arrivals
-        out = p.out[dropped]
-        out = out[alias[out] >= 2]
-        forwards = np.column_stack([alias[out] - 2, out - 2])
-        po = alias[p.po_index]
-        driven = np.unique(po[po >= 2]) - 2
-        return edge_on, forwards, driven, np.flatnonzero(~dropped)
-
-    def _nmed(self, gates: np.ndarray, alias: np.ndarray) -> float:
-        """NMED of one design: its kept gates simulated, with aliased
-        fanins, each into its own logic row of the baseline's image, whose
-        constant and PI rows stay put."""
-        p = self._logic
-        fan = alias[self._fanins[gates]]
-        words = self._buf[: self._shape[0] * self._shape[1]].reshape(self._shape)
-        _kernels.eval_words(p.ops[gates], fan[:, 0], fan[:, 1], fan[:, 2], p.out[gates], words)
-        po = words[alias[p.po_index]]
-        return nmed_words(self._exact, po[None], self._n_vectors, self._signed)[0]
+        edge_on = ~folds.dropped[:, self._edge_gate] & (folds.alias[:, self._src] >= 2)
+        cpds = stacked_cpds(
+            self._timing, edge_on, forwards, po_rows, self._delays,
+            self._buf[self._head :].view(np.float64), self._budget,
+        )
+        return [
+            _mc_result(d, cpd, nmed, self._seed, self._clock)
+            for (d, _), cpd, nmed in zip(designs, cpds, nmeds)
+        ]
 
 
 def stale_nmed_bound(
@@ -482,6 +452,11 @@ _MC_FIELDS = (
     "design_id", "worst_cpd_ps", "mean_cpd_ps", "std_cpd_ps", "nmed",
     "violations", "count", "seed", "baseline_clock_ps",
 )
+_MC_TYPES = (str, float, float, float, float, int, int, int, float)
+# the mc/meta.json keys, with their types, that `report` reads and copies
+_META_FIELDS = dict(
+    mc_count=int, mc_seed=int, clock_ps=float, stale_worst_nmed=float, report_vectors=int
+)
 _FRONT_FIELDS = ("nmed", "mu_cpd_eff", "sigma_cpd", "mu_cpd", "confidence", "genes")
 # the config.json keys that `evaluate` reads
 _RUN_FIELDS = (
@@ -524,20 +499,44 @@ def _read_csv(path, fields) -> list[dict]:
         return list(reader)
 
 
-def _read_mc_csv(path) -> list[McEvaluation]:
+def _value(path, field_name, text, kind):
+    """A run CSV file's field as `kind`; an empty or missing one is refused."""
+    if not text:
+        raise HarnessError(f"{path}: missing field {field_name!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise HarnessError(f"{path}: field {field_name!r} is not {kind.__name__}") from None
+
+
+def _read_mc_csv(path, one=False) -> list[McEvaluation]:
+    """The rows of an mc/*.csv file, which must hold one row if `one`."""
     rows = _read_csv(path, _MC_FIELDS)
+    if one and len(rows) != 1:
+        raise HarnessError(f"{path}: {len(rows)} rows, not one")
     return [
-        McEvaluation(
-            r["design_id"], float(r["worst_cpd_ps"]), float(r["mean_cpd_ps"]),
-            float(r["std_cpd_ps"]), float(r["nmed"]), int(r["violations"]),
-            int(r["count"]), int(r["seed"]), float(r["baseline_clock_ps"]),
-        )
+        McEvaluation(*(_value(path, k, r[k], t) for k, t in zip(_MC_FIELDS, _MC_TYPES)))
         for r in rows
     ]
 
 
-def _genes_str(genes) -> str:
-    return " ".join(str(int(g)) for g in genes)
+def _read_meta(path) -> dict:
+    """mc/meta.json, which must hold a number of each `_META_FIELDS` type."""
+    with open(path) as f:
+        meta = json.load(f)
+    _require(path, _META_FIELDS, meta if isinstance(meta, dict) else {})
+    for name, kind in _META_FIELDS.items():
+        if isinstance(meta[name], bool) or not isinstance(meta[name], (int, kind)):
+            raise HarnessError(f"{path}: field {name!r} is not {kind.__name__}")
+    return meta
+
+
+def _front_row(d) -> list[str]:
+    """A searched design's `_FRONT_FIELDS`."""
+    return [
+        _fmt(d.nmed), _fmt(d.mu_cpd_eff), _fmt(d.sigma_cpd), _fmt(d.mu_cpd),
+        _fmt(d.confidence), " ".join(str(int(g)) for g in d.genes),
+    ]
 
 
 @dataclass
@@ -634,20 +633,12 @@ def run_optimize(
         _write_csv(
             os.path.join(run_dir, "fronts", f"gen_{g:04d}.csv"),
             _FRONT_FIELDS,
-            [
-                [_fmt(d.nmed), _fmt(d.mu_cpd_eff), _fmt(d.sigma_cpd),
-                 _fmt(d.mu_cpd), _fmt(d.confidence), _genes_str(d.genes)]
-                for d in snapshot
-            ],
+            map(_front_row, snapshot),
         )
     _write_csv(
         os.path.join(run_dir, "fronts", "final_front.csv"),
         ("design_id",) + _FRONT_FIELDS,
-        [
-            [f"design_{i:03d}", _fmt(d.nmed), _fmt(d.mu_cpd_eff), _fmt(d.sigma_cpd),
-             _fmt(d.mu_cpd), _fmt(d.confidence), _genes_str(d.genes)]
-            for i, d in enumerate(result.front)
-        ],
+        [[f"design_{i:03d}", *_front_row(d)] for i, d in enumerate(result.front)],
     )
     for i, d in enumerate(result.front):
         path = os.path.join(run_dir, "fronts", "chromosomes", f"design_{i:03d}.chrom")
@@ -756,9 +747,8 @@ def run_report(run_dir) -> list[McEvaluation]:
     for req in ("baseline.csv", "designs.csv", "meta.json"):
         if not os.path.exists(os.path.join(mc_dir, req)):
             raise HarnessError(f"{run_dir}: missing mc/{req} (run evaluate first)")
-    with open(os.path.join(mc_dir, "meta.json")) as f:
-        meta = json.load(f)
-    baseline = _read_mc_csv(os.path.join(mc_dir, "baseline.csv"))[0]
+    meta = _read_meta(os.path.join(mc_dir, "meta.json"))
+    baseline = _read_mc_csv(os.path.join(mc_dir, "baseline.csv"), one=True)[0]
     designs = _read_mc_csv(os.path.join(mc_dir, "designs.csv"))
     bound = meta["stale_worst_nmed"]
 

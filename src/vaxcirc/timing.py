@@ -272,40 +272,15 @@ def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     return arr[:, rows, :].max(axis=(1, 2))
 
 
-def stacked_cpds(
-    program: TimingProgram,
-    edge_on: np.ndarray,
-    forwards: Sequence[np.ndarray],
-    po_rows: Sequence[np.ndarray],
-    delays: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """CPD per (design, delay row), shape (designs, count), for designs
-    derived from `program`, all timed in one `forward` call.
-
-    Design d is `program` with the edges where `edge_on[d]` is False
-    switched off, plus one zero-delay, positive-unate edge per (src, dst)
-    row of `forwards[d]`: a gate output the design forwards from another
-    net.  Its CPD under each row of `delays` (count, arcs) is the worst
-    arrival over the net rows `po_rows[d]`, or 0.0 when there are none, as
-    `cpd_over_delays` gives it.  `out` is scratch memory for the arrivals,
-    as `TimingProgram.init_arrivals` takes it.
-
-    The union program holds every edge some design uses, each forward edge
-    among its own gate's edges, so the order stays topological.  The
-    designs are stacked along the delay rows.  The delay columns are the
-    library arcs tiled over the designs, one all-0.0 column, and one column
-    per (arc, designs using it) of an edge only some designs use, which is
-    -inf in the rows of the others.  `max`, `x + 0.0` and `-inf` are
-    exact, so every design's arrivals equal those of its own program bit
-    for bit.  The union program is timed `compact`ed, keeping every
-    design's PO nets, so its arrivals take one row per live slot.
-    """
+def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: int):
+    """The union program `stacked_cpds` times these designs in, over a
+    library of `n_arcs` arcs and `compact`ed for every design's PO rows;
+    the slot of each net row; and one (arc, used per design) row per
+    private delay column, the columns after the all-0.0 one, `n_arcs`.
+    The union holds every edge a design uses, each forward edge among its
+    own gate's edges."""
     n_designs = edge_on.shape[0]
-    count, n_arcs = delays.shape
-    zero = n_arcs  # the all-0.0 column
     n_nets = program.n_nets
-
     pairs = np.concatenate(forwards).astype(np.int64)
     sizes = [len(f) for f in forwards]
     keys, which = np.unique(pairs[:, 1] * n_nets + pairs[:, 0], return_inverse=True)
@@ -317,47 +292,85 @@ def stacked_cpds(
     order = np.argsort(dst, kind="stable")  # a gate's forward edges follow its own
     dst = dst[order]
     src = np.concatenate([program.src[used], keys % n_nets])[order]
-    unate = np.concatenate(
-        [program.unate[used], np.full(keys.size, _kernels.UN_POS, np.int8)]
-    )[order]
-    rise = np.concatenate([program.arc_rise[used], np.full(keys.size, zero)])[order]
-    fall = np.concatenate([program.arc_fall[used], np.full(keys.size, zero)])[order]
+    unate = np.concatenate([program.unate[used], np.full(keys.size, _kernels.UN_POS, np.int8)])
+    unate = unate[order]
+    rise = np.concatenate([program.arc_rise[used], np.full(keys.size, n_arcs)])[order]
+    fall = np.concatenate([program.arc_fall[used], np.full(keys.size, n_arcs)])[order]
     on = np.concatenate([edge_on[:, used].T, fwd_on])[order]
 
     mixed = np.flatnonzero(~on.all(axis=1))
-    columns, col_of = np.unique(
-        np.concatenate([
-            np.column_stack([rise[mixed], on[mixed]]),
-            np.column_stack([fall[mixed], on[mixed]]),
-        ]),
-        axis=0,
-        return_inverse=True,
-    )
+    arcs = np.concatenate([rise[mixed], fall[mixed]])
+    arcs = np.column_stack([arcs, np.tile(on[mixed], (2, 1))])  # (arc, on per design)
+    columns, col_of = np.unique(arcs, axis=0, return_inverse=True)
     col_of = col_of.reshape(-1) + n_arcs + 1
     rise[mixed] = col_of[: mixed.size]
     fall[mixed] = col_of[mixed.size :]
-
-    # arc-major: table[c] is delay column c over the stacked rows
-    table = np.empty((n_arcs + 1 + len(columns), n_designs, count))
-    table[:n_arcs] = delays.T[:, None, :]
-    table[zero] = 0.0
-    private = table[n_arcs + 1 :]
-    private[...] = table[columns[:, 0]]
-    private[~columns[:, 1:].astype(bool)] = NEG_INF
-
     union, slot = replace(
-        program,
-        src=src.astype(np.int32),
-        dst=dst.astype(np.int32),
-        unate=unate,
-        arc_rise=rise.astype(np.int32),
-        arc_fall=fall.astype(np.int32),
+        program, src=src.astype(np.int32), dst=dst.astype(np.int32), unate=unate,
+        arc_rise=rise.astype(np.int32), arc_fall=fall.astype(np.int32),
     ).compact(np.concatenate(po_rows))
-    arr = union.forward(table.reshape(len(table), -1).T, out)
+    return union, slot, columns
+
+
+def stacked_cpds(
+    program: TimingProgram, edge_on: np.ndarray, forwards: Sequence[np.ndarray],
+    po_rows: Sequence[np.ndarray], delays: np.ndarray, out: np.ndarray | None = None,
+    budget: int | None = None,
+) -> np.ndarray:
+    """CPD per (design, delay row), shape (designs, count), for designs
+    derived from `program`, timed one chunk of designs per `forward` call.
+
+    Design d is `program` with the edges where `edge_on[d]` is False
+    switched off, plus one zero-delay, positive-unate edge per (src, dst)
+    row of `forwards[d]`: a gate output the design forwards from another
+    net.  Its CPD under each row of `delays` (count, arcs) is the worst
+    arrival over the net rows `po_rows[d]`, or 0.0 when there are none, as
+    `cpd_over_delays` gives it.
+
+    A chunk's designs are stacked along the delay rows of their union
+    program (`stacked_union`), whose edges stay in topological order.  The
+    delay columns are the library arcs tiled over the designs, one all-0.0
+    column, and one column per (arc, designs using it) of an edge only some
+    designs use, -inf in the rows of the others.  `max`, `x + 0.0` and
+    `-inf` are exact, so each design's arrivals equal its own program's
+    bit for bit.
+
+    A chunk is every design, or with `budget`, as many as the whole
+    union's arrivals fit in `budget` float64s, and at least one.  A
+    chunk's union is a subsequence of the whole's edges keeping fewer PO
+    nets, so it needs no more slots (asserted).  `out` is scratch memory
+    for a chunk's arrivals, as `TimingProgram.init_arrivals` takes it, then
+    its delay table when that fits; else the table is a new array.
+    """
+    n_designs = edge_on.shape[0]
+    count, n_arcs = delays.shape
+    whole = stacked_union(program, edge_on, forwards, po_rows, n_arcs)
+    slots = whole[0].n_rows
+    chunk = n_designs if budget is None else max(1, budget // (2 * slots * count))
     cpds = np.zeros((n_designs, count))
-    for d, rows in enumerate(po_rows):
-        if rows.size:
-            cpds[d] = arr[d * count : (d + 1) * count, slot[rows], :].max(axis=(1, 2))
+    for start in range(0, n_designs, chunk):
+        part = slice(start, start + chunk)
+        union, slot, columns = whole if chunk >= n_designs else stacked_union(
+            program, edge_on[part], forwards[part], po_rows[part], n_arcs
+        )
+        assert union.n_rows <= slots
+        # arc-major: table[c] is delay column c over the stacked rows
+        shape = (n_arcs + 1 + len(columns), len(po_rows[part]), count)
+        used = 2 * union.n_rows * shape[1] * count  # the arrivals' float64s
+        end = used + math.prod(shape)
+        fits = out is not None and out.size >= end
+        table = out.reshape(-1)[used:end].reshape(shape) if fits else np.empty(shape)
+        table[:n_arcs] = delays.T[:, None, :]
+        table[n_arcs] = 0.0
+        # column by column: `table[columns[:, 0]]` would copy them all at once
+        for c, arc in enumerate(columns[:, 0].tolist(), n_arcs + 1):
+            table[c] = table[arc]
+        table[n_arcs + 1 :][~columns[:, 1:].astype(bool)] = NEG_INF
+        arr = union.forward(table.reshape(shape[0], -1).T, out)
+        for d, rows in enumerate(po_rows[part], start):
+            if rows.size:
+                k = (d - start) * count
+                cpds[d] = arr[k : k + count, slot[rows], :].max(axis=(1, 2))
     return cpds
 
 

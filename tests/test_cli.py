@@ -242,6 +242,47 @@ class TestRunDirErrors:
         assert path in lines[0] and repr(field) in lines[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case,path,field", [
+        ("baseline_header_only", "baseline.csv", None),
+        ("meta_without_bound", "meta.json", "stale_worst_nmed"),
+        ("meta_bound_not_a_number", "meta.json", "stale_worst_nmed"),
+        ("designs_short_row", "designs.csv", "baseline_clock_ps"),
+        ("designs_text_for_a_number", "designs.csv", "nmed"),
+    ])
+    def test_corrupt_mc_file_is_one_error_line(
+        self, case, path, field, capsys, tmp_path, rca4_run
+    ):
+        """`report` refuses a corrupt mc/ file before it writes a report."""
+        run = tmp_path / "run"
+        shutil.copytree(rca4_run, run)
+        mc = run / "mc"
+        if case == "baseline_header_only":
+            header = (mc / "baseline.csv").read_text().splitlines()[0]
+            (mc / "baseline.csv").write_text(header + "\n")
+        elif case.startswith("meta"):
+            meta = json.loads((mc / "meta.json").read_text())
+            if case == "meta_without_bound":
+                del meta["stale_worst_nmed"]
+            else:
+                meta["stale_worst_nmed"] = "0.1"
+            (mc / "meta.json").write_text(json.dumps(meta))
+        else:
+            header, row = (mc / "designs.csv").read_text().splitlines()[:2]
+            values = row.split(",")
+            if case == "designs_short_row":
+                values.pop()
+            else:
+                values[header.split(",").index("nmed")] = "abc"
+            (mc / "designs.csv").write_text(f"{header}\n{','.join(values)}\n")
+        code, out, err = _run(capsys, ["report", "--run", str(run)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert path in lines[0] and (field is None or repr(field) in lines[0])
+        assert "Traceback" not in err
+        assert not any((run / "report").iterdir())
+
 
 def _bad_library(tmp_path):
     path = tmp_path / "lib.json"

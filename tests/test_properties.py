@@ -1,9 +1,10 @@
 """Property tests: the vectorized dominance routines, the one-pass
 constant fold, the batched STA, its first-write flags, its slot-compacted
-programs and its per-PO arrival reduction, the bus
-value reading, the compiled chromosome scorer one chromosome and a batch
-at a time, and the shared Monte-Carlo evaluation, each checked against an
-independent slow reference; and the netlist text round trip."""
+programs and its per-PO arrival reduction, the in-place word kernel, the
+bus value reading, the compiled chromosome scorer one chromosome and a
+batch at a time, and the shared Monte-Carlo evaluation, reused across
+calls, each checked against an independent slow reference; and the
+netlist text round trip."""
 
 import itertools
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaxcirc import _kernels, optimize
+from vaxcirc import _kernels, harness, optimize
 from vaxcirc._compile import compile_logic, compile_timing
 from vaxcirc.approx import (
     CandidateSet,
@@ -59,7 +60,13 @@ from vaxcirc.optimize import (
     nondominated_sort,
     pareto_front_indices,
 )
-from vaxcirc.timing import annotate_edge_transitions, cpd_over_delays, ssta_traverse
+from vaxcirc.timing import (
+    annotate_edge_transitions,
+    cpd_over_delays,
+    ssta_traverse,
+    stacked_cpds,
+    stacked_union,
+)
 
 from _oracles import naive_outputs, path_enum_cpd, random_dag
 from test_netlist import _tie_pi
@@ -620,3 +627,160 @@ def test_monte_carlo_front_drops_undisturbed_drivers_of_tied_nets(rca8):
     assert dropped[driver]
     ds = generate_dataset(rca8, 500, seed=1)
     _front_matches_standalone(rca8, cs, [genes], 200, 9000, ds)
+
+
+# each op code as the textbook formula over numpy words, `~` being NOT
+_TEXTBOOK = {
+    _kernels.OP_INV: lambda a, b, s: ~a,
+    _kernels.OP_BUF: lambda a, b, s: a,
+    _kernels.OP_AND2: lambda a, b, s: a & b,
+    _kernels.OP_OR2: lambda a, b, s: a | b,
+    _kernels.OP_NAND2: lambda a, b, s: ~(a & b),
+    _kernels.OP_NOR2: lambda a, b, s: ~(a | b),
+    _kernels.OP_XOR2: lambda a, b, s: a ^ b,
+    _kernels.OP_XNOR2: lambda a, b, s: ~(a ^ b),
+    _kernels.OP_MUX2: lambda a, b, s: (a & ~s) | (b & s),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 9))
+def test_in_place_eval_words_matches_gate_words(seed, n_words, extra):
+    """`eval_words` writes each gate's words into its own row in place.  Gate
+    by gate, over all nine op codes and a gate that reads one row on two
+    pins, its rows equal the new arrays of `gate_words` and the textbook
+    formula, and the rows no gate writes keep their words."""
+    rng = np.random.default_rng(seed)
+    ops = rng.permutation(np.concatenate([np.arange(9), rng.integers(0, 9, extra)]))
+    ops = ops.astype(np.int8)
+    first = 6  # GND, VDD and four input rows
+    out = (first + 2 * np.arange(len(ops))).astype(np.int32)  # the next row stays unwritten
+    fanin = np.array([rng.integers(0, o, 3) for o in out], dtype=np.int32)
+    two = np.flatnonzero(ops >= _kernels.OP_AND2)[0]
+    fanin[two, 1] = fanin[two, 0]
+    words = rng.integers(0, 2**64, (first + 2 * len(ops), n_words), dtype=np.uint64)
+    words[0] = 0
+    words[1] = ~np.uint64(0)
+    got = _kernels.eval_words(ops, *fanin.T, out, words.copy())
+    want = words.copy()
+    for op, (i0, i1, i2), o in zip(ops, fanin, out):
+        a, b, s = want[i0], want[i1], want[i2]
+        want[o] = _kernels.gate_words(op, a, b, s)
+        assert (want[o] == _TEXTBOOK[op](a, b, s)).all()
+    assert (got == want).all()
+    unwritten = np.setdiff1d(np.arange(len(words)), out)
+    assert (got[unwritten] == words[unwritten]).all()
+
+
+def _front(base, cs, count, seed, ds):
+    """A MonteCarloFront at half the baseline's CPD in one library, so that
+    violations vary, and that clock."""
+    clock = 0.5 * cpd_over_delays(
+        compile_timing(base, _LIB.arc_index()), sample_matrix(_LIB, [seed])
+    )[0]
+    delays = sample_matrix(_LIB, range(seed, seed + count))
+    return MonteCarloFront(base, cs, _LIB, ds, delays, seed, clock), clock
+
+
+def _front_reuse_matches_standalone(base, cs, rows, count, seed, ds):
+    """One MonteCarloFront scores `rows` as the standalone calls do, called
+    with each design alone, all at once, in reverse order, and with each
+    design twice in a row."""
+    front, clock = _front(base, cs, count, seed, ds)
+    designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
+    want = {d: repr(_standalone(base, cs, g, count, seed, clock, ds, d)) for d, g in designs}
+    calls = [[d] for d in designs] + [designs, designs[::-1]] + [[d, d] for d in designs]
+    for call in calls:
+        assert [repr(e) for e in front.evaluate(call)] == [want[d] for d, _ in call]
+
+
+def test_monte_carlo_front_reuse_keeps_dropped_dirty_rows_dirty(rca8):
+    """Tying a0 changes c1's words; the next design ties c1, so it drops
+    c1's driver and leaves those words in place; the exact design after it
+    keeps that driver outside its cone, so it must still simulate it."""
+    nets = ("a0", "c1")
+    cs = CandidateSet(nets, 1e-3, netlist_fingerprint(rca8))
+    rows = [np.array(g, dtype=np.int8) for g in ((1, -1), (-1, 0), (-1, -1))]
+    ds = generate_dataset(rca8, 500, seed=1)
+    _front_reuse_matches_standalone(rca8, cs, rows, 20, 9000, ds)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@settings(max_examples=50, deadline=None)
+@given(_tied_dag(), st.data())
+def test_monte_carlo_front_reuse_matches_standalone_calls(case, data):
+    n, _, tied = case
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        rows = [exact_chromosome(cs)] + [
+            np.array(data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                                        min_size=len(nets), max_size=len(nets))),
+                     dtype=np.int8)
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        _front_reuse_matches_standalone(base, cs, rows, 3, data.draw(st.integers(0, 500)), ds)
+
+
+def _front_timing(base, cs, rows, count, ds):
+    """The arguments `MonteCarloFront.evaluate` passes `stacked_cpds` for
+    `rows`, but for its scratch memory and chunk budget."""
+    front, _ = _front(base, cs, count, 9000, ds)
+    designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
+    with mock.patch.object(harness, "stacked_cpds", wraps=stacked_cpds) as timed:
+        front.evaluate(designs)
+    return timed.call_args.args[:5]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@settings(max_examples=100, deadline=None)
+@given(_tied_dag(), st.data())
+def test_front_subsets_compact_to_no_more_slots(case, data):
+    """Any subset of a front's designs compacts to no more arrival slots
+    than the whole front, which `stacked_cpds` sizes its chunks by."""
+    n, _, tied = case
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        rows = [
+            np.array(data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                                        min_size=len(nets), max_size=len(nets))),
+                     dtype=np.int8)
+            for _ in range(data.draw(st.integers(2, 6)))
+        ]
+        program, edge_on, forwards, po_rows, delays = _front_timing(base, cs, rows, 2, ds)
+        n_arcs = delays.shape[1]
+        whole = stacked_union(program, edge_on, forwards, po_rows, n_arcs)[0]
+        keep = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)))
+        part = stacked_union(program, edge_on[keep], [forwards[i] for i in keep],
+                             [po_rows[i] for i in keep], n_arcs)[0]
+        assert part.n_rows <= whole.n_rows
+
+
+@pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 4, 2)])
+def test_stacked_cpds_table_in_out_matches_a_new_table(family, width, taps):
+    """`stacked_cpds` gives bit-identical CPDs with its delay table in `out`
+    after the arrivals or in a new array, in one chunk or in many."""
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    cs = build_candidates(n, ssta_traverse(n, _LIB, annotate_edge_transitions(n, _LIB, 20)))
+    rng = np.random.default_rng(5)
+    rows = [exact_chromosome(cs)] + [
+        np.where(rng.random(len(cs)) < 0.2, rng.integers(0, 2, len(cs)), -1).astype(np.int8)
+        for _ in range(6)
+    ]
+    args = _front_timing(n, cs, rows, 30, generate_dataset(n, 300, seed=2))
+    union, _, columns = stacked_union(*args[:4], args[4].shape[1])
+    count = args[4].shape[0]
+    arrivals = 2 * union.n_rows * len(rows) * count
+    table = (args[4].shape[1] + 1 + len(columns)) * len(rows) * count
+    assert len(columns)  # some edges are private to some designs
+    want = stacked_cpds(*args)  # new arrivals and a new table
+    roomy = np.full(arrivals + table, np.nan)
+    assert np.array_equal(stacked_cpds(*args, roomy), want)
+    assert not np.isnan(roomy).any()  # the table filled `out` after the arrivals
+    tight = np.full(arrivals + table - 1, np.nan)
+    assert np.array_equal(stacked_cpds(*args, tight), want)
+    assert np.isnan(tight[arrivals:]).all()  # no room: the table was a new array
+    assert np.array_equal(stacked_cpds(*args, roomy, 1), want)  # one design per chunk
