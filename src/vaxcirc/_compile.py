@@ -33,14 +33,20 @@ class LogicProgram:
         return 2 + len(self.netlist.inputs) + len(self.ops)
 
 
-def compile_logic(n: Netlist) -> LogicProgram:
+def _net_rows(n: Netlist):
+    """The row of each net, GND 0, VDD 1, the PIs in order, then each gate
+    output in topological order; and that order."""
     index: dict[str, int] = {GND: 0, VDD: 1}
     for pi in n.inputs:
         index[pi] = len(index)
     topo = n.topological_order()
     for g in topo:
         index[g.output] = len(index)
+    return index, topo
 
+
+def compile_logic(n: Netlist) -> LogicProgram:
+    index, topo = _net_rows(n)
     n_gates = len(topo)
     ops = np.zeros(n_gates, dtype=np.int8)
     in0 = np.zeros(n_gates, dtype=np.int32)
@@ -68,9 +74,10 @@ class TimingProgram:
 
     One edge per (gate, input pin).  Edges carry the source/destination net
     rows, the pin's unateness code, and arc-row indices (into a library's
-    canonical arc vector) for the rise and fall output transitions.  The
-    arrivals have `n_rows` rows: one per net, or one per slot once
-    `compact`ed.
+    canonical arc vector) for the rise and fall output transitions.  Net
+    rows are `compile_logic`'s signal rows, so rows 0 and 1, GND and VDD,
+    are never written and stay -inf.  The arrivals have `n_rows` rows: one
+    per net, or one per slot once `compact`ed.
     """
 
     netlist: Netlist
@@ -81,7 +88,7 @@ class TimingProgram:
     arc_rise: np.ndarray
     arc_fall: np.ndarray
     pi_rows: np.ndarray
-    po_rows: np.ndarray  # net row per primary output position (-1 = constant)
+    po_rows: np.ndarray  # net row per primary output position
     n_rows: int
 
     @property
@@ -120,15 +127,12 @@ class TimingProgram:
     def po_arrivals(self, arr: np.ndarray) -> np.ndarray:
         """Worst of rise and fall per PO, shape (rows, n_po); -inf for a
         constant PO."""
-        out = np.full((arr.shape[0], self.po_rows.shape[0]), _kernels.NEG_INF)
-        driven = self.po_rows >= 0
-        out[:, driven] = arr[:, self.po_rows[driven], :].max(axis=2)
-        return out
+        return arr[:, self.po_rows, :].max(axis=2)
 
     def compact(self, keep: np.ndarray) -> tuple[TimingProgram, np.ndarray]:
         """This program over reused arrival slots, for a caller that reads
-        only the arrivals of the net rows `keep` (-1 entries are ignored);
-        and the slot of each net row.
+        only the arrivals of the net rows `keep`; and the slot of each net
+        row.
 
         Slot 0 holds every PI (0.0) and slot 1 every net no edge writes
         (-inf).  Scanning the edges, which must be grouped by destination in
@@ -136,9 +140,9 @@ class TimingProgram:
         flagged `UN_FIRST` so that the kernel overwrites what the slot held.
         A source's slot is freed after the last edge that reads it, and the
         slot of a gate nobody reads at once; kept nets are never freed.  So
-        there are at most nets + 2 slots, and a net's slot holds its arrival
-        while it is live, which for a kept net is to the end.  Every row
-        field, `net_index` included, is mapped to slots.
+        there are at most as many slots as net rows, and a net's slot holds
+        its arrival while it is live, which for a kept net is to the end.
+        Every row field, `net_index` included, is mapped to slots.
         """
         n_edges = self.src.shape[0]
         first = np.ones(n_edges, dtype=bool)
@@ -146,7 +150,7 @@ class TimingProgram:
         last = np.full(self.n_nets, -1, dtype=np.int64)  # last edge reading a net
         nets, at = np.unique(self.src[::-1], return_index=True)
         last[nets] = n_edges - 1 - at
-        last[keep[keep >= 0]] = n_edges
+        last[keep] = n_edges
         last = last.tolist()
         slot = [1] * self.n_nets
         for row in self.pi_rows.tolist():
@@ -167,8 +171,6 @@ class TimingProgram:
             if last[s] == e and slot[s] >= 2:
                 free.append(slot[s])
         slots = np.array(slot, dtype=np.int32)
-        po_rows = self.po_rows.copy()
-        po_rows[po_rows >= 0] = slots[po_rows[po_rows >= 0]]
         program = replace(
             self,
             net_index={w: slot[row] for w, row in self.net_index.items()},
@@ -176,19 +178,14 @@ class TimingProgram:
             dst=slots[self.dst],
             unate=self.unate + _kernels.UN_FIRST * first.astype(np.int8),
             pi_rows=slots[self.pi_rows],
-            po_rows=po_rows,
+            po_rows=slots[self.po_rows],
             n_rows=n_rows,
         )
         return program, slots
 
 
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
-    net_index: dict[str, int] = {}
-    for pi in n.inputs:
-        net_index[pi] = len(net_index)
-    topo = n.topological_order()
-    for g in topo:
-        net_index[g.output] = len(net_index)
+    net_index, topo = _net_rows(n)
 
     src, dst, unate, a_rise, a_fall = [], [], [], [], []
     for g in topo:
@@ -209,9 +206,7 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
             a_fall.append(arc_index[(g.kind, pin, "fall")])
 
     pi_rows = np.array([net_index[pi] for pi in n.inputs], dtype=np.int32)
-    po_rows = np.array(
-        [net_index.get(po, -1) for po in n.outputs], dtype=np.int32
-    )
+    po_rows = np.array([net_index[po] for po in n.outputs], dtype=np.int32)
     return TimingProgram(
         n,
         net_index,

@@ -262,7 +262,6 @@ def monte_carlo_evaluate(
     baseline_clock_ps: float,
     ds: SimulationDataset,
     reference: Netlist | None = None,
-    rho=None,
     design_id: str = "design",
     *,
     delays: np.ndarray | None = None,
@@ -281,7 +280,7 @@ def monte_carlo_evaluate(
         raise HarnessError("count must be >= 1")
     program = compile_timing(n, vlib.arc_index())
     if delays is None:
-        delays = sample_matrix(vlib, range(seed, seed + count), rho)
+        delays = sample_matrix(vlib, range(seed, seed + count))
     elif delays.shape != (count, len(vlib.arc_order())):
         raise HarnessError(
             f"delays of shape {delays.shape} for {count} libraries of "
@@ -325,7 +324,7 @@ class MonteCarloFront:
     `errsim.nmed_words`.  The timing then writes the stacked arrivals, and
     the delay table when it fits, after the head, which dirties every gate
     row.  Its chunk of designs is sized so that their arrivals fit in the
-    gate rows.  One design may need nets + 2 slots, so the buffer is at
+    gate rows.  One design may need a slot per net row, so the buffer is at
     least that large; the pages past the slots used are never touched.
     Blocks of this size allocated per call fragment the heap and raise the
     peak RSS.  After construction the front needs nothing of `ds`.
@@ -343,7 +342,7 @@ class MonteCarloFront:
         size = p.n_signals * n_words
         self._head = self._fold.first_gate * n_words  # GND, VDD and the PI words
         self._budget = size - self._head
-        arrivals = 2 * (self._timing.n_nets + 2) * delays.shape[0]
+        arrivals = 2 * self._timing.n_nets * delays.shape[0]
         self._buf = np.empty(max(size, self._head + arrivals), np.uint64)
         self._words = ev.signal_words(ds, out=self._buf)
         self._dirty = np.zeros(len(p.ops), dtype=bool)  # per gate row
@@ -351,10 +350,7 @@ class MonteCarloFront:
         self._exact = self._words[p.po_index]
         self._logic = p
         self._fanins = np.stack([p.in0, p.in1, p.in2], axis=1)
-        # timing net rows are logic rows less GND and VDD, and gate gi
-        # drives net |PIs| + gi
-        self._edge_gate = self._timing.dst - len(n.inputs)
-        self._src = self._timing.src + 2  # each edge's source logic row
+        self._edge_gate = self._timing.dst - self._fold.first_gate
         self._delays = delays
         self._seed = seed
         self._clock = clock_ps
@@ -375,14 +371,15 @@ class MonteCarloFront:
             self._dirty = (self._dirty & dropped) | cone
             po = alias[p.po_index]
             nmeds.append(nmed_words(self._exact, self._words[po][None], *self._ds)[0])
-            po_rows.append(np.unique(po[po >= 2]) - 2)  # timing rows: logic rows - 2
+            po_rows.append(po[po >= 2])
             # a dropped gate aliased to a net forwards that net's arrivals
             out = p.out[dropped]
             out = out[alias[out] >= 2]
-            forwards.append(np.column_stack([alias[out] - 2, out - 2]))
+            forwards.append(np.column_stack([alias[out], out]))
         self._dirty[:] = True
         # an edge is on when its gate is kept and its source is not a constant
-        edge_on = ~folds.dropped[:, self._edge_gate] & (folds.alias[:, self._src] >= 2)
+        src = folds.alias[:, self._timing.src]
+        edge_on = ~folds.dropped[:, self._edge_gate] & (src >= 2)
         cpds = stacked_cpds(
             self._timing, edge_on, forwards, po_rows, self._delays,
             self._buf[self._head :].view(np.float64), self._budget,
@@ -400,7 +397,6 @@ def stale_nmed_bound(
     seed: int,
     clock_ps: float,
     ds: SimulationDataset,
-    rho=None,
 ) -> tuple[float, np.ndarray]:
     """Worst stale-value NMED over sampled libraries at a fixed clock.
 
@@ -410,7 +406,7 @@ def stale_nmed_bound(
     scored once, on PO words shifted by one vector.
     """
     program = compile_timing(n, vlib.arc_index())
-    delays = sample_matrix(vlib, range(seed, seed + count), rho)
+    delays = sample_matrix(vlib, range(seed, seed + count))
     program, _ = program.compact(program.po_rows)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
     ev = Evaluator(n)
@@ -458,10 +454,10 @@ _META_FIELDS = dict(
     mc_count=int, mc_seed=int, clock_ps=float, stale_worst_nmed=float, report_vectors=int
 )
 _FRONT_FIELDS = ("nmed", "mu_cpd_eff", "sigma_cpd", "mu_cpd", "confidence", "genes")
-# the config.json keys that `evaluate` reads
-_RUN_FIELDS = (
-    "cpb_threshold", "fingerprint", "clock_ps", "report_vectors", "report_seed",
-    "stale_worst_nmed",
+# the config.json keys, with their types, that `evaluate` reads and `report` requires
+_RUN_FIELDS = dict(
+    cpb_threshold=float, fingerprint=str, clock_ps=float, report_vectors=int,
+    report_seed=int, stale_worst_nmed=float,
 )
 
 
@@ -520,15 +516,20 @@ def _read_mc_csv(path, one=False) -> list[McEvaluation]:
     ]
 
 
-def _read_meta(path) -> dict:
-    """mc/meta.json, which must hold a number of each `_META_FIELDS` type."""
+def _read_json(path, fields) -> dict:
+    """A run's JSON object, which must hold a value of each `fields` type;
+    an int passes for a float, and a bool for neither."""
     with open(path) as f:
-        meta = json.load(f)
-    _require(path, _META_FIELDS, meta if isinstance(meta, dict) else {})
-    for name, kind in _META_FIELDS.items():
-        if isinstance(meta[name], bool) or not isinstance(meta[name], (int, kind)):
+        try:
+            doc = json.load(f)
+        except ValueError:
+            raise HarnessError(f"{path}: not a JSON file") from None
+    _require(path, fields, doc if isinstance(doc, dict) else {})
+    for name, kind in fields.items():
+        kinds = (int, float) if kind is float else kind
+        if isinstance(doc[name], bool) or not isinstance(doc[name], kinds):
             raise HarnessError(f"{path}: field {name!r} is not {kind.__name__}")
-    return meta
+    return doc
 
 
 def _front_row(d) -> list[str]:
@@ -676,17 +677,21 @@ def _load_run(run_dir):
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise HarnessError(f"{run_dir}: missing config.json (run optimize first)")
-    with open(cfg_path) as f:
-        config = json.load(f)
-    _require(cfg_path, _RUN_FIELDS, config)
+    config = _read_json(cfg_path, _RUN_FIELDS)
     with open(os.path.join(run_dir, "netlists", "baseline.nl")) as f:
         baseline = parse_netlist(f.read())
     vlib = load_variation_library(os.path.join(run_dir, "libs", "variation.json"))
-    rows = _read_csv(os.path.join(run_dir, "netlists", "candidates.csv"), ("net",))
+    path = os.path.join(run_dir, "netlists", "candidates.csv")
+    rows = _read_csv(path, ("net", "cpb"))
+    if netlist_fingerprint(baseline) != config["fingerprint"]:
+        raise HarnessError(f"{run_dir}: baseline netlist does not match candidates")
+    known = set(baseline.nets)
+    for r in rows:
+        _value(path, "cpb", r["cpb"], float)
+        if r["net"] not in known:
+            raise HarnessError(f"{path}: net {r['net']!r} is not a baseline net")
     nets = tuple(r["net"] for r in rows)
     cs = CandidateSet(nets, config["cpb_threshold"], config["fingerprint"])
-    if netlist_fingerprint(baseline) != cs.fingerprint:
-        raise HarnessError(f"{run_dir}: baseline netlist does not match candidates")
     return config, baseline, vlib, cs
 
 
@@ -698,27 +703,29 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     The libraries are drawn and the baseline's exact outputs simulated
     once, and shared by every design.  The baseline, as the all-exact
     chromosome, and the designs go through one `MonteCarloFront.evaluate`
-    call; each gets the numbers `monte_carlo_evaluate` gives it.
+    call; each gets the numbers `monte_carlo_evaluate` gives it.  The
+    report of an earlier evaluate is removed only once every input is read.
     """
-    if mc_count < 1:  # before the report of an earlier evaluate is removed
+    if mc_count < 1:
         raise HarnessError("count must be >= 1")
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
-    _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results
+    path = os.path.join(run_dir, "fronts", "final_front.csv")
+    rows = _read_csv(path, ("design_id",) + _FRONT_FIELDS)
+    designs = [("baseline", exact_chromosome(cs))]
+    for r in rows:
+        for k in _FRONT_FIELDS[:-1]:  # `genes` is empty for a run with no candidates
+            _value(path, k, r[k], float)
+        chrom = os.path.join(run_dir, "fronts", "chromosomes", f"{r['design_id']}.chrom")
+        designs.append((r["design_id"], load_chromosome(chrom, cs)))
     clock = config["clock_ps"]
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
     delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
 
     front = MonteCarloFront(baseline, cs, vlib, ds, delays, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
-    rows = _read_csv(os.path.join(run_dir, "fronts", "final_front.csv"), ("design_id",))
-    design_ids = [r["design_id"] for r in rows]
-    base_eval, *evals = front.evaluate([("baseline", exact_chromosome(cs))] + [
-        (design_id, load_chromosome(
-            os.path.join(run_dir, "fronts", "chromosomes", f"{design_id}.chrom"), cs
-        ))
-        for design_id in design_ids
-    ])
+    base_eval, *evals = front.evaluate(designs)
+    _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results
     _write_csv(
         os.path.join(run_dir, "mc", "baseline.csv"), _MC_FIELDS, [_mc_row(base_eval)]
     )
@@ -747,7 +754,8 @@ def run_report(run_dir) -> list[McEvaluation]:
     for req in ("baseline.csv", "designs.csv", "meta.json"):
         if not os.path.exists(os.path.join(mc_dir, req)):
             raise HarnessError(f"{run_dir}: missing mc/{req} (run evaluate first)")
-    meta = _read_meta(os.path.join(mc_dir, "meta.json"))
+    config = _read_json(os.path.join(run_dir, "config.json"), _RUN_FIELDS)
+    meta = _read_json(os.path.join(mc_dir, "meta.json"), _META_FIELDS)
     baseline = _read_mc_csv(os.path.join(mc_dir, "baseline.csv"), one=True)[0]
     designs = _read_mc_csv(os.path.join(mc_dir, "designs.csv"))
     bound = meta["stale_worst_nmed"]
@@ -798,8 +806,6 @@ def run_report(run_dir) -> list[McEvaluation]:
         rows,
     )
 
-    with open(os.path.join(run_dir, "config.json")) as f:
-        config = json.load(f)
     config["mc"] = meta
     with open(os.path.join(report_dir, "config"), "w") as f:
         json.dump(config, f, indent=2, sort_keys=True)

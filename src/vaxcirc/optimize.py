@@ -26,9 +26,9 @@ from .timing import (
     extract_critical_path,
     po_endpoint,
     running_winners,
-    ssta_traverse,
     sta_arrivals,
 )
+from .timing import ssta_traverse  # noqa: F401  perfbench's tracer wraps this name
 
 
 @dataclass
@@ -108,11 +108,11 @@ class SearchProgram:
     The baseline's `approx.TieFold` turns each tie set into a per-row alias
     and the cone of kept gates it visited.  Walking the baseline level by
     level, with one vector step per level over every chromosome and gate
-    of the level, `score_batch` re-times each cone gate with the
-    running-winner rule of `ssta_traverse` (`timing.running_winners`), and
-    re-simulates the cones of `chunk` chromosomes at a time into a stack of
-    word slots; every other gate keeps its baseline arrival, and its words
-    are read from the baseline's.
+    of the level, `score_batch` times every gate from the PIs with the
+    running-winner rule of `ssta_traverse` (`timing.running_winners`),
+    reading fanins through the alias, and re-simulates the cones of
+    `chunk` chromosomes at a time into a stack of word slots; every other
+    gate's words are read from the baseline's.
     """
 
     def __init__(
@@ -140,6 +140,7 @@ class SearchProgram:
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
         self._exact = words[p.po_index]
+        self._pi_rows = p.pi_index
         self._po_rows = p.po_index
         # per (gate, pin): the arc mean and variance; 0 for a constant pin
         self._arc_mu = np.zeros((len(p.ops), 3))
@@ -149,11 +150,6 @@ class SearchProgram:
                 if g.fanin[pin] not in CONSTANT_NETS:
                     rv = arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
                     self._arc_mu[gi, k], self._arc_var[gi, k] = rv.mu, rv.var
-        base = ssta_traverse(n, lib, tmap).arrivals
-        rvs = [base.get(net) for net in p.signal_index]
-        self._has = np.array([rv is not None for rv in rvs])
-        self._mu = np.array([rv.mu if rv else 0.0 for rv in rvs])
-        self._var = np.array([rv.var if rv else 0.0 for rv in rvs])
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
 
     def score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
@@ -184,25 +180,22 @@ class SearchProgram:
     def _ssta(self, fold: FoldBatch):
         """(mu, var, has) per (chromosome, row): the arrival of each row's
         net, `has` False where it has none (a constant, or a gate whose
-        fanins all are)."""
-        n_chrom = fold.alias.shape[0]
-        mu = np.tile(self._mu, (n_chrom, 1))
-        var = np.tile(self._var, (n_chrom, 1))
-        has = np.tile(self._has, (n_chrom, 1))
-        cone = fold.cone
-        at = np.arange(n_chrom)[:, None, None]
+        fanins all are).  A dropped gate's row is timed too, but no one
+        reads it: readers go through the alias."""
+        shape = fold.alias.shape
+        mu = np.zeros(shape)
+        var = np.zeros(shape)
+        has = np.zeros(shape, dtype=bool)
+        has[:, self._pi_rows] = True
+        at = np.arange(shape[0])[:, None, None]
         for lv in self._fold.levels:
-            redo = cone[:, lv.gates]
-            if not redo.any():
-                continue
             fanin = fold.alias[:, lv.fanin]
             # a pin the gate lacks reads GND, which has no arrival
             pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin], has[at, fanin])
             k = np.maximum(pin, 0)
-            out = lv.out
-            mu[:, out] = np.where(redo, wmu + self._arc_mu[lv.gates, k], mu[:, out])
-            var[:, out] = np.where(redo, wvar + self._arc_var[lv.gates, k], var[:, out])
-            has[:, out] = np.where(redo, pin >= 0, has[:, out])
+            mu[:, lv.out] = wmu + self._arc_mu[lv.gates, k]
+            var[:, lv.out] = wvar + self._arc_var[lv.gates, k]
+            has[:, lv.out] = pin >= 0
         return mu, var, has
 
     def _nmeds(self, fold: FoldBatch) -> list[float]:

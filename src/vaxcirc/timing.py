@@ -169,8 +169,6 @@ def _endpoint_from_matrix(arr_k: np.ndarray, po_rows: np.ndarray):
     where = None
     for pos in range(po_rows.shape[0]):
         row = po_rows[pos]
-        if row < 0:
-            continue
         for col in (0, 1):
             v = arr_k[row, col]
             if v > best:
@@ -193,6 +191,7 @@ def sta_arrivals(n: Netlist, lib: SampledLibrary) -> StaResult:
     arrivals = {
         net: (float(a[row, 0]), float(a[row, 1]))
         for net, row in program.net_index.items()
+        if row >= 2  # not GND or VDD
     }
     po_vals = tuple(program.po_arrivals(arr)[0].tolist())
     hit = _endpoint_from_matrix(a, program.po_rows)
@@ -263,13 +262,14 @@ def mc_sta_cpd(
 
 def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     """CPD per delay row for an already-compiled netlist, timed over the
-    program compacted for its POs."""
-    program, _ = program.compact(program.po_rows)
-    arr = program.forward(delays)
-    rows = program.po_rows[program.po_rows >= 0]
+    program compacted for its POs: 0.0 when every PO is GND or VDD, else
+    the worst arrival over the other POs, which is -inf when each of them
+    is an unfolded all-constant gate."""
+    rows = program.po_rows[program.po_rows >= 2]
     if rows.size == 0:
         return np.zeros(delays.shape[0], dtype=np.float64)
-    return arr[:, rows, :].max(axis=(1, 2))
+    program, slot = program.compact(rows)
+    return program.forward(delays)[:, slot[rows], :].max(axis=(1, 2))
 
 
 def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: int):
@@ -378,7 +378,7 @@ def stacked_cpds(
 
 
 def annotate_edge_transitions(
-    n: Netlist, lib: VariationLibrary, count: int = 200, seed: int = 0, rho=None
+    n: Netlist, lib: VariationLibrary, count: int = 200, seed: int = 0
 ) -> dict[tuple[str, str], str]:
     """Modal critical-path output edge per (gate, input pin).
 
@@ -388,7 +388,7 @@ def annotate_edge_transitions(
     with the larger mean arc delay; equal means default to rise.
     """
     program = compile_timing(n, lib.arc_index())
-    delays = sample_matrix(lib, range(seed, seed + count), rho)
+    delays = sample_matrix(lib, range(seed, seed + count))
     arr = program.forward(delays)
     index = program.net_index
     counts: dict[tuple[str, str], dict[str, int]] = {}

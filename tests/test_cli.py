@@ -367,3 +367,135 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def rca4_reported(tmp_path_factory):
+    """A small rca4 run directory, optimized, evaluated and reported."""
+    root = tmp_path_factory.mktemp("rca4_reported")
+    netlist = root / "rca4.nl"
+    netlist.write_text(write_netlist(rca_adder(4)))
+    run = root / "run"
+    assert main(["optimize", "--netlist", str(netlist), "--pop", "4", "--gens", "1",
+                 "--search-vectors", "64", "--report-vectors", "64",
+                 "--tmap-samples", "8", "--bound-samples", "8", "--out", str(run)]) == 0
+    assert main(["evaluate", "--run", str(run), "--samples", "8"]) == 0
+    assert main(["report", "--run", str(run)]) == 0
+    assert (run / "fronts" / "chromosomes" / "design_000.chrom").is_file()
+    return run
+
+
+def _write(text):
+    return lambda path: path.write_text(text)
+
+
+def _header_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _delete(path):
+    path.unlink()
+
+
+def _json_edit(edit):
+    def apply(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def _set(key, value):
+    return _json_edit(lambda doc: doc.__setitem__(key, value))
+
+
+def _drop(key):
+    return _json_edit(lambda doc: doc.pop(key))
+
+
+def _csv_edit(column, value=None):
+    """Drop `column`, or with `value` set it in the first row."""
+    def apply(path):
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        k = rows[0].index(column)
+        if value is None:
+            rows = [r[:k] + r[k + 1:] for r in rows]
+        else:
+            rows[1][k] = value
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+    return apply
+
+
+def _gene_text(path):
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\nabc\n")
+
+
+def _mu_text(doc):
+    doc["cells"]["INV"][0]["mu_ps"] = "abc"
+
+
+def _cases(name, commands, **corruptions):
+    return [pytest.param(name, corrupt, commands, id=f"{name}-{label}")
+            for label, corrupt in corruptions.items()]
+
+
+_EVALUATE, _REPORT = ("evaluate",), ("report",)
+_COMMON = dict(empty=_write(""), deleted=_delete)
+# every run file that `evaluate` or `report` reads, the commands that read
+# it, and its corruptions; header-only is left out where an empty table is
+# valid (a front with no designs)
+_TAMPER = [
+    *_cases("config.json", _EVALUATE + _REPORT, **_COMMON, object_empty=_write("{}"),
+            no_clock=_drop("clock_ps"), clock_null=_set("clock_ps", None),
+            clock_text=_set("clock_ps", "abc"), seed_text=_set("report_seed", "1"),
+            vectors_float=_set("report_vectors", 2.5),
+            vectors_bool=_set("report_vectors", True),
+            threshold_text=_set("cpb_threshold", "x"),
+            fingerprint_number=_set("fingerprint", 5)),
+    *_cases("mc/meta.json", _REPORT, **_COMMON, object_empty=_write("{}"),
+            no_count=_drop("mc_count"), bound_text=_set("stale_worst_nmed", "abc")),
+    *_cases("mc/baseline.csv", _REPORT, **_COMMON, header_only=_header_only,
+            no_nmed=_csv_edit("nmed"), nmed_text=_csv_edit("nmed", "abc")),
+    *_cases("mc/designs.csv", _REPORT, **_COMMON,
+            no_nmed=_csv_edit("nmed"), nmed_text=_csv_edit("nmed", "abc")),
+    *_cases("netlists/baseline.nl", _EVALUATE, **_COMMON, garbage=_write("circuit\n")),
+    *_cases("libs/variation.json", _EVALUATE, **_COMMON, object_empty=_write("{}"),
+            no_cells=_drop("cells"), mu_text=_json_edit(_mu_text)),
+    *_cases("netlists/candidates.csv", _EVALUATE, **_COMMON, header_only=_header_only,
+            no_cpb=_csv_edit("cpb"), cpb_text=_csv_edit("cpb", "abc"),
+            foreign_net=_csv_edit("net", "nope")),
+    *_cases("fronts/final_front.csv", _EVALUATE, **_COMMON,
+            no_nmed=_csv_edit("nmed"), no_genes=_csv_edit("genes"),
+            confidence_text=_csv_edit("confidence", "abc")),
+    *_cases("fronts/chromosomes/design_000.chrom", _EVALUATE, **_COMMON,
+            gene_text=_gene_text),
+]
+
+
+@pytest.mark.parametrize("name,corrupt,commands", _TAMPER)
+def test_tampered_run_file_leaves_report(name, corrupt, commands, capsys, tmp_path,
+                                         rca4_reported):
+    """A corrupt or missing run file ends each command that reads it in exit
+    2 and one `error:` line, before any output, and the report of the run
+    is neither removed nor rewritten."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_reported, run)  # keeps the modification times
+
+    def report_files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in (run / "report").iterdir()}
+
+    report = report_files()
+    assert len(report) == 6
+    corrupt(run / name)
+    for command in commands:
+        code, out, err = _run(capsys, [command, "--run", str(run)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Traceback" not in err
+        assert report_files() == report

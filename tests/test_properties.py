@@ -259,6 +259,7 @@ def test_compacted_po_arrivals_match_full_forward(case, lib_seed, count, data):
 def test_compacted_po_arrivals_match_full_forward_on_families(family, width, taps):
     n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
     program = compile_timing(n, _LIB.arc_index())
+    assert program.net_index == compile_logic(n).signal_index  # one row numbering
     delays = sample_matrix(_LIB, range(40))
     _assert_compact_matches_full(program, delays)
     rng = np.random.default_rng(5)

@@ -380,6 +380,19 @@ class TestMcStaCpd:
             s = sample_library(default_lib, 3 + i)
             assert cpds[i] == sta_arrivals(rca4, s).cpd
 
+    @pytest.mark.parametrize("outputs,want", [
+        (("GND", "VDD"), 0.0),  # a PO on GND or VDD counts as no PO
+        (("GND", "k"), -math.inf),  # an unfolded all-constant gate never arrives
+        (("k", "VDD", "k"), -math.inf),
+        (("a", "VDD"), 0.0),  # a PI arrives at 0
+        (("k", "a"), 0.0),
+    ])
+    def test_constant_and_pi_pos(self, default_lib, outputs, want):
+        gates = (Gate("u_k", "AND2", {"A": "GND", "B": "VDD"}, "k"),
+                 Gate("u_x", "XOR2", {"A": "a", "B": "b"}, "x"))
+        n = Netlist("corner", ("a", "b"), outputs, gates)
+        assert mc_sta_cpd(n, default_lib, 4, seed=1).tolist() == [want] * 4
+
 
 class TestCalibrationRecipe:
     def test_spine_dominates(self):
