@@ -261,4 +261,7 @@ def save_chromosome(path, cs: CandidateSet, genes):
 def load_chromosome(path, cs: CandidateSet) -> np.ndarray:
     """Load genes saved for the same candidate set; refuses a mismatch."""
     with open(path) as f:
-        return parse_chromosome(f.read(), cs)
+        try:
+            return parse_chromosome(f.read(), cs)
+        except ChromosomeError as e:
+            raise ChromosomeError(f"{path}: {e}") from None

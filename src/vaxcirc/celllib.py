@@ -183,15 +183,15 @@ def save_variation_library(path, lib: VariationLibrary):
 
 def load_variation_library(path) -> VariationLibrary:
     with open(path) as f:
-        doc = json.load(f)
-    try:
-        cells = {
-            kind: [TimingArc(a["pin"], a["edge"], a["mu_ps"], a["sigma_ps"]) for a in arcs]
-            for kind, arcs in doc["cells"].items()
-        }
-        return VariationLibrary(doc["name"], cells, doc.get("rho_default", 0.5))
-    except (KeyError, TypeError) as e:
-        raise LibraryError(f"malformed library file {path}: {e}") from e
+        try:
+            doc = json.load(f)
+            cells = {
+                kind: [TimingArc(a["pin"], a["edge"], a["mu_ps"], a["sigma_ps"]) for a in arcs]
+                for kind, arcs in doc["cells"].items()
+            }
+            return VariationLibrary(doc["name"], cells, doc.get("rho_default", 0.5))
+        except (KeyError, TypeError, ValueError, LibraryError) as e:
+            raise LibraryError(f"malformed library file {path}: {e}") from e
 
 
 _DEFAULT_MU = {

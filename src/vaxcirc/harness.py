@@ -31,16 +31,15 @@ from .approx import (
 from .celllib import (
     VariationLibrary,
     load_variation_library,
-    nominal_library,
     sample_matrix,
     save_variation_library,
 )
 from .errsim import Evaluator, SimulationDataset, generate_dataset, nmed_words
 from .errsim import simulate_metrics, stale_words
-from .netlist import Gate, Netlist, netlist_fingerprint, parse_netlist, write_netlist
+from .netlist import Gate, Netlist, NetlistError, netlist_fingerprint, parse_netlist, write_netlist
 from .optimize import GaConfig, nsga2_run, pareto_front_indices
-from .timing import annotate_edge_transitions, cpd_over_delays, sta_arrivals
-from .timing import ssta_traverse, stacked_cpds
+from .timing import _clock_and_tmap, cpd_over_delays, ssta_traverse, stacked_cpds
+from .timing import annotate_edge_transitions  # noqa: F401  (perfbench wraps this name)
 
 
 class HarnessError(Exception):
@@ -457,7 +456,7 @@ _FRONT_FIELDS = ("nmed", "mu_cpd_eff", "sigma_cpd", "mu_cpd", "confidence", "gen
 # the config.json keys, with their types, that `evaluate` reads and `report` requires
 _RUN_FIELDS = dict(
     cpb_threshold=float, fingerprint=str, clock_ps=float, report_vectors=int,
-    report_seed=int, stale_worst_nmed=float,
+    report_seed=int, stale_worst_nmed=float, candidate_count=int,
 )
 
 
@@ -607,8 +606,7 @@ def run_optimize(
         f.write(write_netlist(n))
     save_variation_library(os.path.join(run_dir, "libs", "variation.json"), vlib)
 
-    clock = sta_arrivals(n, nominal_library(vlib)).cpd
-    tmap = annotate_edge_transitions(n, vlib, tmap_count, tmap_seed)
+    clock, tmap = _clock_and_tmap(n, vlib, tmap_count, tmap_seed)
     ssta = ssta_traverse(n, vlib, tmap)
     cs = build_candidates(n, ssta, cpb_threshold)
 
@@ -678,13 +676,19 @@ def _load_run(run_dir):
     if not os.path.exists(cfg_path):
         raise HarnessError(f"{run_dir}: missing config.json (run optimize first)")
     config = _read_json(cfg_path, _RUN_FIELDS)
-    with open(os.path.join(run_dir, "netlists", "baseline.nl")) as f:
-        baseline = parse_netlist(f.read())
+    path = os.path.join(run_dir, "netlists", "baseline.nl")
+    with open(path) as f:
+        try:
+            baseline = parse_netlist(f.read())
+        except NetlistError as e:
+            raise HarnessError(f"{path}: {e}") from None
     vlib = load_variation_library(os.path.join(run_dir, "libs", "variation.json"))
     path = os.path.join(run_dir, "netlists", "candidates.csv")
     rows = _read_csv(path, ("net", "cpb"))
     if netlist_fingerprint(baseline) != config["fingerprint"]:
         raise HarnessError(f"{run_dir}: baseline netlist does not match candidates")
+    if len(rows) != config["candidate_count"]:
+        raise HarnessError(f"{path}: {len(rows)} rows, not {config['candidate_count']}")
     known = set(baseline.nets)
     for r in rows:
         _value(path, "cpb", r["cpb"], float)

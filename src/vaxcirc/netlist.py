@@ -169,6 +169,7 @@ class Netlist:
 
         self._driver = driver
         self._topo = self._toposort()
+        self._fingerprint = None  # `netlist_fingerprint`, once asked for
 
     def _toposort(self) -> tuple[Gate, ...]:
         # Kahn's algorithm; ready set is a heap of gate names so the order
@@ -339,8 +340,10 @@ def write_netlist(n: Netlist) -> str:
 
 
 def netlist_fingerprint(n: Netlist) -> str:
-    """sha256 hex digest of the canonical text form."""
-    return hashlib.sha256(write_netlist(n).encode("ascii")).hexdigest()
+    """sha256 hex digest of the canonical text form, cached on the netlist."""
+    if n._fingerprint is None:
+        n._fingerprint = hashlib.sha256(write_netlist(n).encode("ascii")).hexdigest()
+    return n._fingerprint
 
 
 # -- rewrites ----------------------------------------------------------------

@@ -163,20 +163,14 @@ class StaResult:
     endpoint: tuple[int, str, str] | None  # (po position, net, edge)
 
 
-def _endpoint_from_matrix(arr_k: np.ndarray, po_rows: np.ndarray):
-    """Worst (value, po position, column) over PO rows; None if all -inf."""
-    best = NEG_INF
-    where = None
-    for pos in range(po_rows.shape[0]):
-        row = po_rows[pos]
-        for col in (0, 1):
-            v = arr_k[row, col]
-            if v > best:
-                best = v
-                where = (pos, col)
-    if where is None or best == NEG_INF:
-        return None
-    return best, where[0], where[1]
+def _endpoints(arr: np.ndarray, po_rows: np.ndarray):
+    """The worst PO arrival of each row of `arr` (rows, nets, 2), its PO
+    position and its column: the first maximum, by position, then rise
+    before fall.  It is -inf, with no endpoint, also when there is no PO."""
+    rows = arr.shape[0]
+    block = np.hstack([arr[:, po_rows, :].reshape(rows, -1), np.full((rows, 1), NEG_INF)])
+    at = block.argmax(axis=1)
+    return block[np.arange(at.size), at], at // 2, at % 2
 
 
 def sta_arrivals(n: Netlist, lib: SampledLibrary) -> StaResult:
@@ -194,13 +188,11 @@ def sta_arrivals(n: Netlist, lib: SampledLibrary) -> StaResult:
         if row >= 2  # not GND or VDD
     }
     po_vals = tuple(program.po_arrivals(arr)[0].tolist())
-    hit = _endpoint_from_matrix(a, program.po_rows)
-    if hit is None:
+    (cpd,), (pos,), (col,) = _endpoints(arr, program.po_rows)
+    if cpd == NEG_INF:
         return StaResult(n, lib, arrivals, po_vals, 0.0, None)
-    cpd, pos, col = hit
-    return StaResult(
-        n, lib, arrivals, po_vals, cpd, (pos, n.outputs[pos], _COL_EDGE[col])
-    )
+    endpoint = (int(pos), n.outputs[pos], _COL_EDGE[col])
+    return StaResult(n, lib, arrivals, po_vals, float(cpd), endpoint)
 
 
 def _in_edges(unateness: str, out_edge: str):
@@ -211,15 +203,17 @@ def _in_edges(unateness: str, out_edge: str):
     return (out_edge,)
 
 
-def _backtrack_path(n: Netlist, net: str, edge: str, arrival, delay):
-    """Walk a critical path backward from (net, edge).
+def extract_critical_path(sta: StaResult):
+    """[(gate, input pin, output edge)] along the winning path, PI to PO.
 
-    `arrival(net, edge)` and `delay(kind, pin, out_edge)` are lookups;
-    ties resolve to the first candidate in pin order, rise before fall.
-    Returns [(gate, input pin, output edge)] from inputs toward the PO.
+    Walking back from the endpoint, each gate's first fanin edge with the
+    largest arrival plus arc delay wins, in pin order, rise before fall.
     """
+    if sta.endpoint is None:
+        return []
+    _, net, edge = sta.endpoint
     path = []
-    g = n.driver_of(net)
+    g = sta.netlist.driver_of(net)
     while g is not None:
         best = None
         for pin, un in zip(g.cell.input_pins, g.cell.unateness):
@@ -227,28 +221,16 @@ def _backtrack_path(n: Netlist, net: str, edge: str, arrival, delay):
             if w in CONSTANT_NETS:
                 continue
             for ie in _in_edges(un, edge):
-                v = arrival(w, ie) + delay(g.kind, pin, edge)
+                v = sta.arrivals[w][_EDGE_COL[ie]] + sta.library.delay(g.kind, pin, edge)
                 if best is None or v > best[0]:
                     best = (v, pin, ie)
         if best is None:  # all-constant fanin gate cannot be on a real path
             break
         path.append((g.name, best[1], edge))
         net, edge = g.fanin[best[1]], best[2]
-        g = n.driver_of(net)
+        g = sta.netlist.driver_of(net)
     path.reverse()
     return path
-
-
-def extract_critical_path(sta: StaResult):
-    """[(gate, input pin, output edge)] along the winning path, PI to PO."""
-    if sta.endpoint is None:
-        return []
-    _, net, edge = sta.endpoint
-
-    def arrival(w, e):
-        return sta.arrivals[w][_EDGE_COL[e]]
-
-    return _backtrack_path(sta.netlist, net, edge, arrival, sta.library.delay)
 
 
 def mc_sta_cpd(
@@ -382,53 +364,68 @@ def annotate_edge_transitions(
 ) -> dict[tuple[str, str], str]:
     """Modal critical-path output edge per (gate, input pin).
 
-    Runs STA over `count` sampled libraries, extracts each winning path,
-    and tallies which output transition each traversed (gate, pin) carried.
-    Pairs never observed on a path (and tally ties) default to the edge
-    with the larger mean arc delay; equal means default to rise.
+    Runs STA over `count` sampled libraries and tallies the output
+    transition each (gate, pin) carried on each one's critical path, as
+    `extract_critical_path` walks it.  Pairs never on a path, and tally
+    ties, take the edge with the larger mean arc delay; equal means, rise.
     """
+    return _clock_and_tmap(n, lib, count, seed)[1]
+
+
+def _clock_and_tmap(n: Netlist, lib: VariationLibrary, count: int, seed: int):
+    """`sta_arrivals(n, nominal_library(lib)).cpd` and `annotate_edge_transitions(n,
+    lib, count, seed)` from one `forward`, whose first row is the mean delays."""
     program = compile_timing(n, lib.arc_index())
-    delays = sample_matrix(lib, range(seed, seed + count))
+    mu = lib.mu_vector()
+    delays = np.vstack([mu, sample_matrix(lib, range(seed, seed + count))])
     arr = program.forward(delays)
-    index = program.net_index
-    counts: dict[tuple[str, str], dict[str, int]] = {}
-    for k in range(count):
-        a_k = arr[k]
-        hit = _endpoint_from_matrix(a_k, program.po_rows)
-        if hit is None:
-            continue
-        _, pos, col = hit
-        d_k = delays[k]
-        arc_index = lib.arc_index()
-
-        def arrival(w, e, a_k=a_k):
-            return a_k[index[w], _EDGE_COL[e]]
-
-        def delay(kind, pin, e, d_k=d_k, arc_index=arc_index):
-            return d_k[arc_index[(kind, pin, e)]]
-
-        path = _backtrack_path(
-            n, n.outputs[pos], _COL_EDGE[col], arrival, delay
-        )
-        for gate, pin, edge in path:
-            tally = counts.setdefault((gate, pin), {"rise": 0, "fall": 0})
-            tally[edge] += 1
-
-    tmap: dict[tuple[str, str], str] = {}
-    for g in n.gates:
+    cpd = _endpoints(arr[:1], program.po_rows)[0][0]
+    rise, fall = _critical_tally(program, arr[1:], delays[1:]).T
+    fall_wins = np.where(rise != fall, fall > rise, mu[program.arc_fall] > mu[program.arc_rise])
+    edge = np.where(fall_wins, "fall", "rise").tolist()
+    # a gate's edges, its non-constant pins, start at the first into its row
+    first = np.searchsorted(program.dst, [program.net_index[g.output] for g in n.gates])
+    tmap = {}
+    for g, e in zip(n.gates, first.tolist()):
         for pin in g.cell.input_pins:
-            if g.fanin[pin] in CONSTANT_NETS:
-                continue
-            tally = counts.get((g.name, pin))
-            if tally is not None and tally["rise"] != tally["fall"]:
-                tmap[(g.name, pin)] = (
-                    "rise" if tally["rise"] > tally["fall"] else "fall"
-                )
-            else:
-                mu_r = lib.arc(g.kind, pin, "rise").mu_ps
-                mu_f = lib.arc(g.kind, pin, "fall").mu_ps
-                tmap[(g.name, pin)] = "fall" if mu_f > mu_r else "rise"
-    return tmap
+            if g.fanin[pin] not in CONSTANT_NETS:
+                tmap[(g.name, pin)] = edge[e]
+                e += 1
+    return (0.0 if cpd == NEG_INF else float(cpd)), tmap
+
+
+def _critical_tally(program: TimingProgram, arr: np.ndarray, delays: np.ndarray):
+    """(edges, 2) counts of the output column each edge carried on the
+    critical paths of the rows of `arr` (`program`'s arrivals under
+    `delays`), walked back at once from their `_endpoints` as
+    `extract_critical_path` walks one: to the first maximum of source
+    arrival plus arc delay, in pin order and rise before fall."""
+    # candidate = 2 * edge + input column, -1 pads; a non-unate pin has two
+    non = program.unate == _kernels.UN_NON
+    size = 1 + non
+    begin = np.cumsum(size) - size
+    slot = begin - begin[np.searchsorted(program.dst, program.dst)]  # in its gate
+    n_cand = np.bincount(program.dst, weights=size, minlength=program.n_nets)
+    cand = np.full((program.n_nets, 2, int(n_cand.max(initial=0))), -1)
+    edge2 = 2 * np.arange(program.src.size)
+    for col in (0, 1):  # input column: 0 first for a non-unate pin, else by unateness
+        cand[program.dst, col, slot] = edge2 + ((program.unate == _kernels.UN_NEG) ^ col) * ~non
+    cand[program.dst[non], :, slot[non] + 1] = edge2[non, None] + 1
+    arcs = np.stack([program.arc_rise, program.arc_fall], axis=1)
+    tally = np.zeros((program.src.size, 2), dtype=np.int64)
+    value, pos, col = _endpoints(arr, program.po_rows)
+    row = np.flatnonzero(value > NEG_INF)
+    net, col = program.po_rows[pos[row]], col[row]
+    while (on := n_cand[net] > 0).any():
+        row, net, col = row[on], net[on], col[on]
+        c = cand[net, col]  # (rows, candidates); a pad reads the last edge
+        e = c // 2
+        v = arr[row[:, None], program.src[e], c % 2] + delays[row[:, None], arcs[e, col[:, None]]]
+        v[c < 0] = NEG_INF
+        pick = (np.arange(row.size), v.argmax(axis=1))
+        np.add.at(tally, (e[pick], col), 1)
+        net, col = program.src[e[pick]], c[pick] % 2
+    return tally
 
 
 # -- statistical traversal ----------------------------------------------------

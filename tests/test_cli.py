@@ -499,3 +499,21 @@ def test_tampered_run_file_leaves_report(name, corrupt, commands, capsys, tmp_pa
         assert len(lines) == 1 and lines[0].startswith("error:"), err
         assert "Traceback" not in err
         assert report_files() == report
+
+
+@pytest.mark.parametrize("name,corrupt", [
+    ("netlists/baseline.nl", _write("")),
+    ("netlists/baseline.nl", _write("circuit\n")),
+    ("libs/variation.json", _write("")),
+    ("fronts/chromosomes/design_000.chrom", _gene_text),
+    ("netlists/candidates.csv", _header_only),
+], ids=["baseline-empty", "baseline-garbage", "library-empty", "chrom-gene-text",
+        "candidates-header-only"])
+def test_corrupt_run_file_error_names_it(name, corrupt, capsys, tmp_path, rca4_reported):
+    """The `error:` line of a corrupt run file says which file it is."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_reported, run)
+    corrupt(run / name)
+    code, out, err = _run(capsys, ["evaluate", "--run", str(run)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(run / name) in err, err

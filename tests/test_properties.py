@@ -25,7 +25,14 @@ from vaxcirc.approx import (
     exact_chromosome,
     tie_nets,
 )
-from vaxcirc.celllib import default_library, nominal_library, sample_library, sample_matrix
+from vaxcirc.celllib import (
+    TimingArc,
+    VariationLibrary,
+    default_library,
+    nominal_library,
+    sample_library,
+    sample_matrix,
+)
 from vaxcirc.errsim import (
     _metrics_from_bits,
     generate_dataset,
@@ -61,9 +68,12 @@ from vaxcirc.optimize import (
     pareto_front_indices,
 )
 from vaxcirc.timing import (
+    _clock_and_tmap,
     annotate_edge_transitions,
     cpd_over_delays,
+    extract_critical_path,
     ssta_traverse,
+    sta_arrivals,
     stacked_cpds,
     stacked_union,
 )
@@ -785,3 +795,92 @@ def test_stacked_cpds_table_in_out_matches_a_new_table(family, width, taps):
     assert np.array_equal(stacked_cpds(*args, tight), want)
     assert np.isnan(tight[arrivals:]).all()  # no room: the table was a new array
     assert np.array_equal(stacked_cpds(*args, roomy, 1), want)  # one design per chunk
+
+
+def _tmap_by_path_extraction(n, lib, count, seed):
+    """The tmap tallied from `extract_critical_path` of each sampled
+    library's `sta_arrivals`, one library at a time."""
+    tally = {}
+    for s in range(seed, seed + count):
+        for gate, pin, edge in extract_critical_path(sta_arrivals(n, sample_library(lib, s))):
+            tally.setdefault((gate, pin), []).append(edge)
+    tmap = {}
+    for g in n.gates:
+        for pin in g.cell.input_pins:
+            if g.fanin[pin] in (GND, VDD):
+                continue
+            edges = tally.get((g.name, pin), [])
+            rise, fall = edges.count("rise"), edges.count("fall")
+            if rise == fall:  # the larger mean, rise on a tie
+                rise = lib.arc(g.kind, pin, "rise").mu_ps
+                fall = lib.arc(g.kind, pin, "fall").mu_ps
+            tmap[(g.name, pin)] = "fall" if fall > rise else "rise"
+    return tmap
+
+
+def _assert_tmap_and_clock_match_scalar(n, lib, count, seed):
+    clock, tmap = _clock_and_tmap(n, lib, count, seed)
+    want = _tmap_by_path_extraction(n, lib, count, seed)
+    assert list(tmap.items()) == list(want.items())  # key order too
+    assert annotate_edge_transitions(n, lib, count, seed) == tmap
+    nominal = sta_arrivals(n, nominal_library(lib)).cpd
+    assert type(clock) is float and clock.hex() == float(nominal).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(1, 6), st.data())
+def test_tmap_and_clock_match_path_extraction(case, seed, count, data):
+    """The batched walk gives the tmap of a per-library `extract_critical_path`
+    tally, and its forward's nominal row the clock of `sta_arrivals`, on
+    DAGs with PI, constant and repeated POs, an unfolded all-constant gate
+    and a gate reading one net on both pins."""
+    n, _, tied = case
+    for base in (n, tied):
+        _assert_tmap_and_clock_match_scalar(_with_corner_gates(base, data), _LIB, count, seed)
+
+
+@pytest.mark.parametrize("family,width,taps", [
+    ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 8, 1),
+    ("mac_fir", 8, 2),
+])
+def test_tmap_and_clock_match_path_extraction_on_families(family, width, taps):
+    n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
+    _assert_tmap_and_clock_match_scalar(n, _LIB, 30, 1000)
+
+
+def _zero_sigma_library():
+    """Exact delays: AND2's pins tie, INV is 4 ps rising and 3 ps falling,
+    BUF 2 and 3, XOR2 5 and 5."""
+    mus = {"AND2": {"A": (2.0, 1.0), "B": (2.0, 1.0)}, "INV": {"A": (4.0, 3.0)},
+           "BUF": {"A": (2.0, 3.0)}, "XOR2": {"A": (5.0, 5.0), "B": (5.0, 5.0)}}
+    cells = {
+        kind: [TimingArc(pin, edge, mu, 0.0)
+               for pin, pair in pins.items() for edge, mu in zip(("rise", "fall"), pair)]
+        for kind, pins in mus.items()
+    }
+    return VariationLibrary("ties", cells)
+
+
+@pytest.mark.parametrize("gates,outputs,want,clock", [
+    # y rises at 1 + 4 and falls at 2 + 3: the tie picks rise, so the INV
+    # carries a rise and the AND2 a fall, whose pins A and B tie: A wins,
+    # and B keeps its larger-mean default, rise
+    ([Gate("u", "AND2", {"A": "a", "B": "b"}, "t"), Gate("v", "INV", {"A": "t"}, "y")],
+     ("y",), {("u", "A"): "fall", ("u", "B"): "rise", ("v", "A"): "rise"}, 5.0),
+    # s rises at 4 + 2 and falls at 3 + 3; the XOR2 reads both edges of s
+    # and takes the rise, so the BUF carries a rise, not its default fall,
+    # and the INV a rise
+    ([Gate("w", "INV", {"A": "a"}, "r"), Gate("x", "BUF", {"A": "r"}, "s"),
+      Gate("z", "XOR2", {"A": "s", "B": "b"}, "q")],
+     ("q",), {("w", "A"): "rise", ("x", "A"): "rise", ("z", "A"): "rise",
+              ("z", "B"): "rise"}, 11.0),
+], ids=["pin-and-endpoint-tie", "non-unate-tie"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_tmap_ties_take_the_first_pin_and_rise(gates, outputs, want, clock, count):
+    """Exact ties go to the first pin and to rise before fall, both at the
+    endpoint and along the path, in the walk and in `extract_critical_path`."""
+    n = Netlist("ties", ("a", "b"), outputs, gates)
+    lib = _zero_sigma_library()
+    assert _clock_and_tmap(n, lib, count, 0) == (clock, want)
+    path = extract_critical_path(sta_arrivals(n, sample_library(lib, 0)))
+    assert {(g, pin): edge for g, pin, edge in path}.items() <= want.items()
