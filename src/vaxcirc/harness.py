@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .approx import (
     TieFold,
     build_candidates,
     exact_chromosome,
-    format_chromosome,
     load_chromosome,
+    save_chromosome,
 )
 from .celllib import (
     VariationLibrary,
@@ -262,8 +263,6 @@ def monte_carlo_evaluate(
     ds: SimulationDataset,
     reference: Netlist | None = None,
     design_id: str = "design",
-    *,
-    delays: np.ndarray | None = None,
 ) -> McEvaluation:
     """CPD statistics over `count` sampled libraries plus functional NMED.
 
@@ -271,20 +270,11 @@ def monte_carlo_evaluate(
     designs against the same (seed, count) share process conditions
     library-by-library.  `reference` supplies the exact netlist for the
     NMED leg; None skips it (nmed = 0), used for the baseline itself.
-
-    `delays` is the `sample_matrix` of those libraries; None draws them
-    here.
     """
     if count < 1:
         raise HarnessError("count must be >= 1")
     program = compile_timing(n, vlib.arc_index())
-    if delays is None:
-        delays = sample_matrix(vlib, range(seed, seed + count))
-    elif delays.shape != (count, len(vlib.arc_order())):
-        raise HarnessError(
-            f"delays of shape {delays.shape} for {count} libraries of "
-            f"{len(vlib.arc_order())} arcs"
-        )
+    delays = sample_matrix(vlib, range(seed, seed + count))
     cpd = cpd_over_delays(program, delays)
     nmed = 0.0
     if reference is not None:
@@ -443,16 +433,18 @@ def pareto_filter(
 
 # -- run-directory pipeline ----------------------------------------------------
 
-_MC_FIELDS = (
-    "design_id", "worst_cpd_ps", "mean_cpd_ps", "std_cpd_ps", "nmed",
-    "violations", "count", "seed", "baseline_clock_ps",
+# Each run CSV file's columns, mapped to their types, give its header and
+# what its reader checks; a None type keeps a column as text that may be empty.
+_MC_FIELDS = get_type_hints(McEvaluation)  # mc/baseline.csv and mc/designs.csv
+_CANDIDATE_FIELDS = dict(net=str, cpb=float)
+_FRONT_FIELDS = dict(  # fronts/gen_*.csv
+    nmed=float, mu_cpd_eff=float, sigma_cpd=float, mu_cpd=float, confidence=float, genes=None
 )
-_MC_TYPES = (str, float, float, float, float, int, int, int, float)
+_FINAL_FRONT_FIELDS = dict(design_id=str, **_FRONT_FIELDS)
 # the mc/meta.json keys, with their types, that `report` reads and copies
 _META_FIELDS = dict(
     mc_count=int, mc_seed=int, clock_ps=float, stale_worst_nmed=float, report_vectors=int
 )
-_FRONT_FIELDS = ("nmed", "mu_cpd_eff", "sigma_cpd", "mu_cpd", "confidence", "genes")
 # the config.json keys, with their types, that `evaluate` reads and `report` requires
 _RUN_FIELDS = dict(
     cpb_threshold=float, fingerprint=str, clock_ps=float, report_vectors=int,
@@ -471,12 +463,24 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _mc_row(e: McEvaluation):
+def _write_json(path, doc) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _mc_row(e: McEvaluation) -> list[str]:
+    """`e`'s `_MC_FIELDS`, floats by `repr` so that they read back exactly."""
     return [
-        e.design_id, _fmt(e.worst_cpd_ps), _fmt(e.mean_cpd_ps), _fmt(e.std_cpd_ps),
-        _fmt(e.nmed), str(e.violations), str(e.count), str(e.seed),
-        _fmt(e.baseline_clock_ps),
+        _fmt(getattr(e, k)) if kind is float else str(getattr(e, k))
+        for k, kind in _MC_FIELDS.items()
     ]
+
+
+def _front_row(d) -> list[str]:
+    """A searched design's `_FRONT_FIELDS`; the genes are space-separated."""
+    numbers = [_fmt(getattr(d, k)) for k, kind in _FRONT_FIELDS.items() if kind is float]
+    return numbers + [" ".join(str(int(g)) for g in d.genes)]
 
 
 def _require(path, fields, have) -> None:
@@ -487,32 +491,22 @@ def _require(path, fields, have) -> None:
 
 
 def _read_csv(path, fields) -> list[dict]:
-    """The rows of a run's CSV file, which must have the columns `fields`."""
+    """The rows of a run's CSV file, each a dict of the `fields` columns cast
+    to their types.  A missing column, a short row, or an empty or
+    unparsable typed field is refused."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         _require(path, fields, reader.fieldnames or ())
-        return list(reader)
-
-
-def _value(path, field_name, text, kind):
-    """A run CSV file's field as `kind`; an empty or missing one is refused."""
-    if not text:
-        raise HarnessError(f"{path}: missing field {field_name!r}")
-    try:
-        return kind(text)
-    except ValueError:
-        raise HarnessError(f"{path}: field {field_name!r} is not {kind.__name__}") from None
-
-
-def _read_mc_csv(path, one=False) -> list[McEvaluation]:
-    """The rows of an mc/*.csv file, which must hold one row if `one`."""
-    rows = _read_csv(path, _MC_FIELDS)
-    if one and len(rows) != 1:
-        raise HarnessError(f"{path}: {len(rows)} rows, not one")
-    return [
-        McEvaluation(*(_value(path, k, r[k], t) for k, t in zip(_MC_FIELDS, _MC_TYPES)))
-        for r in rows
-    ]
+        rows = [{k: r[k] for k in fields} for r in reader]
+    for r in rows:
+        for name, kind in fields.items():
+            if r[name] is None or (kind and not r[name]):
+                raise HarnessError(f"{path}: missing field {name!r}")
+            try:
+                r[name] = (kind or str)(r[name])
+            except ValueError:
+                raise HarnessError(f"{path}: field {name!r} is not {kind.__name__}") from None
+    return rows
 
 
 def _read_json(path, fields) -> dict:
@@ -529,14 +523,6 @@ def _read_json(path, fields) -> dict:
         if isinstance(doc[name], bool) or not isinstance(doc[name], kinds):
             raise HarnessError(f"{path}: field {name!r} is not {kind.__name__}")
     return doc
-
-
-def _front_row(d) -> list[str]:
-    """A searched design's `_FRONT_FIELDS`."""
-    return [
-        _fmt(d.nmed), _fmt(d.mu_cpd_eff), _fmt(d.sigma_cpd), _fmt(d.mu_cpd),
-        _fmt(d.confidence), " ".join(str(int(g)) for g in d.genes),
-    ]
 
 
 @dataclass
@@ -625,7 +611,7 @@ def run_optimize(
             f.write(f"{gate} {pin} {edge}\n")
     _write_csv(
         os.path.join(run_dir, "netlists", "candidates.csv"),
-        ("net", "cpb"),
+        _CANDIDATE_FIELDS,
         [(w, _fmt(ssta.cpb[w])) for w in cs.nets],
     )
     for g, snapshot in enumerate(result.history):
@@ -636,13 +622,12 @@ def run_optimize(
         )
     _write_csv(
         os.path.join(run_dir, "fronts", "final_front.csv"),
-        ("design_id",) + _FRONT_FIELDS,
+        _FINAL_FRONT_FIELDS,
         [[f"design_{i:03d}", *_front_row(d)] for i, d in enumerate(result.front)],
     )
     for i, d in enumerate(result.front):
         path = os.path.join(run_dir, "fronts", "chromosomes", f"design_{i:03d}.chrom")
-        with open(path, "w") as f:
-            f.write(format_chromosome(cs, d.genes))
+        save_chromosome(path, cs, d.genes)
 
     config = {
         "netlist": n.name,
@@ -663,9 +648,7 @@ def run_optimize(
         "feasible_warning": result.feasible_warning,
         "ga": asdict(cfg),
     }
-    with open(os.path.join(run_dir, "config.json"), "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(run_dir, "config.json"), config)
     return OptimizeArtifacts(
         run_dir, n, cs, tmap, clock, stale_worst, cfg.error_bound, result
     )
@@ -684,14 +667,13 @@ def _load_run(run_dir):
             raise HarnessError(f"{path}: {e}") from None
     vlib = load_variation_library(os.path.join(run_dir, "libs", "variation.json"))
     path = os.path.join(run_dir, "netlists", "candidates.csv")
-    rows = _read_csv(path, ("net", "cpb"))
+    rows = _read_csv(path, _CANDIDATE_FIELDS)
     if netlist_fingerprint(baseline) != config["fingerprint"]:
         raise HarnessError(f"{run_dir}: baseline netlist does not match candidates")
     if len(rows) != config["candidate_count"]:
         raise HarnessError(f"{path}: {len(rows)} rows, not {config['candidate_count']}")
     known = set(baseline.nets)
     for r in rows:
-        _value(path, "cpb", r["cpb"], float)
         if r["net"] not in known:
             raise HarnessError(f"{path}: net {r['net']!r} is not a baseline net")
     nets = tuple(r["net"] for r in rows)
@@ -715,11 +697,8 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
     path = os.path.join(run_dir, "fronts", "final_front.csv")
-    rows = _read_csv(path, ("design_id",) + _FRONT_FIELDS)
     designs = [("baseline", exact_chromosome(cs))]
-    for r in rows:
-        for k in _FRONT_FIELDS[:-1]:  # `genes` is empty for a run with no candidates
-            _value(path, k, r[k], float)
+    for r in _read_csv(path, _FINAL_FRONT_FIELDS):
         chrom = os.path.join(run_dir, "fronts", "chromosomes", f"{r['design_id']}.chrom")
         designs.append((r["design_id"], load_chromosome(chrom, cs)))
     clock = config["clock_ps"]
@@ -745,9 +724,7 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
         "stale_worst_nmed": config["stale_worst_nmed"],
         "report_vectors": config["report_vectors"],
     }
-    with open(os.path.join(run_dir, "mc", "meta.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(run_dir, "mc", "meta.json"), meta)
     return base_eval, evals
 
 
@@ -760,8 +737,13 @@ def run_report(run_dir) -> list[McEvaluation]:
             raise HarnessError(f"{run_dir}: missing mc/{req} (run evaluate first)")
     config = _read_json(os.path.join(run_dir, "config.json"), _RUN_FIELDS)
     meta = _read_json(os.path.join(mc_dir, "meta.json"), _META_FIELDS)
-    baseline = _read_mc_csv(os.path.join(mc_dir, "baseline.csv"), one=True)[0]
-    designs = _read_mc_csv(os.path.join(mc_dir, "designs.csv"))
+    path = os.path.join(mc_dir, "baseline.csv")
+    rows = _read_csv(path, _MC_FIELDS)
+    if len(rows) != 1:
+        raise HarnessError(f"{path}: {len(rows)} rows, not one")
+    baseline = McEvaluation(**rows[0])
+    rows = _read_csv(os.path.join(mc_dir, "designs.csv"), _MC_FIELDS)
+    designs = [McEvaluation(**r) for r in rows]
     bound = meta["stale_worst_nmed"]
 
     front = pareto_filter(designs, baseline, bound)
@@ -779,7 +761,7 @@ def run_report(run_dir) -> list[McEvaluation]:
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
 
-    header = _MC_FIELDS + ("cpd_reduction_pct", "std_reduction_pct")
+    header = (*_MC_FIELDS, "cpd_reduction_pct", "std_reduction_pct")
     selected = min(front, key=lambda d: (d.nmed, d.design_id), default=None)
     for name, table in (
         ("designs.csv", designs),
@@ -811,7 +793,5 @@ def run_report(run_dir) -> list[McEvaluation]:
     )
 
     config["mc"] = meta
-    with open(os.path.join(report_dir, "config"), "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(report_dir, "config"), config)
     return front

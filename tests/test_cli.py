@@ -460,13 +460,14 @@ _TAMPER = [
     *_cases("mc/baseline.csv", _REPORT, **_COMMON, header_only=_header_only,
             no_nmed=_csv_edit("nmed"), nmed_text=_csv_edit("nmed", "abc")),
     *_cases("mc/designs.csv", _REPORT, **_COMMON,
-            no_nmed=_csv_edit("nmed"), nmed_text=_csv_edit("nmed", "abc")),
+            no_nmed=_csv_edit("nmed"), nmed_text=_csv_edit("nmed", "abc"),
+            id_empty=_csv_edit("design_id", "")),
     *_cases("netlists/baseline.nl", _EVALUATE, **_COMMON, garbage=_write("circuit\n")),
     *_cases("libs/variation.json", _EVALUATE, **_COMMON, object_empty=_write("{}"),
             no_cells=_drop("cells"), mu_text=_json_edit(_mu_text)),
     *_cases("netlists/candidates.csv", _EVALUATE, **_COMMON, header_only=_header_only,
             no_cpb=_csv_edit("cpb"), cpb_text=_csv_edit("cpb", "abc"),
-            foreign_net=_csv_edit("net", "nope")),
+            cpb_empty=_csv_edit("cpb", ""), foreign_net=_csv_edit("net", "nope")),
     *_cases("fronts/final_front.csv", _EVALUATE, **_COMMON,
             no_nmed=_csv_edit("nmed"), no_genes=_csv_edit("genes"),
             confidence_text=_csv_edit("confidence", "abc")),
