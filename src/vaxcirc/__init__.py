@@ -10,7 +10,6 @@ from .approx import (
     ChromosomeError,
     apply_chromosome,
     build_candidates,
-    chromosome_distance,
     exact_chromosome,
     load_chromosome,
     save_chromosome,
@@ -31,11 +30,8 @@ from .errsim import (
     ErrorMetrics,
     SimulationDataset,
     SimulationError,
-    compile_evaluator,
     generate_dataset,
     interpret_values,
-    load_dataset,
-    save_dataset,
     simulate_metrics,
     timing_error_metrics,
 )

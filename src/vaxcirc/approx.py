@@ -221,14 +221,6 @@ class TieFold:
         return FoldBatch(alias, visited, dropped)
 
 
-def chromosome_distance(a, b) -> int:
-    a = np.asarray(a, dtype=np.int8)
-    b = np.asarray(b, dtype=np.int8)
-    if a.shape != b.shape:
-        raise ChromosomeError("chromosomes differ in length")
-    return int(np.count_nonzero(a != b))
-
-
 def format_chromosome(cs: CandidateSet, genes) -> str:
     """Text form: fingerprint header line, then comma-separated genes."""
     genes = validate_genes(cs, genes)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,25 +136,89 @@ def sample_library(lib: VariationLibrary, seed: int, rho=None) -> SampledLibrary
     )
 
 
+def check_seeds(name: str, first: int, count: int) -> None:
+    """Refuse a draw of seeds first .. first + count - 1 unless every one
+    lies in sample_matrix's range, [0, 2**64)."""
+    if not 0 <= first <= (1 << 64) - count:
+        raise LibraryError(f"{name} must be in [0, 2**64 - {count}], not {first}")
+
+
 def sample_matrix(lib: VariationLibrary, seeds, rho=None) -> np.ndarray:
     """Stack sample_library value rows for `seeds`: shape (len(seeds), arcs).
 
-    Each seed's generator draws its g and then its z; the arithmetic and
-    the clamp then run once over the whole matrix.
+    Seeds are integers; one outside [0, 2**64) is refused with a
+    LibraryError that names it.  Row i is bit for bit what numpy's default
+    generator seeded with seeds[i], `Generator(PCG64(seeds[i]))`, gives:
+    its first standard normal is g, its next `arcs` are z.  All seeds are
+    hashed at once (`_seed_words`), then one PCG64 is re-seeded per row and
+    draws g and z together; the arithmetic and the clamp run once over the
+    whole matrix.
     """
     if rho is None:
         rho = lib.rho_default
     if not (0.0 <= rho <= 1.0):
         raise LibraryError(f"rho {rho} outside [0, 1]")
-    seeds = list(seeds)
-    g = np.empty(len(seeds), dtype=np.float64)
-    z = np.empty((len(seeds), len(lib.arc_order())), dtype=np.float64)
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        g[i] = rng.standard_normal()
-        rng.standard_normal(out=z[i])
-    raw = lib._mu + lib._sigma * (math.sqrt(rho) * g[:, None] + math.sqrt(1.0 - rho) * z)
+    seeds = [operator.index(s) for s in seeds]
+    for s in seeds:
+        if not 0 <= s < 1 << 64:
+            raise LibraryError(f"seed {s} outside [0, 2**64)")
+    draws = np.empty((len(seeds), 1 + len(lib.arc_order())), dtype=np.float64)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for row, words in zip(draws, _seed_words(seeds)):
+        # pcg64_set_seed: state and increment from the four seed words; one
+        # row at a time, since all rows as Python ints would raise peak RSS
+        s_hi, s_lo, q_hi, q_lo = words.tolist()
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        rng.standard_normal(out=row)
+    g, z = draws[:, :1], draws[:, 1:]
+    raw = lib._mu + lib._sigma * (math.sqrt(rho) * g + math.sqrt(1.0 - rho) * z)
     return np.maximum(0.05 * lib._mu, raw, out=raw)
+
+
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's 128-bit multiplier
+_M32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hashmix step over uint32 words, and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _M32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every seed, as rows.
+
+    A seed below 2**64 is at most two 32-bit entropy words, fewer than the
+    pool's 4, and the hash mixes a missing word exactly as a zero word; so
+    every seed is hashed as (low, high, 0, 0), all seeds in one uint32 pass.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool, const = [], 0x43B0D7E5
+    for word in (seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero):
+        mixed, const = _hashmix(word, const, 0x931E8875)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const, 0x931E8875)
+                r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mixed
+                pool[dst] = r ^ (r >> np.uint32(16))
+    out = np.empty((len(seeds), 8), dtype="<u4")
+    const = 0x8B51F9DD
+    for i in range(8):
+        out[:, i], const = _hashmix(pool[i % 4], const, 0x58F38DED)
+    return out.view("<u8")
 
 
 def nominal_library(lib: VariationLibrary) -> SampledLibrary:

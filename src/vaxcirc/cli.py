@@ -16,6 +16,7 @@ import sys
 from .approx import ChromosomeError, build_candidates
 from .celllib import (
     LibraryError,
+    check_seeds,
     default_library,
     load_variation_library,
     nominal_library,
@@ -165,9 +166,9 @@ def _flag_types(parser, command):
 
 def _resolve(args, parser):
     """Fill None flags from --config JSON, then from hard defaults; reject
-    a missing required path, a thread or sample count below one, a
-    `--tmap-samples` below one, a `--cpb-threshold` outside (0, 1] (NaN
-    included) and a negative `sta --samples`."""
+    a missing required path, a thread or sample count below one, a seed
+    outside [0, 2**64), a `--tmap-samples` below one, a `--cpb-threshold`
+    outside (0, 1] (NaN included) and a negative `sta --samples`."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -204,6 +205,8 @@ def _resolve(args, parser):
     for key in ("threads", "count"):
         if getattr(args, key, 1) < 1:
             raise ValueError(f"--{key} must be >= 1")
+    for key in ("seed", "bound_seed", "mc_seed"):
+        check_seeds(f"--{key.replace('_', '-')}", getattr(args, key, 0), 1)
     if args.command == "sta" and args.samples < 0:
         raise ValueError("--samples must be >= 0")
     if args.command in ("ssta", "optimize") and args.tmap_samples < 1:
@@ -230,9 +233,9 @@ def _cmd_sample_libs(args):
     import os
 
     lib = _load_library(args.library)
-    os.makedirs(args.out, exist_ok=True)
     seeds = range(args.seed, args.seed + args.count)
     delays = sample_matrix(lib, seeds, args.rho)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "samples.csv")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)

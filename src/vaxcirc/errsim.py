@@ -73,42 +73,6 @@ def generate_dataset(
     return SimulationDataset(vectors, n.inputs, seed, signed)
 
 
-def save_dataset(path, ds: SimulationDataset):
-    """One hex vector per line (PI bits packed LSB-first) after a header."""
-    width = (len(ds.pi_names) + 3) // 4
-    with open(path, "w") as f:
-        f.write("pis " + " ".join(ds.pi_names) + "\n")
-        f.write(f"seed {ds.seed}\n")
-        f.write(f"count {ds.n_vectors}\n")
-        f.write(f"signed {int(ds.signed)}\n")
-        for row in ds.vectors:
-            v = 0
-            for j, bit in enumerate(row):
-                v |= int(bit) << j
-            f.write(f"{v:0{width}x}\n")
-
-
-def load_dataset(path) -> SimulationDataset:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    try:
-        pis = tuple(lines[0].split()[1:])
-        seed = int(lines[1].split()[1])
-        count = int(lines[2].split()[1])
-        signed = bool(int(lines[3].split()[1]))
-    except (IndexError, ValueError) as e:
-        raise SimulationError(f"malformed dataset header in {path}: {e}") from e
-    vectors = np.zeros((count, len(pis)), dtype=np.uint8)
-    body = lines[4:]
-    if len(body) != count:
-        raise SimulationError(f"{path}: header says {count} vectors, found {len(body)}")
-    for i, ln in enumerate(body):
-        v = int(ln, 16)
-        for j in range(len(pis)):
-            vectors[i, j] = (v >> j) & 1
-    return SimulationDataset(vectors, pis, seed, signed)
-
-
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """(N,) 0/1 -> packed uint64 words, vector i at bit position i%64."""
     n = bits.shape[0]
@@ -175,10 +139,6 @@ class Evaluator:
             np.asarray(vectors, dtype=np.uint8), self.netlist.inputs, -1, False
         )
         return self.po_bits(ds)
-
-
-def compile_evaluator(n: Netlist) -> Evaluator:
-    return Evaluator(n)
 
 
 def interpret_values(bits: np.ndarray, signed: bool = False):

@@ -31,6 +31,7 @@ from .approx import (
 )
 from .celllib import (
     VariationLibrary,
+    check_seeds,
     load_variation_library,
     sample_matrix,
     save_variation_library,
@@ -574,6 +575,8 @@ def run_optimize(
         raise HarnessError("tmap count must be >= 1")
     if bound_count < 1:
         raise HarnessError("bound count must be >= 1")
+    check_seeds("tmap seed", tmap_seed, tmap_count)
+    check_seeds("bound seed", bound_seed, bound_count)
     if report_vectors < 1:
         raise HarnessError("report vectors must be >= 1")
     # a derived bound is an NMED, so it is in range; 0.0 stands in until then
@@ -694,6 +697,7 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     """
     if mc_count < 1:
         raise HarnessError("count must be >= 1")
+    check_seeds("mc seed", mc_seed, mc_count)
     run_dir = str(run_dir)
     config, baseline, vlib, cs = _load_run(run_dir)
     path = os.path.join(run_dir, "fronts", "final_front.csv")

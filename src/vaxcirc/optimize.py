@@ -62,6 +62,8 @@ class GaConfig:
             raise ValueError("error_bound outside [0, 1]")
         if self.search_vectors < 1:
             raise ValueError("search_vectors must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -341,20 +343,17 @@ def pareto_front_indices(points: list[tuple]) -> list[int]:
 # -- variation operators ------------------------------------------------------
 
 
-def mutate(
-    genes, cs: CandidateSet, depth_map: dict[str, int], cfg: GaConfig, rng
-) -> np.ndarray:
+def mutate(genes, depths: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     """Depth-weighted per-gene mutation.
 
-    P(mutate gene) = base * (d+1)/(D_max+1) with d the candidate net's
-    gate-depth to the nearest PO, so genes near outputs move rarely.  A
+    P(mutate gene) = base * (d+1)/(D_max+1) with d = depths[i], candidate
+    i's gate-depth to the nearest PO, so genes near outputs move rarely.  A
     mutated gene resamples uniformly from the two other values.
     """
     genes = np.asarray(genes, dtype=np.int8)
     n = genes.shape[0]
     if n == 0:
         return genes.copy()
-    depths = np.array([depth_map[w] for w in cs.nets], dtype=np.float64)
     base = cfg.base_mutation_rate if cfg.base_mutation_rate is not None else 2.0 / n
     p = base * (depths + 1.0) / (depths.max() + 1.0)
     hit = rng.random(n) < p
@@ -429,6 +428,7 @@ def nsga2_run(
     """
     cfg.validate()
     depth_map = depth_to_output(n)
+    depths = np.array([depth_map[w] for w in cs.nets], dtype=np.float64)
     program = SearchProgram(n, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
@@ -452,9 +452,9 @@ def nsga2_run(
             p1 = pop[_tournament(pop, rng)].genes
             p2 = pop[_tournament(pop, rng)].genes
             c1, c2 = _crossover(p1, p2, cfg, rng)
-            children.append(mutate(c1, cs, depth_map, cfg, rng))
+            children.append(mutate(c1, depths, cfg, rng))
             if len(children) < cfg.population:
-                children.append(mutate(c2, cs, depth_map, cfg, rng))
+                children.append(mutate(c2, depths, cfg, rng))
         child_designs = evaluate_all(children)
         combined = pop + child_designs
         fronts = nondominated_sort(combined)

@@ -6,7 +6,6 @@ from vaxcirc.approx import (
     ChromosomeError,
     apply_chromosome,
     build_candidates,
-    chromosome_distance,
     exact_chromosome,
     format_chromosome,
     load_chromosome,
@@ -15,7 +14,7 @@ from vaxcirc.approx import (
     validate_genes,
 )
 from vaxcirc.celllib import sample_library
-from vaxcirc.errsim import compile_evaluator, generate_dataset
+from vaxcirc.errsim import Evaluator, generate_dataset
 from vaxcirc.netlist import GND, VDD, Gate, Netlist, simplify_constants
 from vaxcirc.timing import annotate_edge_transitions, sta_arrivals, ssta_traverse
 
@@ -116,7 +115,7 @@ class TestApplyChromosome:
         for _ in range(5):
             genes = rng.integers(-1, 2, len(rca4_cs)).astype(np.int8)
             approx = apply_chromosome(rca4, rca4_cs, genes)
-            ev = compile_evaluator(approx)
+            ev = Evaluator(approx)
             got = ev(ds.vectors)
             forced = {
                 w: int(g)
@@ -186,28 +185,6 @@ def _forced_eval(n, assignment, forced):
         out = g.cell.evaluate({p: values[net] for p, net in g.fanin.items()})
         values[g.output] = forced.get(g.output, out)
     return tuple(values[po] for po in n.outputs)
-
-
-class TestChromosomeDistance:
-    def test_identical_zero(self):
-        a = np.array([-1, 0, 1], dtype=np.int8)
-        assert chromosome_distance(a, a.copy()) == 0
-
-    def test_single_difference(self):
-        a = np.array([-1, 0, 1], dtype=np.int8)
-        b = np.array([-1, 1, 1], dtype=np.int8)
-        assert chromosome_distance(a, b) == 1
-
-    def test_all_differ(self):
-        a = np.array([-1, -1], dtype=np.int8)
-        b = np.array([0, 1], dtype=np.int8)
-        assert chromosome_distance(a, b) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ChromosomeError):
-            chromosome_distance(
-                np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8)
-            )
 
 
 class TestSerialization:

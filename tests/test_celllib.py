@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxcirc.celllib import (
     LibraryError,
@@ -125,6 +128,50 @@ class TestSampleLibrary:
         s = sample_library(default_lib, 0)
         kind, pin, edge = default_lib.arc_order()[0]
         assert s.delay(kind, pin, edge) == s.values()[0]
+
+
+def _reference_matrix(lib, seeds, rho):
+    """The sampling model drawn seed by seed: numpy's default generator
+    seeded with s gives g, then z."""
+    g = np.empty(len(seeds))
+    z = np.empty((len(seeds), len(lib.arc_order())))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        g[i] = rng.standard_normal()
+        rng.standard_normal(out=z[i])
+    mu, sigma = lib.mu_vector(), lib.sigma_vector()
+    raw = mu + sigma * (math.sqrt(rho) * g[:, None] + math.sqrt(1.0 - rho) * z)
+    return np.maximum(0.05 * mu, raw)
+
+
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+_RHOS = (0.0, 0.5, 1.0)
+
+
+class TestSampleMatrixOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(st.one_of(
+            st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**33), st.integers(0, 2**64 - 1)
+        ), max_size=12),
+        rho=st.sampled_from(_RHOS),
+    )
+    def test_equals_default_generator(self, default_lib, seeds, rho):
+        assert np.array_equal(
+            sample_matrix(default_lib, seeds, rho), _reference_matrix(default_lib, seeds, rho)
+        )
+
+    @pytest.mark.parametrize("rho", _RHOS)
+    def test_edge_seeds(self, default_lib, rho):
+        seeds = [*_EDGE_SEEDS, 7, 2**63]
+        assert np.array_equal(
+            sample_matrix(default_lib, seeds, rho), _reference_matrix(default_lib, seeds, rho)
+        )
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_out_of_range_seed_named(self, default_lib, bad):
+        with pytest.raises(LibraryError, match=rf"^seed {bad} outside"):
+            sample_matrix(default_lib, [0, bad, 1])
 
 
 class TestNominalLibrary:

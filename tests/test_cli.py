@@ -306,7 +306,8 @@ class TestErrorContract:
          "sta_samples_negative", "optimize_tmap_samples_zero",
          "ssta_tmap_samples_negative", "optimize_lambda_nan", "optimize_lambda_inf",
          "optimize_report_vectors_zero", "simulate_clock_nan",
-         "ssta_cpb_threshold_nan"],
+         "ssta_cpb_threshold_nan", "sample_libs_rho_two", "sample_libs_seed_negative",
+         "sta_seed_negative"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -352,6 +353,12 @@ class TestErrorContract:
             "simulate_clock_nan": ["simulate", "--netlist", rca4_file, "--clock", "nan"],
             "ssta_cpb_threshold_nan": ["ssta", "--netlist", rca4_file,
                                        "--cpb-threshold", "nan"],
+            "sample_libs_rho_two": ["sample-libs", "--rho", "2",
+                                    "--out", str(tmp_path / "run")],
+            "sample_libs_seed_negative": ["--seed", "-1", "sample-libs",
+                                          "--out", str(tmp_path / "run")],
+            "sta_seed_negative": ["--seed", "-1", "sta", "--netlist", rca4_file,
+                                  "--samples", "3"],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",
@@ -368,6 +375,42 @@ class TestErrorContract:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--seed", ["--seed", "-1", "optimize"]),
+        ("--bound-seed", ["optimize", "--bound-seed", "-1"]),
+        ("--mc-seed", ["evaluate", "--mc-seed", "-1"]),
+        ("tmap seed", ["--seed", str(2**64 - 2), "optimize"]),
+        ("bound seed", ["optimize", "--bound-seed", str(2**64 - 4)]),
+        ("mc seed", ["evaluate", "--mc-seed", str(2**64 - 4)]),
+    ], ids=["seed", "bound-seed", "mc-seed", "tmap-seed-past-range", "bound-seed-past-range",
+            "mc-seed-past-range"])
+    def test_bad_seed_keeps_finished_run(self, flag, argv, capsys, tmp_path,
+                                         rca4_reported):
+        """A seed that cannot be drawn is refused, naming it, before `optimize`
+        or `evaluate` removes or writes any file of a finished run."""
+        run = tmp_path / "run"
+        shutil.copytree(rca4_reported, run)  # keeps the modification times
+        before = _snapshot(run)
+        if "optimize" in argv:
+            netlist = rca4_reported.parent / "rca4.nl"
+            argv = [*argv, "--netlist", str(netlist), "--out", str(run), *_SMALL_OPTIMIZE]
+        else:
+            argv = [*argv, "--run", str(run), "--samples", "8"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], err
+        assert _snapshot(run) == before
+
+
+def _snapshot(root):
+    return {p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+_SMALL_OPTIMIZE = ["--pop", "4", "--gens", "1", "--search-vectors", "64",
+                   "--report-vectors", "64", "--tmap-samples", "8", "--bound-samples", "8"]
+
 
 @pytest.fixture(scope="module")
 def rca4_reported(tmp_path_factory):
@@ -376,9 +419,8 @@ def rca4_reported(tmp_path_factory):
     netlist = root / "rca4.nl"
     netlist.write_text(write_netlist(rca_adder(4)))
     run = root / "run"
-    assert main(["optimize", "--netlist", str(netlist), "--pop", "4", "--gens", "1",
-                 "--search-vectors", "64", "--report-vectors", "64",
-                 "--tmap-samples", "8", "--bound-samples", "8", "--out", str(run)]) == 0
+    assert main(["optimize", "--netlist", str(netlist), *_SMALL_OPTIMIZE,
+                 "--out", str(run)]) == 0
     assert main(["evaluate", "--run", str(run), "--samples", "8"]) == 0
     assert main(["report", "--run", str(run)]) == 0
     assert (run / "fronts" / "chromosomes" / "design_000.chrom").is_file()

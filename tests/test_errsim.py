@@ -5,14 +5,12 @@ import pytest
 
 from vaxcirc.celllib import nominal_library
 from vaxcirc.errsim import (
+    Evaluator,
     SimulationDataset,
     SimulationError,
-    compile_evaluator,
     generate_dataset,
     interpret_values,
-    load_dataset,
     pack_bits,
-    save_dataset,
     simulate_metrics,
     timing_error_metrics,
     unpack_bits,
@@ -31,25 +29,25 @@ def _single(kind, n_in, name="c"):
 
 class TestCompileEvaluator:
     def test_inv(self):
-        ev = compile_evaluator(_single("INV", 1))
+        ev = Evaluator(_single("INV", 1))
         out = ev(np.array([[0], [1]], dtype=np.uint8))
         assert out.tolist() == [[1], [0]]
 
     def test_xor_truth_table(self):
-        ev = compile_evaluator(_single("XOR2", 2))
+        ev = Evaluator(_single("XOR2", 2))
         vecs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
         assert ev(vecs)[:, 0].tolist() == [0, 1, 1, 0]
 
     def test_mux_semantics(self):
         # Y = S ? B : A
-        ev = compile_evaluator(_single("MUX2", 3))
+        ev = Evaluator(_single("MUX2", 3))
         vecs = np.array(
             [[0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1]], dtype=np.uint8
         )
         assert ev(vecs)[:, 0].tolist() == [0, 1, 1, 0]
 
     def test_rca4_spot_vector(self, rca4):
-        ev = compile_evaluator(rca4)
+        ev = Evaluator(rca4)
         vec = np.zeros((1, 9), dtype=np.uint8)
         for i, name in enumerate(rca4.inputs):
             if name.startswith("a"):
@@ -64,7 +62,7 @@ class TestCompileEvaluator:
         for _ in range(5):
             n = random_dag(rng, int(rng.integers(5, 25)), n_pis=6)
             ds = generate_dataset(n, 1, seed=0, exhaustive=True)
-            got = compile_evaluator(n)(ds.vectors)
+            got = Evaluator(n)(ds.vectors)
             want = naive_outputs(n, ds.vectors)
             assert [tuple(row) for row in got.tolist()] == want
 
@@ -107,16 +105,6 @@ class TestGenerateDataset:
         ds = generate_dataset(rca8, 100_000, seed=1)
         freq = ds.vectors.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.01)
-
-    def test_save_load_round_trip(self, rca4, tmp_path):
-        ds = generate_dataset(rca4, 257, seed=3)
-        path = tmp_path / "ds.txt"
-        save_dataset(path, ds)
-        ds2 = load_dataset(path)
-        assert ds2.pi_names == ds.pi_names
-        assert ds2.seed == ds.seed
-        assert ds2.signed == ds.signed
-        assert np.array_equal(ds2.vectors, ds.vectors)
 
 
 class TestInterpretValues:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vaxcirc.celllib import default_library, nominal_library
-from vaxcirc.errsim import compile_evaluator, generate_dataset
+from vaxcirc.errsim import Evaluator, generate_dataset
 from vaxcirc.netlist import (
     GND,
     VDD,
@@ -206,8 +206,8 @@ end
     def test_rca4_b0_tied_equivalent(self, rca4):
         tied = _tie_pi(rca4, "b0", GND)
         simplified = simplify_constants(tied)
-        exact = compile_evaluator(rca4)
-        approx = compile_evaluator(simplified)
+        exact = Evaluator(rca4)
+        approx = Evaluator(simplified)
         ds = generate_dataset(rca4, 1, seed=0, exhaustive=True)
         vectors = ds.vectors.copy()
         vectors[:, rca4.inputs.index("b0")] = 0

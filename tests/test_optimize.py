@@ -69,6 +69,7 @@ class TestGaConfig:
             {"confidence_penalty": -1.0},
             {"error_bound": 2.0},
             {"base_mutation_rate": 0.0},
+            {"seed": -1},
         ],
     )
     def test_invalid(self, kw):
@@ -276,6 +277,7 @@ class TestMutate:
     def test_rates_match_formula(self):
         n, cs = self._chain_setup()
         depth = depth_to_output(n)
+        depths = np.array([depth[w] for w in cs.nets], dtype=np.float64)
         d_max = max(depth[w] for w in cs.nets)
         base = 0.3
         cfg = GaConfig(base_mutation_rate=base)
@@ -284,7 +286,7 @@ class TestMutate:
         trials = 100_000
         flips = np.zeros(len(cs))
         for _ in range(trials):
-            out = mutate(genes, cs, depth, cfg, rng)
+            out = mutate(genes, depths, cfg, rng)
             flips += out != genes
         for i, w in enumerate(cs.nets):
             want = base * (depth[w] + 1) / (d_max + 1)
@@ -293,6 +295,7 @@ class TestMutate:
     def test_po_gene_rate_is_base_over_dmax_plus_one(self):
         n, cs = self._chain_setup()
         depth = depth_to_output(n)
+        depths = np.array([depth[w] for w in cs.nets], dtype=np.float64)
         d_max = max(depth[w] for w in cs.nets)
         po_rate = 0.5 * (0 + 1) / (d_max + 1)
         rng = np.random.default_rng(16)
@@ -300,13 +303,14 @@ class TestMutate:
         genes = exact_chromosome(cs)
         i = cs.nets.index("n3")
         flips = sum(
-            mutate(genes, cs, depth, cfg, rng)[i] != -1 for _ in range(40_000)
+            mutate(genes, depths, cfg, rng)[i] != -1 for _ in range(40_000)
         )
         assert abs(flips / 40_000 - po_rate) < 0.1 * po_rate
 
     def test_resamples_other_values(self):
         n, cs = self._chain_setup()
         depth = depth_to_output(n)
+        depths = np.array([depth[w] for w in cs.nets], dtype=np.float64)
         cfg = GaConfig(base_mutation_rate=1.0)
         rng = np.random.default_rng(17)
         seen = {(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)}
@@ -314,7 +318,7 @@ class TestMutate:
         for start in (-1, 0, 1):
             genes = np.full(len(cs), start, dtype=np.int8)
             for _ in range(200):
-                out = mutate(genes, cs, depth, cfg, rng)
+                out = mutate(genes, depths, cfg, rng)
                 for a, b in zip(genes.tolist(), out.tolist()):
                     if a != b:
                         hit.add((a, b))
