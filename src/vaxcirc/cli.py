@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from typing import Callable, NamedTuple
 
 from .approx import ChromosomeError, build_candidates
 from .celllib import (
@@ -29,6 +31,8 @@ from .errsim import (
     timing_error_metrics,
 )
 from .harness import (
+    FAMILIES,
+    WIDTHS,
     BenchmarkSpec,
     HarnessError,
     generate_benchmark,
@@ -60,115 +64,118 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(prog="vaxcirc")
-    p.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    p.add_argument("--threads", type=int, default=None, help="accepted (>= 1) but unused")
-    p.add_argument("--config", default=None, help="JSON file with flag defaults")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a benchmark netlist")
-    g.add_argument("--family", default=None, choices=("rca_adder", "cla_adder", "array_multiplier", "mac_fir"))
-    g.add_argument("--width", type=int, default=None)
-    g.add_argument("--taps", type=int, default=None)
-    g.add_argument("--out", default=None)
-
-    s = sub.add_parser("sample-libs", help="draw process-variation library samples")
-    s.add_argument("--library", default=None)
-    s.add_argument("--count", type=int, default=None)
-    s.add_argument("--rho", type=float, default=None)
-    s.add_argument("--out", default=None)
-
-    t = sub.add_parser("sta", help="static timing analysis")
-    t.add_argument("--netlist", default=None)
-    t.add_argument("--library", default=None)
-    t.add_argument("--samples", type=int, default=None, help="0 = nominal only")
-
-    t = sub.add_parser("ssta", help="statistical timing traversal")
-    t.add_argument("--netlist", default=None)
-    t.add_argument("--library", default=None)
-    t.add_argument("--tmap-samples", type=int, default=None)
-    t.add_argument("--cpb-threshold", type=float, default=None)
-
-    t = sub.add_parser("simulate", help="error metrics of one netlist vs a reference")
-    t.add_argument("--netlist", default=None)
-    t.add_argument("--reference", default=None)
-    t.add_argument("--library", default=None)
-    t.add_argument("--vectors", type=int, default=None)
-    t.add_argument("--exhaustive", action="store_true", default=None)
-    t.add_argument("--signed", action="store_true", default=None)
-    t.add_argument("--clock", type=float, default=None, help="stale-value timing errors at this clock (ps)")
-
-    o = sub.add_parser("optimize", help="NSGA-II search into a run directory")
-    o.add_argument("--netlist", default=None)
-    o.add_argument("--library", default=None)
-    o.add_argument("--cpb-threshold", type=float, default=None)
-    o.add_argument("--pop", type=int, default=None)
-    o.add_argument("--gens", type=int, default=None)
-    o.add_argument("--error-bound", type=float, default=None)
-    o.add_argument("--lambda", dest="lam", type=float, default=None)
-    o.add_argument("--search-vectors", type=int, default=None)
-    o.add_argument("--report-vectors", type=int, default=None)
-    o.add_argument("--tmap-samples", type=int, default=None)
-    o.add_argument("--bound-samples", type=int, default=None)
-    o.add_argument("--bound-seed", type=int, default=None)
-    o.add_argument("--out", default=None)
-
-    e = sub.add_parser("evaluate", help="Monte-Carlo evaluation of a run directory")
-    e.add_argument("--run", default=None)
-    e.add_argument("--samples", type=int, default=None)
-    e.add_argument("--mc-seed", type=int, default=None)
-
-    r = sub.add_parser("report", help="summary tables for a run directory")
-    r.add_argument("--run", default=None)
-    return p
+def _key(name):
+    """The attribute and --config key of flag `name`: its dest."""
+    return "lam" if name == "--lambda" else name[2:].replace("-", "_")
 
 
-# Hard defaults applied after CLI and config-file layers.
-_DEFAULTS = {
-    None: {"seed": 0, "threads": 1},
-    "gen": {"family": "rca_adder", "width": 8, "taps": 1},
-    "sample-libs": {"count": 100, "out": "libs_out"},
-    "sta": {"samples": 0},
-    "ssta": {"tmap_samples": 200, "cpb_threshold": 1e-3},
-    "simulate": {"vectors": 10_000, "exhaustive": False, "signed": False},
-    "optimize": {
-        "cpb_threshold": 1e-3, "pop": 100, "gens": 100, "lam": 0.1,
-        "search_vectors": 10_000, "report_vectors": 100_000,
-        "tmap_samples": 200, "bound_samples": 200, "bound_seed": 5000,
-        "out": "run",
-    },
-    "evaluate": {"run": "run", "samples": 1000, "mc_seed": 9000},
-    "report": {"run": "run"},
+def _one_of(values):
+    return "one of " + ", ".join(map(str, values)), lambda v: v in values
+
+
+class _Flag(NamedTuple):
+    """One flag of the subcommands `commands` (None: the global parser)."""
+
+    name: str
+    commands: tuple
+    type: type = str
+    default: object = None  # _REQUIRED: the subcommand cannot run without it
+    range: str = ""  # what every value must be; `test` checks it
+    test: Callable | None = None
+    help: str = ""
+    choices: tuple | None = None  # argparse's own check, on the command line
+
+
+_REQUIRED = object()
+_GE1 = (">= 1", lambda v: v >= 1)
+_PROBABILITY = ("in [0, 1]", lambda v: 0 <= v <= 1)
+_THRESHOLD = ("in (0, 1]", lambda v: 0 < v <= 1)
+_SEED = ("in [0, 2**64)", lambda v: 0 <= v < 1 << 64)
+_READ_NETLIST = ("sta", "ssta", "simulate", "optimize")
+_FLAGS = (
+    _Flag("--seed", (None,), int, 0, *_SEED, "global RNG seed"),
+    _Flag("--threads", (None,), int, 1, *_GE1, "accepted but unused"),
+    _Flag("--config", (None,), help="JSON file with flag defaults"),
+    _Flag("--family", ("gen",), str, "rca_adder", *_one_of(FAMILIES), choices=FAMILIES),
+    _Flag("--width", ("gen",), int, 8, *_one_of(WIDTHS)),
+    _Flag("--taps", ("gen",), int, 1, *_GE1),
+    _Flag("--out", ("gen",), help="netlist file; stdout without it"),
+    _Flag("--library", ("sample-libs", *_READ_NETLIST), help="variation library JSON; "
+          "the built-in one without it"),
+    _Flag("--count", ("sample-libs",), int, 100, *_GE1),
+    _Flag("--rho", ("sample-libs",), float, None, *_PROBABILITY, "the library's without it"),
+    _Flag("--out", ("sample-libs",), str, "libs_out"),
+    _Flag("--netlist", _READ_NETLIST, str, _REQUIRED),
+    _Flag("--samples", ("sta",), int, 0, ">= 0", lambda v: v >= 0, "0 = nominal only"),
+    _Flag("--tmap-samples", ("ssta", "optimize"), int, 200, *_GE1),
+    _Flag("--cpb-threshold", ("ssta", "optimize"), float, 1e-3, *_THRESHOLD),
+    _Flag("--reference", ("simulate",), help="exact netlist; required without --clock"),
+    _Flag("--vectors", ("simulate",), int, 10_000, *_GE1, "unused with --exhaustive"),
+    _Flag("--exhaustive", ("simulate",), bool, False),
+    _Flag("--signed", ("simulate",), bool, False),
+    _Flag("--clock", ("simulate",), float, None, "positive and finite",
+          lambda v: 0 < v < math.inf, "stale-value timing errors at this clock (ps)"),
+    _Flag("--pop", ("optimize",), int, 100, "an even count >= 2",
+          lambda v: v >= 2 and v % 2 == 0),
+    _Flag("--gens", ("optimize",), int, 100, *_GE1),
+    _Flag("--error-bound", ("optimize",), float, None, *_PROBABILITY,
+          "derived from the stale-value bound without it"),
+    _Flag("--lambda", ("optimize",), float, 0.1, "finite and >= 0",
+          lambda v: 0 <= v < math.inf),
+    _Flag("--search-vectors", ("optimize",), int, 10_000, *_GE1),
+    _Flag("--report-vectors", ("optimize",), int, 100_000, *_GE1),
+    _Flag("--bound-samples", ("optimize",), int, 200, *_GE1),
+    _Flag("--bound-seed", ("optimize",), int, 5000, *_SEED),
+    _Flag("--out", ("optimize",), str, "run"),
+    _Flag("--run", ("evaluate", "report"), str, "run"),
+    _Flag("--samples", ("evaluate",), int, 1000, *_GE1),
+    _Flag("--mc-seed", ("evaluate",), int, 9000, *_SEED),
+)
+
+# The library draws of each subcommand: (what, seed flag, offset, count
+# flag), seeds seed + offset .. seed + offset + count - 1, as its _cmd_ draws
+_DRAWS = {
+    "sample-libs": (("library", "--seed", 0, "--count"),),
+    "sta": (("mc", "--seed", 0, "--samples"),),
+    "ssta": (("tmap", "--seed", 0, "--tmap-samples"),),
+    "optimize": (("tmap", "--seed", 3, "--tmap-samples"),
+                 ("bound", "--bound-seed", 0, "--bound-samples")),
+    "evaluate": (("mc", "--mc-seed", 0, "--samples"),),
 }
-
-
-# Path flags a subcommand cannot run without (simulate also needs
-# --reference unless --clock is given).
-_REQUIRED = {
-    "sta": ("netlist",), "ssta": ("netlist",), "simulate": ("netlist",),
-    "optimize": ("netlist",),
-}
-
 
 # JSON values a config file may give for a flag of each type (bool: store_true)
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
 
-def _flag_types(parser, command):
-    """Flag dest -> value type, over the global flags and `command`'s."""
-    actions = list(parser._actions)
-    for a in parser._actions:
-        if a.dest == "command":
-            actions += a.choices[command]._actions
-    return {a.dest: bool if a.nargs == 0 else a.type or str for a in actions}
+def _help(flag):
+    """The flag's help text, its default and its range, as --help shows them."""
+    shown = [flag.help, flag.range]
+    if flag.default is _REQUIRED:
+        shown.insert(1, "required")
+    elif flag.type is not bool and flag.default is not None:
+        shown.insert(1, f"default {flag.default}")
+    return "; ".join(filter(None, shown))
 
 
-def _resolve(args, parser):
-    """Fill None flags from --config JSON, then from hard defaults; reject
-    a missing required path, a thread or sample count below one, a seed
-    outside [0, 2**64), a `--tmap-samples` below one, a `--cpb-threshold`
-    outside (0, 1] (NaN included) and a negative `sta --samples`."""
+def _build_parser():
+    p = argparse.ArgumentParser(prog="vaxcirc")
+    sub = p.add_subparsers(dest="command", required=True)
+    parsers = {None: p} | {c: sub.add_parser(c, help=h) for c, (_, h) in _COMMANDS.items()}
+    for flag in _FLAGS:
+        how = {"action": "store_true"} if flag.type is bool else {
+            "type": flag.type, "choices": flag.choices}
+        for command in flag.commands:
+            parsers[command].add_argument(
+                flag.name, dest=_key(flag.name), default=None, help=_help(flag), **how
+            )
+    return p
+
+
+def _resolve(args):
+    """Fill each flag not given from the --config JSON (the subcommand's
+    section, then its flat keys), then from its `_FLAGS` default.  Then
+    refuse, naming the flag, a missing required flag, a value outside its
+    range and a library draw whose seeds leave [0, 2**64)."""
     config = {}
     if args.config is not None:
         with open(args.config) as f:
@@ -179,40 +186,30 @@ def _resolve(args, parser):
         if not isinstance(config.get(command, {}), dict):
             raise ValueError(f"{args.config}: section {command!r} is not a JSON object")
     section = config.get(args.command, {})
-    layered = dict(_DEFAULTS[None])
-    layered.update(_DEFAULTS.get(args.command, {}))
-    types = _flag_types(parser, args.command)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is not None:
-            continue
+    flags = [f for f in _FLAGS if None in f.commands or args.command in f.commands]
+    for flag in flags:
+        key = _key(flag.name)
         source = section if key in section else config
-        if key in source:
-            value = source[key]
-            if type(value) not in _JSON_TYPES[types[key]]:
-                raise ValueError(
-                    f"{args.config}: {key!r} must be {types[key].__name__}, "
-                    f"not {json.dumps(value)}"
-                )
-            setattr(args, key, value)
-        elif key in layered:
-            setattr(args, key, layered[key])
-    required = _REQUIRED.get(args.command, ())
-    if args.command == "simulate" and args.clock is None:
-        required += ("reference",)
-    for key in required:
         if getattr(args, key) is None:
-            raise ValueError(f"--{key} is required")
-    for key in ("threads", "count"):
-        if getattr(args, key, 1) < 1:
-            raise ValueError(f"--{key} must be >= 1")
-    for key in ("seed", "bound_seed", "mc_seed"):
-        check_seeds(f"--{key.replace('_', '-')}", getattr(args, key, 0), 1)
-    if args.command == "sta" and args.samples < 0:
-        raise ValueError("--samples must be >= 0")
-    if args.command in ("ssta", "optimize") and args.tmap_samples < 1:
-        raise ValueError("--tmap-samples must be >= 1")
-    if args.command in ("ssta", "optimize") and not 0.0 < args.cpb_threshold <= 1.0:
-        raise ValueError("--cpb-threshold must be in (0, 1]")
+            value = source.get(key, flag.default)
+            if key in source and type(value) not in _JSON_TYPES[flag.type]:
+                raise ValueError(f"{args.config}: {key!r} must be {flag.type.__name__}, "
+                                 f"not {json.dumps(value)}")
+            setattr(args, key, value)
+    if args.command == "simulate" and args.clock is None and args.reference is None:
+        raise ValueError("--reference is required without --clock")
+    for flag in flags:
+        value = getattr(args, _key(flag.name))
+        if value is _REQUIRED:
+            raise ValueError(f"{flag.name} is required")
+        if flag.name == "--vectors" and args.exhaustive:
+            continue  # --exhaustive draws no vectors
+        if value is not None and flag.test and not flag.test(value):
+            raise ValueError(f"{flag.name} must be {flag.range}, not {value!r}")
+    for what, seed, offset, count in _DRAWS.get(args.command, ()):
+        first = f"{seed} + {offset}" if offset else seed
+        check_seeds(f"{what} seed ({first}, one per {count})",
+                    getattr(args, _key(seed)) + offset, getattr(args, _key(count)))
     return args
 
 
@@ -350,23 +347,22 @@ def _cmd_report(args):
 
 
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "sample-libs": _cmd_sample_libs,
-    "sta": _cmd_sta,
-    "ssta": _cmd_ssta,
-    "simulate": _cmd_simulate,
-    "optimize": _cmd_optimize,
-    "evaluate": _cmd_evaluate,
-    "report": _cmd_report,
+    "gen": (_cmd_gen, "generate a benchmark netlist"),
+    "sample-libs": (_cmd_sample_libs, "draw process-variation library samples"),
+    "sta": (_cmd_sta, "static timing analysis"),
+    "ssta": (_cmd_ssta, "statistical timing traversal"),
+    "simulate": (_cmd_simulate, "error metrics of one netlist vs a reference"),
+    "optimize": (_cmd_optimize, "NSGA-II search into a run directory"),
+    "evaluate": (_cmd_evaluate, "Monte-Carlo evaluation of a run directory"),
+    "report": (_cmd_report, "summary tables for a run directory"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _resolve(args, parser)
-        return _COMMANDS[args.command](args)
+        _resolve(args)
+        return _COMMANDS[args.command][0](args)
     except (
         NetlistError, SimulationError, ChromosomeError, HarnessError, LibraryError,
         OSError, ValueError,  # ValueError covers GaConfig limits and bad JSON

@@ -361,7 +361,7 @@ class MonteCarloFront:
             self._dirty = (self._dirty & dropped) | cone
             po = alias[p.po_index]
             nmeds.append(nmed_words(self._exact, self._words[po][None], *self._ds)[0])
-            po_rows.append(po[po >= 2])
+            po_rows.append(po)
             # a dropped gate aliased to a net forwards that net's arrivals
             out = p.out[dropped]
             out = out[alias[out] >= 2]

@@ -244,14 +244,12 @@ def mc_sta_cpd(
 
 def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     """CPD per delay row for an already-compiled netlist, timed over the
-    program compacted for its POs: 0.0 when every PO is GND or VDD, else
-    the worst arrival over the other POs, which is -inf when each of them
-    is an unfolded all-constant gate."""
-    rows = program.po_rows[program.po_rows >= 2]
-    if rows.size == 0:
-        return np.zeros(delays.shape[0], dtype=np.float64)
+    program compacted for its POs: the worst PO arrival, or 0.0 when no PO
+    arrives (each is GND, VDD or an unfolded all-constant gate), as
+    `sta_arrivals` gives it."""
+    rows = program.po_rows
     program, slot = program.compact(rows)
-    return program.forward(delays)[:, slot[rows], :].max(axis=(1, 2))
+    return program.forward(delays)[:, slot[rows], :].max(axis=(1, 2), initial=0.0)
 
 
 def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: int):
@@ -306,7 +304,7 @@ def stacked_cpds(
     switched off, plus one zero-delay, positive-unate edge per (src, dst)
     row of `forwards[d]`: a gate output the design forwards from another
     net.  Its CPD under each row of `delays` (count, arcs) is the worst
-    arrival over the net rows `po_rows[d]`, or 0.0 when there are none, as
+    arrival over the net rows `po_rows[d]`, or 0.0 when none arrives, as
     `cpd_over_delays` gives it.
 
     A chunk's designs are stacked along the delay rows of their union
@@ -350,9 +348,8 @@ def stacked_cpds(
         table[n_arcs + 1 :][~columns[:, 1:].astype(bool)] = NEG_INF
         arr = union.forward(table.reshape(shape[0], -1).T, out)
         for d, rows in enumerate(po_rows[part], start):
-            if rows.size:
-                k = (d - start) * count
-                cpds[d] = arr[k : k + count, slot[rows], :].max(axis=(1, 2))
+            k = (d - start) * count
+            cpds[d] = arr[k : k + count, slot[rows], :].max(axis=(1, 2), initial=0.0)
     return cpds
 
 

@@ -5,7 +5,7 @@ import shutil
 import pytest
 
 from vaxcirc.celllib import default_library, nominal_library, save_variation_library
-from vaxcirc.cli import main
+from vaxcirc.cli import _COMMANDS, _FLAGS, main
 from vaxcirc.harness import rca_adder
 from vaxcirc.netlist import parse_netlist, write_netlist
 from vaxcirc.timing import sta_arrivals
@@ -73,6 +73,18 @@ class TestSta:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_no_arriving_po_is_zero(self, capsys, tmp_path):
+        """A CPD with no arriving PO is 0.0, nominal and under every library."""
+        path = tmp_path / "kc.nl"
+        path.write_text("circuit kc\ninput a\noutput GND VDD kc\n"
+                        "gate u_kc AND2 A=GND B=VDD Y=kc\nend\n")
+        code, out, err = _run(capsys, ["sta", "--netlist", str(path), "--samples", "3"])
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "nominal_cpd_ps 0.0", "mc_samples 3", "mc_mean_ps 0.0", "mc_std_ps 0.0",
+            "mc_worst_ps 0.0",
+        ]
+
 
 class TestSsta:
     def test_summary_lines(self, capsys, rca4_file):
@@ -109,6 +121,15 @@ class TestSimulate:
         )
         assert code == 0
         assert f"nmed {0.5 / 31!r}" in out
+        assert "vectors 512" in out
+
+    def test_exhaustive_reads_no_vectors(self, capsys, rca4_file):
+        code, out, _ = _run(
+            capsys,
+            ["simulate", "--netlist", rca4_file, "--reference", rca4_file,
+             "--exhaustive", "--vectors", "0"],
+        )
+        assert code == 0
         assert "vectors 512" in out
 
     def test_relaxed_clock_has_no_errors(self, capsys, rca4_file):
@@ -402,6 +423,26 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], err
         assert _snapshot(run) == before
 
+    @pytest.mark.parametrize("flags,argv", [
+        (("--seed", "--count"), ["--seed", str(2**64 - 6), "sample-libs", "--count", "10"]),
+        (("--seed", "--samples"), ["--seed", str(2**64 - 2), "sta", "--samples", "3"]),
+        (("--seed", "--tmap-samples"),
+         ["--seed", str(2**64 - 2), "ssta", "--tmap-samples", "3"]),
+    ], ids=["sample-libs", "sta", "ssta"])
+    def test_seed_draw_past_range_names_its_flags(self, flags, argv, capsys, tmp_path,
+                                                  rca4_file):
+        """A library draw whose seeds run past 2**64 only through its count
+        is refused naming both the seed and the count flag."""
+        out_dir = tmp_path / "libs"
+        argv = argv + (["--out", str(out_dir)] if "sample-libs" in argv
+                       else ["--netlist", rca4_file])
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert all(flag in lines[0] for flag in flags), err
+        assert not out_dir.exists()
+
 
 def _snapshot(root):
     return {p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
@@ -560,3 +601,85 @@ def test_corrupt_run_file_error_names_it(name, corrupt, capsys, tmp_path, rca4_r
     code, out, err = _run(capsys, ["evaluate", "--run", str(run)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(run / name) in err, err
+
+
+# every numeric flag of every subcommand (a global flag under each), with
+# values at and past the low end of the usual ranges
+_TRIALS = {int: ("-1", "0"), float: ("-1", "0", "nan", "inf")}
+_TABLE_CASES = [
+    pytest.param(command, flag.name, value, flag.commands == (None,),
+                 id=f"{command}{flag.name}={value}")
+    for flag in _FLAGS if flag.type in _TRIALS
+    for command in (_COMMANDS if flag.commands == (None,) else flag.commands)
+    for value in _TRIALS[flag.type]
+]
+
+
+def _table_argv(command, tmp_path, rca4_file, run):
+    """A cheap call of `command` that exits 0, at a copy of a finished run
+    for the commands that read or write one."""
+    return {
+        "gen": ["gen", "--width", "4"],
+        "sample-libs": ["sample-libs", "--count", "2", "--out", str(tmp_path / "libs")],
+        "sta": ["sta", "--netlist", rca4_file, "--samples", "2"],
+        "ssta": ["ssta", "--netlist", rca4_file, "--tmap-samples", "8"],
+        "simulate": ["simulate", "--netlist", rca4_file, "--reference", rca4_file,
+                     "--vectors", "64"],
+        "optimize": ["optimize", "--netlist", rca4_file, "--out", str(run),
+                     *_SMALL_OPTIMIZE],
+        "evaluate": ["evaluate", "--run", str(run), "--samples", "8"],
+        "report": ["report", "--run", str(run)],
+    }[command]
+
+
+@pytest.fixture()
+def run_copy(tmp_path, rca4_reported):
+    """A copy of a finished run and the `_snapshot` of its files."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_reported, run)  # keeps the modification times
+    return run, _snapshot(run)
+
+
+def _runs_or_names(capsys, argv, flag, run_copy):
+    """`argv` exits 0, or exits 2 with one `error:` line that names `flag`,
+    no output, the run directory as it was and no `sample-libs` output."""
+    code, out, err = _run(capsys, argv)
+    if code == 0:
+        return code
+    assert code == 2 and out == "", (code, out, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], err
+    assert "Traceback" not in err
+    run, before = run_copy
+    assert _snapshot(run) == before
+    assert not (run.parent / "libs").exists()
+    return code
+
+
+@pytest.mark.parametrize("command,flag,value,is_global", _TABLE_CASES)
+def test_every_numeric_flag_runs_or_is_refused_by_name(
+    command, flag, value, is_global, capsys, tmp_path, rca4_file, run_copy
+):
+    argv = _table_argv(command, tmp_path, rca4_file, run_copy[0])
+    argv = [flag, value, *argv] if is_global else [*argv, flag, value]
+    _runs_or_names(capsys, argv, flag, run_copy)
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("optimize", '{"optimize": {"error_bound": 2}}', "--error-bound"),
+    ("optimize", '{"lam": NaN}', "--lambda"),
+    ("optimize", '{"optimize": {"bound_seed": -1}}', "--bound-seed"),
+    ("evaluate", '{"evaluate": {"mc_seed": 18446744073709551615}}', "--mc-seed"),
+    ("simulate", '{"clock": 0}', "--clock"),
+    ("gen", '{"gen": {"family": "rca"}}', "--family"),
+    ("sample-libs", '{"rho": Infinity}', "--rho"),
+], ids=["error-bound", "lambda", "bound-seed", "mc-seed", "clock", "family", "rho"])
+def test_config_value_out_of_range_is_refused_by_name(
+    command, config, flag, capsys, tmp_path, rca4_file, run_copy
+):
+    """A bad value from the --config file is refused as one from the
+    command line is, naming its flag."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = ["--config", str(cfg), *_table_argv(command, tmp_path, rca4_file, run_copy[0])]
+    assert _runs_or_names(capsys, argv, flag, run_copy) == 2

@@ -571,8 +571,6 @@ def _front_matches_standalone(base, cs, rows, count, seed, ds):
     return want
 
 
-# the std of an all -inf CPD (POs on unfolded constant gates) is NaN on both paths
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @settings(max_examples=100, deadline=None)
 @given(_tied_dag(), st.data())
 def test_monte_carlo_front_matches_standalone_calls(case, data):
