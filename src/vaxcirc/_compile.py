@@ -113,10 +113,10 @@ class TimingProgram:
         buf[self.pi_rows] = 0.0
         return buf.transpose(2, 0, 1)
 
-    def forward(self, delays: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Arrivals (rows, nets, [rise, fall]) for each row of arc delays;
-        `out` as for `init_arrivals`."""
-        arr = self.init_arrivals(delays.shape[0], out)
+    def forward(self, delays: np.ndarray, arr: np.ndarray | None = None) -> np.ndarray:
+        """Arrivals (rows, nets, [rise, fall]) for each row of arc delays,
+        from `arr` when given: `init_arrivals`, which the caller may preload."""
+        arr = self.init_arrivals(delays.shape[0]) if arr is None else arr
         # arc-major copy: each arc's delays over all rows are contiguous
         delays = np.ascontiguousarray(delays.T).T
         _kernels.sta_forward(
@@ -129,24 +129,29 @@ class TimingProgram:
         constant PO."""
         return arr[:, self.po_rows, :].max(axis=2)
 
-    def compact(self, keep: np.ndarray) -> tuple[TimingProgram, np.ndarray]:
+    def compact(self, keep: np.ndarray, preload=()) -> tuple[TimingProgram, np.ndarray]:
         """This program over reused arrival slots, for a caller that reads
         only the arrivals of the net rows `keep`; and the slot of each net
         row.
 
         Slot 0 holds every PI (0.0) and slot 1 every net no edge writes
-        (-inf).  Scanning the edges, which must be grouped by destination in
-        topological order, each gate takes a free slot at its first edge,
-        flagged `UN_FIRST` so that the kernel overwrites what the slot held.
-        A source's slot is freed after the last edge that reads it, and the
-        slot of a gate nobody reads at once; kept nets are never freed.  So
-        there are at most as many slots as net rows, and a net's slot holds
-        its arrival while it is live, which for a kept net is to the end.
-        Every row field, `net_index` included, is mapped to slots.
+        (-inf).  The gate rows of `preload` take slots 2, 3, ... in that
+        order, for the caller to preload: their edges raise what the slot
+        holds rather than write it.  Scanning the edges, which
+        must be grouped by destination in topological order, every other
+        gate takes a free slot at its first edge, flagged `UN_FIRST` so that
+        the kernel overwrites what the slot held.  A source's slot is freed
+        after the last edge that reads it, and the slot of a gate nobody
+        reads at once; kept nets are never freed.  So there are at most as
+        many slots as net rows, and a net's slot holds its arrival while it
+        is live, which for a kept net is to the end.  Every row field,
+        `net_index` included, is mapped to slots.
         """
         n_edges = self.src.shape[0]
+        preload = np.asarray(preload, dtype=np.int64)
         first = np.ones(n_edges, dtype=bool)
         first[1:] = self.dst[1:] != self.dst[:-1]
+        first &= ~np.isin(self.dst, preload)
         last = np.full(self.n_nets, -1, dtype=np.int64)  # last edge reading a net
         nets, at = np.unique(self.src[::-1], return_index=True)
         last[nets] = n_edges - 1 - at
@@ -155,8 +160,10 @@ class TimingProgram:
         slot = [1] * self.n_nets
         for row in self.pi_rows.tolist():
             slot[row] = 0
+        for k, row in enumerate(preload.tolist(), 2):
+            slot[row] = k
+        n_rows = 2 + preload.size
         free: list[int] = []
-        n_rows = 2
         for e, (s, d, f) in enumerate(
             zip(self.src.tolist(), self.dst.tolist(), first.tolist())
         ):

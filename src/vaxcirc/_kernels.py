@@ -94,31 +94,28 @@ def sta_forward(src, dst, unate, arc_rise, arc_fall, delays, arrivals):
     that destination the result is the same, because arrivals and delays
     are finite or -inf, and `max(-inf, x) == x`; the destination's row may
     therefore hold anything beforehand.
+
+    The sums go through one scratch row, and a non-unate pin's
+    `max(rise, fall)` through a second: the fall sum reads it after the rise.
     """
-    for e in range(src.shape[0]):
-        s = src[e]
-        d = dst[e]
-        u = unate[e]
-        first = u >= UN_FIRST
-        if first:
-            u -= UN_FIRST
-        d_r = delays[:, arc_rise[e]]
-        d_f = delays[:, arc_fall[e]]
-        if u == UN_POS:
-            a_r = arrivals[:, s, 0]
-            a_f = arrivals[:, s, 1]
-        elif u == UN_NEG:
-            a_r = arrivals[:, s, 1]
-            a_f = arrivals[:, s, 0]
+    # one (rise, fall) view pair per net and one view per arc, not per edge
+    net = [tuple(pair) for pair in arrivals.transpose(1, 2, 0)]
+    arc = list(delays.T)
+    total, either = np.empty((2, arrivals.shape[0]))
+    edges = zip(src.tolist(), dst.tolist(), unate.tolist(), arc_rise.tolist(), arc_fall.tolist())
+    for s, d, u, rise, fall in edges:
+        a_r, a_f = net[s]
+        if u % UN_FIRST == UN_NEG:
+            a_r, a_f = a_f, a_r
+        elif u % UN_FIRST == UN_NON:
+            a_r = a_f = np.maximum(a_r, a_f, out=either)
+        o_r, o_f = net[d]
+        if u >= UN_FIRST:
+            np.add(a_r, arc[rise], out=o_r)
+            np.add(a_f, arc[fall], out=o_f)
         else:
-            a_r = np.maximum(arrivals[:, s, 0], arrivals[:, s, 1])
-            a_f = a_r
-        if first:
-            np.add(a_r, d_r, out=arrivals[:, d, 0])
-            np.add(a_f, d_f, out=arrivals[:, d, 1])
-        else:
-            np.maximum(arrivals[:, d, 0], a_r + d_r, out=arrivals[:, d, 0])
-            np.maximum(arrivals[:, d, 1], a_f + d_f, out=arrivals[:, d, 1])
+            np.maximum(o_r, np.add(a_r, arc[rise], out=total), out=o_r)
+            np.maximum(o_f, np.add(a_f, arc[fall], out=total), out=o_f)
     return arrivals
 
 

@@ -157,8 +157,13 @@ def _help(flag):
     return "; ".join(filter(None, shown))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` prints it as one line: no usage, no exit
+        raise ValueError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="vaxcirc")
+    p = _Parser(prog="vaxcirc")
     sub = p.add_subparsers(dest="command", required=True)
     parsers = {None: p} | {c: sub.add_parser(c, help=h) for c, (_, h) in _COMMANDS.items()}
     for flag in _FLAGS:
@@ -359,8 +364,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _resolve(args)
         return _COMMANDS[args.command][0](args)
     except (

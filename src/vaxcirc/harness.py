@@ -303,7 +303,9 @@ class MonteCarloFront:
 
     `evaluate` folds its designs in one `approx.TieFold.batch` call, scores
     each one's NMED over the report dataset `ds`, then times them all in one
-    `timing.stacked_cpds` call under the shared library draw `delays`.
+    `timing.stacked_cpds` call under the shared library draw `delays`: the
+    baseline over every edge once, each design over its fold cone's edges
+    only, reading the baseline's arrivals outside the cone.
 
     One buffer serves both: the baseline's signal words over `ds`, a head
     of constant and PI words that never changes, then the gate rows.  A
@@ -311,13 +313,11 @@ class MonteCarloFront:
     its fold's cone or whose row is dirty (written by an earlier design's
     cone or by an earlier timing); every other row holds the baseline's
     words, which are the design's too.  The PO words go straight to
-    `errsim.nmed_words`.  The timing then writes the stacked arrivals, and
-    the delay table when it fits, after the head, which dirties every gate
-    row.  Its chunk of designs is sized so that their arrivals fit in the
-    gate rows.  One design may need a slot per net row, so the buffer is at
-    least that large; the pages past the slots used are never touched.
-    Blocks of this size allocated per call fragment the heap and raise the
-    peak RSS.  After construction the front needs nothing of `ds`.
+    `errsim.nmed_words`.  The timing then uses the gate rows as its scratch
+    memory and sizes its row blocks and chunks of designs to fit there,
+    which dirties every gate row.  Blocks that large allocated per call
+    fragment the heap and raise the peak RSS.  After construction the
+    front needs nothing of `ds`.
     """
 
     def __init__(
@@ -331,9 +331,7 @@ class MonteCarloFront:
         n_words = (ds.n_vectors + 63) // 64
         size = p.n_signals * n_words
         self._head = self._fold.first_gate * n_words  # GND, VDD and the PI words
-        self._budget = size - self._head
-        arrivals = 2 * self._timing.n_nets * delays.shape[0]
-        self._buf = np.empty(max(size, self._head + arrivals), np.uint64)
+        self._buf = np.empty(size, np.uint64)
         self._words = ev.signal_words(ds, out=self._buf)
         self._dirty = np.zeros(len(p.ops), dtype=bool)  # per gate row
         self._ds = (ds.n_vectors, ds.signed)  # what `nmed_words` needs of `ds`
@@ -367,12 +365,12 @@ class MonteCarloFront:
             out = out[alias[out] >= 2]
             forwards.append(np.column_stack([alias[out], out]))
         self._dirty[:] = True
-        # an edge is on when its gate is kept and its source is not a constant
+        # a design times its cone's edges whose source is not a constant
         src = folds.alias[:, self._timing.src]
-        edge_on = ~folds.dropped[:, self._edge_gate] & (src >= 2)
+        timed = folds.cone[:, self._edge_gate] & (src >= 2)
         cpds = stacked_cpds(
-            self._timing, edge_on, forwards, po_rows, self._delays,
-            self._buf[self._head :].view(np.float64), self._budget,
+            self._timing, timed, forwards, po_rows, self._delays,
+            self._buf[self._head :].view(np.float64),
         )
         return [
             _mc_result(d, cpd, nmed, self._seed, self._clock)

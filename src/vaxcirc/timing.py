@@ -252,14 +252,28 @@ def cpd_over_delays(program: TimingProgram, delays: np.ndarray) -> np.ndarray:
     return program.forward(delays)[:, slot[rows], :].max(axis=(1, 2), initial=0.0)
 
 
-def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: int):
-    """The union program `stacked_cpds` times these designs in, over a
-    library of `n_arcs` arcs and `compact`ed for every design's PO rows;
-    the slot of each net row; and one (arc, used per design) row per
-    private delay column, the columns after the all-0.0 one, `n_arcs`.
-    The union holds every edge a design uses, each forward edge among its
-    own gate's edges."""
-    n_designs = edge_on.shape[0]
+def _front_rows(program: TimingProgram, timed, forwards, po_rows):
+    """(designs, net rows) masks: the rows each design writes, its timed
+    and forward edges' destinations; the seeds it reads from outside them;
+    and its PO rows inside and outside them.  None is a PI or a constant."""
+    own, read, po = np.zeros((3, timed.shape[0], program.n_nets), dtype=bool)
+    d, e = np.nonzero(timed)
+    own[d, program.dst[e]] = read[d, program.src[e]] = True
+    for k, (pairs, rows) in enumerate(zip(forwards, po_rows)):
+        own[k, pairs[:, 1]] = read[k, pairs[:, 0]] = po[k, rows] = True
+    outside = ~own
+    outside[:, np.r_[0, 1, program.pi_rows]] = False
+    return own, read & outside, po & own, po & outside
+
+
+def stacked_union(program: TimingProgram, timed, forwards, po_rows, n_arcs: int):
+    """The program `stacked_cpds` times a chunk of designs in, over `n_arcs`
+    library arcs: their timed and forward edges (each among its gate's),
+    `compact`ed to keep the PO rows they write and preload their seeds; the
+    slot of each net row; one (arc, used per design) row per private delay
+    column, those after the all-0.0 one, `n_arcs`; the seed rows, in slots
+    2, 3, ...; and per seed and design whether the design writes it."""
+    n_designs = timed.shape[0]
     n_nets = program.n_nets
     pairs = np.concatenate(forwards).astype(np.int64)
     sizes = [len(f) for f in forwards]
@@ -267,7 +281,7 @@ def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: in
     fwd_on = np.zeros((keys.size, n_designs), dtype=bool)
     fwd_on[which.reshape(-1), np.repeat(np.arange(n_designs), sizes)] = True
 
-    used = edge_on.any(axis=0)
+    used = timed.any(axis=0)
     dst = np.concatenate([program.dst[used], keys // n_nets])
     order = np.argsort(dst, kind="stable")  # a gate's forward edges follow its own
     dst = dst[order]
@@ -276,80 +290,117 @@ def stacked_union(program: TimingProgram, edge_on, forwards, po_rows, n_arcs: in
     unate = unate[order]
     rise = np.concatenate([program.arc_rise[used], np.full(keys.size, n_arcs)])[order]
     fall = np.concatenate([program.arc_fall[used], np.full(keys.size, n_arcs)])[order]
-    on = np.concatenate([edge_on[:, used].T, fwd_on])[order]
+    on = np.concatenate([timed[:, used].T, fwd_on])[order]
 
     mixed = np.flatnonzero(~on.all(axis=1))
     arcs = np.concatenate([rise[mixed], fall[mixed]])
     arcs = np.column_stack([arcs, np.tile(on[mixed], (2, 1))])  # (arc, on per design)
-    columns, col_of = np.unique(arcs, axis=0, return_inverse=True)
+    # each row as one opaque value: far faster to sort than `axis=0`'s records
+    keys = arcs.view(f"V{arcs.itemsize * arcs.shape[1]}").reshape(-1)
+    _, at, col_of = np.unique(keys, return_index=True, return_inverse=True)
+    columns = arcs[at]
     col_of = col_of.reshape(-1) + n_arcs + 1
     rise[mixed] = col_of[: mixed.size]
     fall[mixed] = col_of[mixed.size :]
+    own, seed, po_own, _ = _front_rows(program, timed, forwards, po_rows)
+    seeds = np.flatnonzero(seed.any(axis=0))
     union, slot = replace(
         program, src=src.astype(np.int32), dst=dst.astype(np.int32), unate=unate,
         arc_rise=rise.astype(np.int32), arc_fall=fall.astype(np.int32),
-    ).compact(np.concatenate(po_rows))
-    return union, slot, columns
+    ).compact(np.flatnonzero(po_own.any(axis=0)), seeds)
+    return union, slot, columns, seeds, own[:, seeds].T
+
+
+def _arrivals_and_table(program: TimingProgram, columns, n_designs: int, delays: np.ndarray, out):
+    """`program`'s initial arrivals over `n_designs` stacked copies of the
+    rows of `delays`, at the head of `out` (new without it), and then its
+    delay table, there when it fits, else new: the arcs, an all-0.0 column
+    and each private column's arc, -inf in the rows of designs not using it."""
+    count, n_arcs = delays.shape
+    shape = (n_arcs + 1 + len(columns), n_designs, count)
+    arr = program.init_arrivals(n_designs * count, out)
+    end = 2 * program.n_rows * n_designs * count
+    fits = out is not None and out.size >= end + math.prod(shape)
+    table = out[end : end + math.prod(shape)].reshape(shape) if fits else np.empty(shape)
+    table[:n_arcs] = delays.T[:, None, :]  # arc-major
+    table[n_arcs] = 0.0
+    # column by column: `table[columns[:, 0]]` would copy them all at once
+    for c, arc in enumerate(columns[:, 0].tolist(), n_arcs + 1):
+        table[c] = table[arc]
+    table[n_arcs + 1 :][~columns[:, 1:].astype(bool)] = NEG_INF
+    return arr, table.reshape(shape[0], -1).T
 
 
 def stacked_cpds(
-    program: TimingProgram, edge_on: np.ndarray, forwards: Sequence[np.ndarray],
+    program: TimingProgram, timed: np.ndarray, forwards: Sequence[np.ndarray],
     po_rows: Sequence[np.ndarray], delays: np.ndarray, out: np.ndarray | None = None,
-    budget: int | None = None,
 ) -> np.ndarray:
-    """CPD per (design, delay row), shape (designs, count), for designs
-    derived from `program`, timed one chunk of designs per `forward` call.
+    """CPD per (design, delay row), shape (designs, count), for designs that
+    differ from `program` only in the nets they time afresh.
 
-    Design d is `program` with the edges where `edge_on[d]` is False
-    switched off, plus one zero-delay, positive-unate edge per (src, dst)
-    row of `forwards[d]`: a gate output the design forwards from another
-    net.  Its CPD under each row of `delays` (count, arcs) is the worst
-    arrival over the net rows `po_rows[d]`, or 0.0 when none arrives, as
-    `cpd_over_delays` gives it.
+    Design d times the edges where `timed[d]` is set and one zero-delay,
+    positive-unate edge per (src, dst) row of `forwards[d]`, a gate output
+    it forwards from another net.  At every other net its arrival must be
+    `program`'s, as outside a tie fold's cone.  Its CPD under each row of
+    `delays` (count, arcs) is its worst arrival over the net rows
+    `po_rows[d]`, or 0.0 when none arrives.
 
-    A chunk's designs are stacked along the delay rows of their union
-    program (`stacked_union`), whose edges stay in topological order.  The
-    delay columns are the library arcs tiled over the designs, one all-0.0
-    column, and one column per (arc, designs using it) of an edge only some
-    designs use, -inf in the rows of the others.  `max`, `x + 0.0` and
-    `-inf` are exact, so each design's arrivals equal its own program's
-    bit for bit.
+    `program` is timed once, compacted to keep the seeds (nets some design
+    reads, or takes a PO from, outside its own) in slots 2, 3, ....  Then
+    each chunk of designs is timed in one `stacked_union`, stacked along the
+    delay rows, a seed's slot starting as the baseline's arrivals in the
+    rows of the designs that do not write it and -inf in the others; a
+    delay column is -inf in the rows of designs not using its edge.  `max`,
+    `x + 0.0` and `-inf` are exact, so each arrival is bit for bit that of
+    the design's own program.
 
-    A chunk is every design, or with `budget`, as many as the whole
-    union's arrivals fit in `budget` float64s, and at least one.  A
-    chunk's union is a subsequence of the whole's edges keeping fewer PO
-    nets, so it needs no more slots (asserted).  `out` is scratch memory
-    for a chunk's arrivals, as `TimingProgram.init_arrivals` takes it, then
-    its delay table when that fits; else the table is a new array.
+    With scratch memory `out` (float64s), the delay rows are split into as
+    few blocks as let the baseline's pass, or a block's seeds and one
+    design, fit in it with their delay tables, and a chunk is as many
+    designs as let their arrivals fit after the seeds, and at least one.
+    If not one row fits, each row is a block in new memory.  Without `out`,
+    all is one block and one chunk in new memory.
     """
-    n_designs = edge_on.shape[0]
     count, n_arcs = delays.shape
-    whole = stacked_union(program, edge_on, forwards, po_rows, n_arcs)
+    _, seed, po_own, po_out = _front_rows(program, timed, forwards, po_rows)
+    seeds = np.flatnonzero((seed | po_out).any(axis=0))
+    base, _ = program.compact(seeds, seeds)
+    head = 2 + seeds.size  # the baseline's slots up to its last seed
+    n_designs = timed.shape[0]
+    whole = stacked_union(program, timed, forwards, po_rows, n_arcs)
     slots = whole[0].n_rows
-    chunk = n_designs if budget is None else max(1, budget // (2 * slots * count))
+    block, chunk = count, n_designs
+    if out is not None:
+        fit = out.size // (2 * max(base.n_rows, head + slots) + n_arcs + 1)
+        block = -(-count // -(-count // max(1, fit)))  # as few blocks as fit, evened out
+        chunk = max(1, (out.size - 2 * head * block) // (2 * slots * block))
+        out = out if fit else None
+    parts = [slice(start, start + chunk) for start in range(0, n_designs, chunk)]
+    parts = [(part, whole if chunk >= n_designs else stacked_union(
+        program, timed[part], forwards[part], po_rows[part], n_arcs)) for part in parts]
     cpds = np.zeros((n_designs, count))
-    for start in range(0, n_designs, chunk):
-        part = slice(start, start + chunk)
-        union, slot, columns = whole if chunk >= n_designs else stacked_union(
-            program, edge_on[part], forwards[part], po_rows[part], n_arcs
-        )
-        assert union.n_rows <= slots
-        # arc-major: table[c] is delay column c over the stacked rows
-        shape = (n_arcs + 1 + len(columns), len(po_rows[part]), count)
-        used = 2 * union.n_rows * shape[1] * count  # the arrivals' float64s
-        end = used + math.prod(shape)
-        fits = out is not None and out.size >= end
-        table = out.reshape(-1)[used:end].reshape(shape) if fits else np.empty(shape)
-        table[:n_arcs] = delays.T[:, None, :]
-        table[n_arcs] = 0.0
-        # column by column: `table[columns[:, 0]]` would copy them all at once
-        for c, arc in enumerate(columns[:, 0].tolist(), n_arcs + 1):
-            table[c] = table[arc]
-        table[n_arcs + 1 :][~columns[:, 1:].astype(bool)] = NEG_INF
-        arr = union.forward(table.reshape(shape[0], -1).T, out)
-        for d, rows in enumerate(po_rows[part], start):
-            k = (d - start) * count
-            cpds[d] = arr[k : k + count, slot[rows], :].max(axis=(1, 2), initial=0.0)
+    for first in range(0, count, block):
+        rows = slice(first, first + block)
+        arr, table = _arrivals_and_table(base, np.zeros((0, 2), np.int64), 1, delays[rows], out)
+        known = base.forward(table, arr=arr).transpose(1, 2, 0)[2:head]  # (seeds, 2, k)
+        k = known.shape[2]
+        for d, at in enumerate(po_out):
+            at = np.searchsorted(seeds, np.flatnonzero(at))
+            cpds[d, rows] = known[at].max(axis=(0, 1), initial=0.0)
+        rest = None if out is None else out[2 * head * k :]  # after the seeds
+        for part, (prog, slot, columns, preload, owned) in parts:
+            assert prog.n_rows <= slots
+            ds = range(n_designs)[part]
+            arr, table = _arrivals_and_table(prog, columns, len(ds), delays[rows], rest)
+            pre = arr.transpose(1, 2, 0)[2 : 2 + preload.size].reshape(-1, 2, len(ds), k)
+            for dst, at in zip(pre, np.searchsorted(seeds, preload).tolist()):
+                dst[...] = known[at][:, None, :]
+            at, d = np.nonzero(owned)
+            pre[at, :, d] = NEG_INF
+            arr = prog.forward(table, arr=arr)
+            for j, d in enumerate(ds):
+                got = arr[j * k : (j + 1) * k, slot[po_own[d]], :].max(axis=(1, 2), initial=0.0)
+                np.maximum(cpds[d, rows], got, out=cpds[d, rows])
     return cpds
 
 

@@ -176,9 +176,10 @@ class TestConfigLayering:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_no_subcommand_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_no_subcommand_is_one_error_line(self, capsys):
+        code, out, err = _run(capsys, [])
+        assert code == 2 and out == ""
+        assert err == "error: the following arguments are required: command\n"
 
 
 class TestPipeline:
@@ -328,7 +329,7 @@ class TestErrorContract:
          "ssta_tmap_samples_negative", "optimize_lambda_nan", "optimize_lambda_inf",
          "optimize_report_vectors_zero", "simulate_clock_nan",
          "ssta_cpb_threshold_nan", "sample_libs_rho_two", "sample_libs_seed_negative",
-         "sta_seed_negative"],
+         "sta_seed_negative", "optimize_pop_not_int", "sample_libs_rho_minus_inf"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -380,6 +381,10 @@ class TestErrorContract:
                                           "--out", str(tmp_path / "run")],
             "sta_seed_negative": ["--seed", "-1", "sta", "--netlist", rca4_file,
                                   "--samples", "3"],
+            # argparse refuses these two itself; "-inf" reads as an option there
+            "optimize_pop_not_int": ["optimize", "--netlist", "x", "--pop", "abc"],
+            "sample_libs_rho_minus_inf": ["sample-libs", "--rho", "-inf",
+                                          "--out", str(tmp_path / "run")],
         }[case]
         cfg.write_text({
             "malformed_config": "{not json",
@@ -393,6 +398,8 @@ class TestErrorContract:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        flag = {"optimize_pop_not_int": "--pop", "sample_libs_rho_minus_inf": "--rho"}
+        assert flag.get(case, "error:") in lines[0]
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 

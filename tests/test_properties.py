@@ -52,6 +52,7 @@ from vaxcirc.harness import (
     run_optimize,
 )
 from vaxcirc.netlist import (
+    CELLS,
     GND,
     VDD,
     Gate,
@@ -78,7 +79,7 @@ from vaxcirc.timing import (
     stacked_union,
 )
 
-from _oracles import naive_outputs, path_enum_cpd, random_dag
+from _oracles import _path_arrival, naive_outputs, path_enum_cpd, random_dag
 from test_netlist import _tie_pi
 from test_optimize import _brute_force_ranks, _design
 
@@ -260,6 +261,48 @@ def test_compacted_po_arrivals_match_full_forward(case, lib_seed, count, data):
     for base in (n, tied):
         net = _with_corner_gates(base, data)
         _assert_compact_matches_full(compile_timing(net, _LIB.arc_index()), delays)
+
+
+def _with_non_unate_gates(net, data):
+    """`net` plus an XOR2 and a MUX2 over drawn nets of it, so that a
+    non-unate pin follows another pin of its gate (XOR2 B, MUX2 S)."""
+    pick = st.sampled_from(list(net.inputs) + [g.output for g in net.gates])
+    gates = net.gates + (
+        Gate("k_xor", "XOR2", {"A": data.draw(pick), "B": data.draw(pick)}, "k_xor_o"),
+        Gate("k_mux", "MUX2", {"A": data.draw(pick), "B": "k_xor_o", "S": data.draw(pick)},
+             "k_mux_o"),
+    )
+    return Netlist(net.name, net.inputs, net.outputs + ("k_mux_o",), gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_dag(), st.integers(0, 1000), st.integers(1, 3), st.data())
+def test_forward_matches_path_enumeration(case, lib_seed, count, data):
+    """Each (net, transition) arrival `forward` gives in each delay row is
+    the scalar path enumeration's: over the program itself, compacted to
+    keep every net, and so compacted with some gate nets preloaded, which
+    `init_arrivals` leaves at -inf, so that their edges raise it."""
+    n, _, tied = case
+    delays = sample_matrix(_LIB, range(lib_seed, lib_seed + count))
+    arcs = _LIB.arc_index()
+    for base in (n, tied):
+        net = _with_non_unate_gates(_with_corner_gates(base, data), data)
+        program = compile_timing(net, arcs)
+        want = [
+            {(w, col): _path_arrival(net, w, edge, lambda kind, pin, e: row[arcs[(kind, pin, e)]])
+             for w in program.net_index for col, edge in enumerate(("rise", "fall"))}
+            for row in delays
+        ]
+        every = np.arange(program.n_nets)
+        gates = range(2 + len(net.inputs), program.n_nets)
+        preload = sorted(data.draw(st.sets(st.sampled_from(gates))))
+        for timed, slot in ((program, every), program.compact(every),
+                            program.compact(every, preload)):
+            arr = timed.forward(delays)
+            for k in range(count):
+                got = {(w, col): arr[k, slot[r], col]
+                       for w, r in program.net_index.items() for col in (0, 1)}
+                assert got == want[k]
 
 
 @pytest.mark.parametrize("family,width,taps", [
@@ -563,8 +606,7 @@ def _front_matches_standalone(base, cs, rows, count, seed, ds):
     front = MonteCarloFront(base, cs, _LIB, ds, delays, seed, clock)
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     want = [_standalone(base, cs, g, count, seed, clock, ds, d) for d, g in designs]
-    # repr keeps the comparison exact and lets the NaN std of a design whose
-    # only POs are unfolded constant gates (all -inf) equal itself
+    # repr keeps the comparison exact, down to the sign of a zero
     want_reprs = list(map(repr, want))
     assert [repr(front.evaluate([d])[0]) for d in designs] == want_reprs
     assert list(map(repr, front.evaluate(designs))) == want_reprs
@@ -636,6 +678,120 @@ def test_monte_carlo_front_drops_undisturbed_drivers_of_tied_nets(rca8):
     assert dropped[driver]
     ds = generate_dataset(rca8, 500, seed=1)
     _front_matches_standalone(rca8, cs, [genes], 200, 9000, ds)
+
+
+def _front_matches_standalone_within(size, *args):
+    """`_front_matches_standalone(*args)` with `stacked_cpds` given `size`
+    float64s of scratch memory (None: none, so one block of every delay row
+    and one chunk of every design) in place of the front's; and the delay
+    rows of each `sta_forward` call that `stacked_cpds` made."""
+    rows, kernel = [], _kernels.sta_forward
+
+    def counted(*a):
+        rows.append(a[6].shape[0])
+        return kernel(*a)
+
+    def timed(*a):
+        with mock.patch.object(_kernels, "sta_forward", counted):
+            return stacked_cpds(*a[:5], None if size is None else np.empty(size))
+
+    with mock.patch.object(harness, "stacked_cpds", timed):
+        _front_matches_standalone(*args)
+    return rows
+
+
+def _drawn_genes(data, n_genes, count):
+    return [
+        np.array(data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
+                                    min_size=n_genes, max_size=n_genes)), dtype=np.int8)
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tied_dag(), st.data())
+def test_front_with_every_cone_empty_matches_standalone_calls(case, data):
+    """Designs that tie only nets no gate reads, of a baseline that reads no
+    constant, fold no gate: they time no edge, and every PO arrival they
+    keep is the baseline's."""
+    n, _, _ = case
+    read = {w for g in n.gates for w in g.fanin.values()}
+    nets = n.inputs + tuple(g.output for g in n.gates)
+    cs = CandidateSet(nets, 1e-3, netlist_fingerprint(n))
+    unread = [k for k, w in enumerate(nets) if w not in read]  # the last gate's output at least
+    rows = [exact_chromosome(cs)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        genes = exact_chromosome(cs)
+        for k in data.draw(st.sets(st.sampled_from(unread), min_size=1)):
+            genes[k] = data.draw(st.integers(0, 1))
+        rows.append(genes)
+    assert not TieFold(compile_logic(n), cs).batch(np.array(rows)).cone.any()
+    ds = generate_dataset(n, 0, seed=0, exhaustive=True)
+    seed = data.draw(st.integers(0, 500))
+    for size in (None, 1):
+        _front_matches_standalone_within(size, n, cs, rows, 3, seed, ds)
+
+
+@st.composite
+def _chain(draw):
+    """A netlist whose every gate lies downstream of pin A of its first
+    gate, an XOR2 that alone reads PI x0.  The other pins read drawn PIs
+    and earlier gate outputs, never a constant, so tying x0 to VDD folds
+    no gate: that cone covers every gate."""
+    pis = tuple(f"x{i}" for i in range(draw(st.integers(2, 4))))
+    nets = list(pis[1:])
+    gates = [Gate("k0", "XOR2", {"A": "x0", "B": draw(st.sampled_from(nets))}, "k0_o")]
+    for i in range(1, draw(st.integers(2, 10))):
+        kind = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+        fanin = {pin: draw(st.sampled_from(nets)) for pin in kind.input_pins}
+        fanin[draw(st.sampled_from(kind.input_pins))] = gates[-1].output
+        nets.append(gates[-1].output)
+        gates.append(Gate(f"k{i}", kind.name, fanin, f"k{i}_o"))
+    pos = (gates[-1].output, *draw(st.lists(st.sampled_from(nets), max_size=3)))
+    return Netlist("chain", pis, pos, tuple(gates))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_chain(), st.data())
+def test_front_with_a_cone_covering_every_gate_matches_standalone_calls(n, data):
+    """One design's cone is every gate, so it times every edge and writes
+    every net that its chunk-mates, with smaller cones, read from outside
+    theirs."""
+    nets = n.inputs + tuple(g.output for g in n.gates)
+    cs = CandidateSet(nets, 1e-3, netlist_fingerprint(n))
+    whole = exact_chromosome(cs)
+    whole[0] = 1  # x0 to VDD
+    rows = [whole, exact_chromosome(cs)]
+    for _ in range(data.draw(st.integers(1, 4))):  # a tie or two: a cone that reads seeds
+        genes = exact_chromosome(cs)
+        for k in data.draw(st.sets(st.integers(len(n.inputs), len(nets) - 1), min_size=1,
+                                   max_size=2)):
+            genes[k] = data.draw(st.integers(0, 1))
+        rows.append(genes)
+    assert TieFold(compile_logic(n), cs).batch(whole[None]).cone.all()
+    ds = generate_dataset(n, 0, seed=0, exhaustive=True)
+    seed = data.draw(st.integers(0, 500))
+    for size in (None, 1):
+        _front_matches_standalone_within(size, n, cs, rows, 3, seed, ds)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tied_dag(), st.data())
+def test_front_in_many_row_blocks_and_chunks_matches_standalone_calls(case, data):
+    """With one float64 of scratch memory, every block is one delay row and
+    every chunk one design; a drawn size splits them otherwise."""
+    n, _, tied = case
+    for base in (n, tied):
+        nets = base.inputs + tuple(g.output for g in base.gates)
+        cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+        ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+        rows = [exact_chromosome(cs), *_drawn_genes(data, len(nets), data.draw(st.integers(2, 4)))]
+        count = data.draw(st.integers(2, 5))
+        seed = data.draw(st.integers(0, 500))
+        kernel_rows = _front_matches_standalone_within(1, base, cs, rows, count, seed, ds)
+        assert set(kernel_rows) == {1} and len(kernel_rows) >= count
+        size = data.draw(st.integers(2, 600))
+        _front_matches_standalone_within(size, base, cs, rows, count, seed, ds)
 
 
 # each op code as the textbook formula over numpy words, `~` being NOT
@@ -714,7 +870,6 @@ def test_monte_carlo_front_reuse_keeps_dropped_dirty_rows_dirty(rca8):
     _front_reuse_matches_standalone(rca8, cs, rows, 20, 9000, ds)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @settings(max_examples=50, deadline=None)
 @given(_tied_dag(), st.data())
 def test_monte_carlo_front_reuse_matches_standalone_calls(case, data):
@@ -734,7 +889,7 @@ def test_monte_carlo_front_reuse_matches_standalone_calls(case, data):
 
 def _front_timing(base, cs, rows, count, ds):
     """The arguments `MonteCarloFront.evaluate` passes `stacked_cpds` for
-    `rows`, but for its scratch memory and chunk budget."""
+    `rows`, but for its scratch memory."""
     front, _ = _front(base, cs, count, 9000, ds)
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     with mock.patch.object(harness, "stacked_cpds", wraps=stacked_cpds) as timed:
@@ -742,7 +897,6 @@ def _front_timing(base, cs, rows, count, ds):
     return timed.call_args.args[:5]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 @settings(max_examples=100, deadline=None)
 @given(_tied_dag(), st.data())
 def test_front_subsets_compact_to_no_more_slots(case, data):
@@ -770,8 +924,8 @@ def test_front_subsets_compact_to_no_more_slots(case, data):
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 4, 2)])
 def test_stacked_cpds_table_in_out_matches_a_new_table(family, width, taps):
-    """`stacked_cpds` gives bit-identical CPDs with its delay table in `out`
-    after the arrivals or in a new array, in one chunk or in many."""
+    """`stacked_cpds` gives bit-identical CPDs with its arrivals and delay
+    tables in `out` or in new arrays, in one block and chunk or in many."""
     n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
     cs = build_candidates(n, ssta_traverse(n, _LIB, annotate_edge_transitions(n, _LIB, 20)))
     rng = np.random.default_rng(5)
@@ -780,19 +934,19 @@ def test_stacked_cpds_table_in_out_matches_a_new_table(family, width, taps):
         for _ in range(6)
     ]
     args = _front_timing(n, cs, rows, 30, generate_dataset(n, 300, seed=2))
-    union, _, columns = stacked_union(*args[:4], args[4].shape[1])
-    count = args[4].shape[0]
-    arrivals = 2 * union.n_rows * len(rows) * count
-    table = (args[4].shape[1] + 1 + len(columns)) * len(rows) * count
-    assert len(columns)  # some edges are private to some designs
-    want = stacked_cpds(*args)  # new arrivals and a new table
-    roomy = np.full(arrivals + table, np.nan)
+    assert len(stacked_union(*args[:4], args[4].shape[1])[2])  # some private columns
+    want = stacked_cpds(*args)  # new arrays
+    roomy = np.full(2**20, np.nan)
     assert np.array_equal(stacked_cpds(*args, roomy), want)
-    assert not np.isnan(roomy).any()  # the table filled `out` after the arrivals
-    tight = np.full(arrivals + table - 1, np.nan)
+    used = np.argmax(np.isnan(roomy))
+    assert used and np.isnan(roomy[used:]).all()  # one head of `out` held everything
+    exact = np.full(used, np.nan)
+    assert np.array_equal(stacked_cpds(*args, exact), want)
+    assert not np.isnan(exact).any()
+    tight = np.full(used - 1, np.nan)  # a delay table no longer fits: a new one
     assert np.array_equal(stacked_cpds(*args, tight), want)
-    assert np.isnan(tight[arrivals:]).all()  # no room: the table was a new array
-    assert np.array_equal(stacked_cpds(*args, roomy, 1), want)  # one design per chunk
+    for size in (1, 500, 5000):  # one row per block and one design per chunk, ...
+        assert np.array_equal(stacked_cpds(*args, np.full(size, np.nan)), want)
 
 
 def _tmap_by_path_extraction(n, lib, count, seed):
