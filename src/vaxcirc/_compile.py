@@ -21,9 +21,7 @@ class LogicProgram:
     netlist: Netlist
     signal_index: dict[str, int]
     ops: np.ndarray
-    in0: np.ndarray
-    in1: np.ndarray
-    in2: np.ndarray
+    fanin: np.ndarray  # (gates, 3) fanin rows in pin order; a pin the gate lacks reads GND
     out: np.ndarray
     pi_index: np.ndarray  # signal row per primary input
     po_index: np.ndarray  # signal row per primary output position
@@ -47,25 +45,15 @@ def _net_rows(n: Netlist):
 
 def compile_logic(n: Netlist) -> LogicProgram:
     index, topo = _net_rows(n)
-    n_gates = len(topo)
-    ops = np.zeros(n_gates, dtype=np.int8)
-    in0 = np.zeros(n_gates, dtype=np.int32)
-    in1 = np.zeros(n_gates, dtype=np.int32)
-    in2 = np.zeros(n_gates, dtype=np.int32)
-    out = np.zeros(n_gates, dtype=np.int32)
+    ops = np.array([_kernels.OP_CODES[g.kind] for g in topo], dtype=np.int8)
+    fanin = np.zeros((len(topo), 3), dtype=np.int32)
     for i, g in enumerate(topo):
-        ops[i] = _kernels.OP_CODES[g.kind]
-        pins = g.cell.input_pins
-        in0[i] = index[g.fanin[pins[0]]]
-        if len(pins) > 1:
-            in1[i] = index[g.fanin[pins[1]]]
-        if len(pins) > 2:
-            in2[i] = index[g.fanin[pins[2]]]
-        out[i] = index[g.output]
-
+        for k, pin in enumerate(g.cell.input_pins):
+            fanin[i, k] = index[g.fanin[pin]]
+    out = np.array([index[g.output] for g in topo], dtype=np.int32)
     pi_index = np.array([index[pi] for pi in n.inputs], dtype=np.int32)
     po_index = np.array([index[po] for po in n.outputs], dtype=np.int32)
-    return LogicProgram(n, index, ops, in0, in1, in2, out, pi_index, po_index)
+    return LogicProgram(n, index, ops, fanin, out, pi_index, po_index)
 
 
 @dataclass

@@ -165,11 +165,10 @@ class TieFold:
         self.first_gate = 2 + len(p.netlist.inputs)  # row of the first gate output
         self.n_rows = p.n_signals
         gates = p.netlist.topological_order()
-        fanin = np.stack([p.in0, p.in1, p.in2], axis=1)
         pins = np.arange(3) < np.array([len(g.cell.input_pins) for g in gates])[:, None]
         level = np.zeros(p.n_signals, dtype=np.int64)
         for gi in range(len(gates)):
-            level[p.out[gi]] = 1 + level[fanin[gi][pins[gi]]].max()
+            level[p.out[gi]] = 1 + level[p.fanin[gi][pins[gi]]].max()
         level = level[p.out]
         order = np.lexsort((p.ops, level))
         self.levels = []
@@ -177,9 +176,9 @@ class TieFold:
             ops = p.ops[gs]
             bounds = np.array([0, *np.flatnonzero(np.diff(ops)) + 1, len(gs)])
             runs = [(int(ops[i]), int(pins[gs[i]].sum())) for i in bounds[:-1]]
-            readers = np.where(pins[gs], fanin[gs], self.n_rows)
+            readers = np.where(pins[gs], p.fanin[gs], self.n_rows)
             self.levels.append(Level(
-                gs, p.out[gs], fanin[gs], readers, FOLD_TABLE[ops], runs, bounds
+                gs, p.out[gs], p.fanin[gs], readers, FOLD_TABLE[ops], runs, bounds
             ))
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
 

@@ -120,7 +120,7 @@ class Evaluator:
         words[1] = _FULL
         for j, row in enumerate(p.pi_index):
             words[row] = pack_bits(ds.vectors[:, j])
-        _kernels.eval_words(p.ops, p.in0, p.in1, p.in2, p.out, words)
+        _kernels.eval_words(p.ops, *p.fanin.T, p.out, words)
         return words
 
     def po_bits(self, ds: SimulationDataset) -> np.ndarray:

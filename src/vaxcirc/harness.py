@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import _kernels
-from ._compile import compile_timing
+from ._compile import TimingProgram, compile_timing
 from .approx import (
     CandidateSet,
     TieFold,
@@ -299,7 +299,9 @@ def _mc_result(design_id, cpd, nmed, seed, clock_ps) -> McEvaluation:
 
 class MonteCarloFront:
     """`monte_carlo_evaluate(apply_chromosome(n, cs, genes), ...)` for many
-    chromosomes of one baseline, without building a netlist per design.
+    chromosomes of one baseline `n`, without building a netlist per design,
+    from `n`'s `Evaluator` `ev` and its `compile_timing` `program` under the
+    library the delay rows `delays` were drawn from.
 
     `evaluate` folds its designs in one `approx.TieFold.batch` call, scores
     each one's NMED over the report dataset `ds`, then times them all in one
@@ -321,13 +323,12 @@ class MonteCarloFront:
     """
 
     def __init__(
-        self, n: Netlist, cs: CandidateSet, vlib: VariationLibrary, ds: SimulationDataset,
+        self, ev: Evaluator, program: TimingProgram, cs: CandidateSet, ds: SimulationDataset,
         delays: np.ndarray, seed: int, clock_ps: float,
     ):
-        ev = Evaluator(n)
         p = ev.program
         self._fold = TieFold(p, cs)
-        self._timing = compile_timing(n, vlib.arc_index())
+        self._timing = program
         n_words = (ds.n_vectors + 63) // 64
         size = p.n_signals * n_words
         self._head = self._fold.first_gate * n_words  # GND, VDD and the PI words
@@ -337,7 +338,6 @@ class MonteCarloFront:
         self._ds = (ds.n_vectors, ds.signed)  # what `nmed_words` needs of `ds`
         self._exact = self._words[p.po_index]
         self._logic = p
-        self._fanins = np.stack([p.in0, p.in1, p.in2], axis=1)
         self._edge_gate = self._timing.dst - self._fold.first_gate
         self._delays = delays
         self._seed = seed
@@ -354,7 +354,7 @@ class MonteCarloFront:
         nmeds, forwards, po_rows = [], [], []
         for alias, dropped, cone in zip(folds.alias, folds.dropped, folds.cone):
             gates = np.flatnonzero(cone | (self._dirty & ~dropped))
-            ins = alias[self._fanins[gates]].T
+            ins = alias[p.fanin[gates]].T
             _kernels.eval_words(p.ops[gates], *ins, p.out[gates], self._words)
             self._dirty = (self._dirty & dropped) | cone
             po = alias[p.po_index]
@@ -379,29 +379,27 @@ class MonteCarloFront:
 
 
 def stale_nmed_bound(
-    n: Netlist,
-    vlib: VariationLibrary,
-    count: int,
-    seed: int,
+    ev: Evaluator,
+    program: TimingProgram,
+    delays: np.ndarray,
     clock_ps: float,
     ds: SimulationDataset,
 ) -> tuple[float, np.ndarray]:
     """Worst stale-value NMED over sampled libraries at a fixed clock.
 
-    For each library, POs whose arrival exceeds the clock go stale
-    (previous vector's value, as `errsim.stale_words` gives it); returns
-    (max NMED, per-library NMED array).  Each distinct late pattern is
-    scored once, on PO words shifted by one vector.
+    `ev` and `program` are one netlist's `Evaluator` and `compile_timing`,
+    and each row of `delays` is one library's arc delays, as `sample_matrix`
+    draws them.  For each library, POs whose arrival exceeds the clock go
+    stale (previous vector's value, as `errsim.stale_words` gives it);
+    returns (max NMED, per-library NMED array).  Each distinct late pattern
+    is scored once, on PO words shifted by one vector.
     """
-    program = compile_timing(n, vlib.arc_index())
-    delays = sample_matrix(vlib, range(seed, seed + count))
     program, _ = program.compact(program.po_rows)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
-    ev = Evaluator(n)
     exact = ev.signal_words(ds)[ev.program.po_index]
-    per_lib = np.zeros(count, dtype=np.float64)
+    per_lib = np.zeros(len(delays), dtype=np.float64)
     cache: dict[bytes, float] = {}
-    for k in range(count):
+    for k in range(len(delays)):
         key = late[k].tobytes()
         if key not in cache:
             if not late[k].any():
@@ -593,19 +591,20 @@ def run_optimize(
         f.write(write_netlist(n))
     save_variation_library(os.path.join(run_dir, "libs", "variation.json"), vlib)
 
-    clock, tmap = _clock_and_tmap(n, vlib, tmap_count, tmap_seed)
+    ev = Evaluator(n)  # the baseline's programs, compiled once for the stage
+    program = compile_timing(n, vlib.arc_index())
+    clock, tmap = _clock_and_tmap(program, vlib, tmap_count, tmap_seed)
     ssta = ssta_traverse(n, vlib, tmap)
     cs = build_candidates(n, ssta, cpb_threshold)
 
     ds_report = generate_dataset(n, report_vectors, seed=cfg.seed + 2)
-    stale_worst, _ = stale_nmed_bound(
-        n, vlib, bound_count, bound_seed, clock, ds_report
-    )
+    delays = sample_matrix(vlib, range(bound_seed, bound_seed + bound_count))
+    stale_worst, _ = stale_nmed_bound(ev, program, delays, clock, ds_report)
     if error_bound is None:
         cfg = replace(cfg, error_bound=stale_worst)
 
     ds_search = generate_dataset(n, cfg.search_vectors, seed=cfg.seed + 1)
-    result = nsga2_run(n, cs, vlib, tmap, ds_search, cfg)
+    result = nsga2_run(ev, cs, vlib, tmap, ds_search, cfg)
 
     with open(os.path.join(run_dir, "netlists", "tmap.txt"), "w") as f:
         for (gate, pin), edge in sorted(tmap.items()):
@@ -707,7 +706,8 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
     delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
 
-    front = MonteCarloFront(baseline, cs, vlib, ds, delays, mc_seed, clock)
+    program = compile_timing(baseline, vlib.arc_index())
+    front = MonteCarloFront(Evaluator(baseline), program, cs, ds, delays, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
     base_eval, *evals = front.evaluate(designs)
     _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results

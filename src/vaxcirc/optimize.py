@@ -102,7 +102,8 @@ _STACK_BYTES = 8 << 20
 
 
 class SearchProgram:
-    """One search problem, compiled once over the baseline's signal rows.
+    """One search problem over the signal rows of the baseline's `Evaluator`
+    `ev`, which it shares with the other consumers of that baseline.
 
     `score_batch` gives exactly what `apply_chromosome` -> `Evaluator` ->
     `ssta_traverse` give for each of many chromosomes, without building a
@@ -119,13 +120,12 @@ class SearchProgram:
 
     def __init__(
         self,
-        n: Netlist,
+        ev: Evaluator,
         cs: CandidateSet,
         lib: VariationLibrary,
         tmap: dict,
         ds: SimulationDataset,
     ):
-        ev = Evaluator(n)
         p = ev.program
         self._fold = TieFold(p, cs)
         shape = (p.n_signals, (ds.n_vectors + 63) // 64)
@@ -147,7 +147,7 @@ class SearchProgram:
         # per (gate, pin): the arc mean and variance; 0 for a constant pin
         self._arc_mu = np.zeros((len(p.ops), 3))
         self._arc_var = np.zeros((len(p.ops), 3))
-        for gi, g in enumerate(n.topological_order()):
+        for gi, g in enumerate(p.netlist.topological_order()):
             for k, pin in enumerate(g.cell.input_pins):
                 if g.fanin[pin] not in CONSTANT_NETS:
                     rv = arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
@@ -255,7 +255,7 @@ def evaluate_individual(
     """
     genes = validate_genes(cs, genes)
     if program is None:
-        program = SearchProgram(n, cs, lib, tmap, ds)
+        program = SearchProgram(Evaluator(n), cs, lib, tmap, ds)
     nmed, mu, sigma, conf = program.score(genes)
     mu_eff = mu * (1.0 + cfg.confidence_penalty * (1.0 - conf))
     violation = max(0.0, nmed - cfg.error_bound)
@@ -412,24 +412,26 @@ def _update_archive(
 
 
 def nsga2_run(
-    n: Netlist,
+    ev: Evaluator,
     cs: CandidateSet,
     lib: VariationLibrary,
     tmap: dict,
     ds: SimulationDataset,
     cfg: GaConfig,
 ) -> NsgaResult:
-    """Standard NSGA-II over chromosomes; deterministic for a given seed.
+    """Standard NSGA-II over chromosomes of the baseline whose `Evaluator`
+    is `ev`; deterministic for a given seed.
 
     All stochastic choices happen sequentially.  Each generation's new
-    chromosomes are scored in one `SearchProgram.score_batch` call.  The
-    returned front is the archive of feasible nondominated designs over
-    the whole run (elitist: it never regresses).
+    chromosomes are scored in one `score_batch` call of one `SearchProgram(ev,
+    ...)`.  The returned front is the archive of feasible nondominated
+    designs over the whole run (elitist: it never regresses).
     """
     cfg.validate()
+    n = ev.netlist
     depth_map = depth_to_output(n)
     depths = np.array([depth_map[w] for w in cs.nets], dtype=np.float64)
-    program = SearchProgram(n, cs, lib, tmap, ds)
+    program = SearchProgram(ev, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
         program.score_batch(np.array(gene_rows))

@@ -346,8 +346,9 @@ def stacked_cpds(
     `po_rows[d]`, or 0.0 when none arrives.
 
     `program` is timed once, compacted to keep the seeds (nets some design
-    reads, or takes a PO from, outside its own) in slots 2, 3, ....  Then
-    each chunk of designs is timed in one `stacked_union`, stacked along the
+    reads, or takes a PO from, outside its own) in slots 2, 3, ....  A
+    design that writes no net reads every PO there.  Each chunk of the
+    other designs is then timed in one `stacked_union`, stacked along the
     delay rows, a seed's slot starting as the baseline's arrivals in the
     rows of the designs that do not write it and -inf in the others; a
     delay column is -inf in the rows of designs not using its edge.  `max`,
@@ -366,19 +367,20 @@ def stacked_cpds(
     seeds = np.flatnonzero((seed | po_out).any(axis=0))
     base, _ = program.compact(seeds, seeds)
     head = 2 + seeds.size  # the baseline's slots up to its last seed
-    n_designs = timed.shape[0]
-    whole = stacked_union(program, timed, forwards, po_rows, n_arcs)
-    slots = whole[0].n_rows
-    block, chunk = count, n_designs
+    writes = [d for d, f in enumerate(forwards) if len(f) or timed[d].any()]
+    fwd, pos = [forwards[d] for d in writes], [po_rows[d] for d in writes]
+    whole = stacked_union(program, timed[writes], fwd, pos, n_arcs) if writes else None
+    slots = whole[0].n_rows if writes else 2
+    block, chunk = count, max(1, len(writes))
     if out is not None:
         fit = out.size // (2 * max(base.n_rows, head + slots) + n_arcs + 1)
         block = -(-count // -(-count // max(1, fit)))  # as few blocks as fit, evened out
         chunk = max(1, (out.size - 2 * head * block) // (2 * slots * block))
         out = out if fit else None
-    parts = [slice(start, start + chunk) for start in range(0, n_designs, chunk)]
-    parts = [(part, whole if chunk >= n_designs else stacked_union(
-        program, timed[part], forwards[part], po_rows[part], n_arcs)) for part in parts]
-    cpds = np.zeros((n_designs, count))
+    parts = [slice(start, start + chunk) for start in range(0, len(writes), chunk)]
+    parts = [(writes[part], whole if chunk >= len(writes) else stacked_union(
+        program, timed[writes[part]], fwd[part], pos[part], n_arcs)) for part in parts]
+    cpds = np.zeros((timed.shape[0], count))
     for first in range(0, count, block):
         rows = slice(first, first + block)
         arr, table = _arrivals_and_table(base, np.zeros((0, 2), np.int64), 1, delays[rows], out)
@@ -388,9 +390,8 @@ def stacked_cpds(
             at = np.searchsorted(seeds, np.flatnonzero(at))
             cpds[d, rows] = known[at].max(axis=(0, 1), initial=0.0)
         rest = None if out is None else out[2 * head * k :]  # after the seeds
-        for part, (prog, slot, columns, preload, owned) in parts:
+        for ds, (prog, slot, columns, preload, owned) in parts:
             assert prog.n_rows <= slots
-            ds = range(n_designs)[part]
             arr, table = _arrivals_and_table(prog, columns, len(ds), delays[rows], rest)
             pre = arr.transpose(1, 2, 0)[2 : 2 + preload.size].reshape(-1, 2, len(ds), k)
             for dst, at in zip(pre, np.searchsorted(seeds, preload).tolist()):
@@ -417,13 +418,14 @@ def annotate_edge_transitions(
     `extract_critical_path` walks it.  Pairs never on a path, and tally
     ties, take the edge with the larger mean arc delay; equal means, rise.
     """
-    return _clock_and_tmap(n, lib, count, seed)[1]
+    return _clock_and_tmap(compile_timing(n, lib.arc_index()), lib, count, seed)[1]
 
 
-def _clock_and_tmap(n: Netlist, lib: VariationLibrary, count: int, seed: int):
+def _clock_and_tmap(program: TimingProgram, lib: VariationLibrary, count: int, seed: int):
     """`sta_arrivals(n, nominal_library(lib)).cpd` and `annotate_edge_transitions(n,
-    lib, count, seed)` from one `forward`, whose first row is the mean delays."""
-    program = compile_timing(n, lib.arc_index())
+    lib, count, seed)` for `program = compile_timing(n, lib.arc_index())`,
+    from one `forward` whose first row is the mean delays."""
+    n = program.netlist
     mu = lib.mu_vector()
     delays = np.vstack([mu, sample_matrix(lib, range(seed, seed + count))])
     arr = program.forward(delays)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from vaxcirc import errsim, harness, timing
 from vaxcirc._compile import compile_timing
 from vaxcirc.celllib import nominal_library, sample_library, sample_matrix
 from vaxcirc.errsim import Evaluator, generate_dataset, interpret_values, stale_bits
@@ -191,10 +192,17 @@ class TestMonteCarloEvaluate:
         assert 0.01 < e.std_cpd_ps / e.mean_cpd_ps < 0.12
 
 
+def _bound_args(n, lib, count, seed):
+    """What `stale_nmed_bound` takes before the clock: `n`'s `Evaluator` and
+    timing program, and the arc delays of libraries seed..seed+count-1."""
+    program = compile_timing(n, lib.arc_index())
+    return Evaluator(n), program, sample_matrix(lib, range(seed, seed + count))
+
+
 class TestStaleNmedBound:
     def test_relaxed_clock_is_zero(self, rca4, default_lib):
         ds = generate_dataset(rca4, 200, seed=0)
-        worst, per_lib = stale_nmed_bound(rca4, default_lib, 30, 0, 1e9, ds)
+        worst, per_lib = stale_nmed_bound(*_bound_args(rca4, default_lib, 30, 0), 1e9, ds)
         assert worst == 0.0
         assert np.all(per_lib == 0.0)
 
@@ -202,7 +210,7 @@ class TestStaleNmedBound:
         # library k of the sweep is exactly sample_library(seed + k)
         ds = generate_dataset(rca4, 500, seed=1)
         clock = sta_arrivals(rca4, nominal_library(default_lib)).cpd
-        worst, per_lib = stale_nmed_bound(rca4, default_lib, 20, 40, clock, ds)
+        worst, per_lib = stale_nmed_bound(*_bound_args(rca4, default_lib, 20, 40), clock, ds)
         for k in (0, 7, 19):
             lib = sample_library(default_lib, 40 + k)
             want = timing_error_metrics(rca4, lib, clock, ds).nmed
@@ -213,14 +221,14 @@ class TestStaleNmedBound:
         # roughly half the libraries land above the nominal clock
         ds = generate_dataset(rca8, 500, seed=2)
         clock = sta_arrivals(rca8, nominal_library(default_lib)).cpd
-        worst, per_lib = stale_nmed_bound(rca8, default_lib, 50, 0, clock, ds)
+        worst, per_lib = stale_nmed_bound(*_bound_args(rca8, default_lib, 50, 0), clock, ds)
         assert worst > 0.0
         assert 0 < np.count_nonzero(per_lib) < 50
 
     def test_deterministic(self, rca4, default_lib):
         ds = generate_dataset(rca4, 100, seed=0)
-        a = stale_nmed_bound(rca4, default_lib, 10, 5, 30.0, ds)
-        b = stale_nmed_bound(rca4, default_lib, 10, 5, 30.0, ds)
+        a = stale_nmed_bound(*_bound_args(rca4, default_lib, 10, 5), 30.0, ds)
+        b = stale_nmed_bound(*_bound_args(rca4, default_lib, 10, 5), 30.0, ds)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
@@ -229,7 +237,7 @@ class TestStaleNmedBound:
         equals the stale rewrite of a row-major copy, summed in Python ints."""
         ds = generate_dataset(rca8, 700, seed=3)
         clock = 0.95 * sta_arrivals(rca8, nominal_library(default_lib)).cpd
-        _, per_lib = stale_nmed_bound(rca8, default_lib, 12, 0, clock, ds)
+        _, per_lib = stale_nmed_bound(*_bound_args(rca8, default_lib, 12, 0), clock, ds)
         bits = Evaluator(rca8).po_bits(ds)
         assert bits.flags.f_contiguous and not bits.flags.c_contiguous
         rows = np.ascontiguousarray(bits)
@@ -420,8 +428,8 @@ class TestPipeline:
     def test_evaluate_baseline_equals_monte_carlo_evaluate(
         self, tmp_path, default_lib, family, width, taps
     ):
-        """The baseline, scored as the all-exact chromosome in the front's
-        first chunk, gets the numbers of its own standalone call."""
+        """The baseline, scored as the all-exact chromosome from the front's
+        baseline pass, gets the numbers of its own standalone call."""
         n = generate_benchmark(BenchmarkSpec(family, width, taps=taps))
         cfg = GaConfig(population=4, generations=1, seed=0, search_vectors=128)
         art = run_optimize(
@@ -434,6 +442,32 @@ class TestPipeline:
             n, default_lib, 25, 321, art.clock_ps, ds, design_id="baseline",
         )
         assert base_eval == want
+
+    def test_each_stage_compiles_the_baseline_once(self, tmp_path, rca4, default_lib, monkeypatch):
+        """`optimize` and `evaluate` each compile one logic and one timing
+        program of the baseline and hand them to every step of the stage."""
+        calls = []
+
+        def counted(kind, compile_fn):
+            def wrapper(*args, **kwargs):
+                calls.append(kind)
+                return compile_fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(errsim, "compile_logic", counted("logic", errsim.compile_logic))
+        for module in (harness, timing):
+            monkeypatch.setattr(
+                module, "compile_timing", counted("timing", module.compile_timing)
+            )
+        cfg = GaConfig(population=4, generations=1, seed=0, search_vectors=128)
+        run_optimize(
+            tmp_path, rca4, default_lib, cfg,
+            tmap_count=10, bound_count=10, report_vectors=300,
+        )
+        assert sorted(calls) == ["logic", "timing"]
+        calls.clear()
+        run_evaluate(tmp_path, mc_count=10)
+        assert sorted(calls) == ["logic", "timing"]
 
 
 class TestPipelineErrors:

@@ -6,7 +6,7 @@ import pytest
 from vaxcirc import optimize
 from vaxcirc.approx import build_candidates, exact_chromosome
 from vaxcirc.celllib import nominal_library
-from vaxcirc.errsim import generate_dataset
+from vaxcirc.errsim import Evaluator, generate_dataset
 from vaxcirc.netlist import Gate, Netlist, depth_to_output
 from vaxcirc.optimize import (
     EvaluatedDesign,
@@ -172,7 +172,7 @@ class TestSearchProgram:
             optimize, "nmed_words",
             lambda e, a, *rest: scored.extend(a) or nmed_words(e, a, *rest),
         )
-        program = SearchProgram(rca4, cs, default_lib, tmap, ds)
+        program = SearchProgram(Evaluator(rca4), cs, default_lib, tmap, ds)
         tied = exact_chromosome(cs)
         tied[0] = 0
         rows = [exact_chromosome(cs), tied, exact_chromosome(cs), tied.copy(), tied]
@@ -333,14 +333,14 @@ class TestNsga2:
             population=4, generations=2, init_exact_prob=1.0,
             base_mutation_rate=1e-12, error_bound=0.05, seed=0,
         )
-        res = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
+        res = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
         assert len(res.front) == 1
         assert np.all(res.front[0].genes == -1)
 
     def test_rca4_front_beats_baseline(self, rca4, default_lib, rca4_setup):
         tmap, ssta, cs, ds = rca4_setup
         cfg = GaConfig(population=30, generations=30, error_bound=0.05, seed=1)
-        res = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
+        res = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
         assert not res.feasible_warning
         assert all(d.nmed <= 0.05 for d in res.front)
         assert any(d.mu_cpd < ssta.cpd.mu and d.nmed > 0.0 for d in res.front)
@@ -374,7 +374,7 @@ class TestNsga2:
     def test_elitism_and_archive_monotonicity(self, rca4, default_lib, rca4_setup):
         tmap, ssta, cs, ds = rca4_setup
         cfg = GaConfig(population=16, generations=12, error_bound=0.05, seed=3)
-        res = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
+        res = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
         best = [min(d.nmed for d in snap) for snap in res.history if snap]
         assert best == sorted(best, reverse=True)
 
@@ -394,8 +394,8 @@ class TestNsga2:
     def test_determinism(self, rca4, default_lib, rca4_setup):
         tmap, ssta, cs, ds = rca4_setup
         cfg = GaConfig(population=12, generations=6, error_bound=0.05, seed=7)
-        r1 = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
-        r2 = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
+        r1 = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
+        r2 = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
         assert len(r1.front) == len(r2.front)
         for a, b in zip(r1.front, r2.front):
             assert np.array_equal(a.genes, b.genes)
@@ -409,7 +409,7 @@ class TestNsga2:
             population=4, generations=2, init_exact_prob=0.0,
             error_bound=1e-12, seed=0,
         )
-        res = nsga2_run(rca4, cs, default_lib, tmap, ds, cfg)
+        res = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
         if res.feasible_warning:
             assert len(res.front) == 0
         else:

@@ -34,6 +34,7 @@ from vaxcirc.celllib import (
     sample_matrix,
 )
 from vaxcirc.errsim import (
+    Evaluator,
     _metrics_from_bits,
     generate_dataset,
     interpret_values,
@@ -463,7 +464,7 @@ def test_search_program_matches_reference(case, data):
         cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
         tmap = annotate_edge_transitions(base, _LIB, 8, seed=0)
         ds = generate_dataset(base, 0, seed=0, exhaustive=True)
-        program = SearchProgram(base, cs, _LIB, tmap, ds)
+        program = SearchProgram(Evaluator(base), cs, _LIB, tmap, ds)
         genes = np.array(
             data.draw(st.lists(st.sampled_from((-1, -1, 0, 1)),
                                min_size=len(nets), max_size=len(nets))),
@@ -482,7 +483,7 @@ def test_search_program_matches_reference_on_families(family, width, taps):
     tmap = annotate_edge_transitions(n, _LIB, 50, seed=0)
     cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
     ds = generate_dataset(n, 256, seed=3)
-    program = SearchProgram(n, cs, _LIB, tmap, ds)
+    program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
     po_genes = [k for k, net in enumerate(cs.nets) if net in n.outputs]
     assert po_genes
     rng = np.random.default_rng(7)
@@ -502,7 +503,7 @@ def _batch_matches_reference(n, cs, rows, tmap, ds, chunk):
     """`score_batch` over `rows` with a simulation chunk of `chunk`, after
     the first row was scored alone, gives each row its object-path score;
     each distinct row is scored once."""
-    program = SearchProgram(n, cs, _LIB, tmap, ds)
+    program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
     program.chunk = chunk
     program.score(rows[0])  # memoized before the batch
     batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
@@ -603,7 +604,9 @@ def _front_matches_standalone(base, cs, rows, count, seed, ds):
         compile_timing(base, _LIB.arc_index()), sample_matrix(_LIB, [seed])
     )[0]  # half the baseline's CPD in one library, so violations vary
     delays = sample_matrix(_LIB, range(seed, seed + count))
-    front = MonteCarloFront(base, cs, _LIB, ds, delays, seed, clock)
+    front = MonteCarloFront(
+        Evaluator(base), compile_timing(base, _LIB.arc_index()), cs, ds, delays, seed, clock
+    )
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     want = [_standalone(base, cs, g, count, seed, clock, ds, d) for d, g in designs]
     # repr keeps the comparison exact, down to the sign of a zero
@@ -751,6 +754,33 @@ def _chain(draw):
     return Netlist("chain", pis, pos, tuple(gates))
 
 
+def test_front_times_no_chunk_for_a_design_that_writes_no_net(rca8):
+    """The all-exact design, and one that ties only an unread PO net, write
+    no net: they take every PO arrival from the baseline's pass, so no
+    `sta_forward` call times an empty chunk, alone or one design a chunk."""
+    cs = CandidateSet(("cout", "c1"), 1e-3, netlist_fingerprint(rca8))
+    ds = generate_dataset(rca8, 500, seed=1)
+    rows = [exact_chromosome(cs), np.array([1, -1], np.int8), np.array([-1, 0], np.int8)]
+    front, clock = _front(rca8, cs, 20, 9000, ds)
+    designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
+    want = [repr(_standalone(rca8, cs, g, 20, 9000, clock, ds, d)) for d, g in designs]
+    edges, kernel = [], _kernels.sta_forward
+
+    def counted(*a):
+        edges.append(a[0].shape[0])
+        return kernel(*a)
+
+    def one_design_a_chunk(*a):
+        return stacked_cpds(*a[:5], np.empty(1))
+
+    with mock.patch.object(_kernels, "sta_forward", counted):
+        for call in ([designs[0]], designs[:2]):
+            assert [repr(e) for e in front.evaluate(call)] == want[: len(call)]
+        with mock.patch.object(harness, "stacked_cpds", one_design_a_chunk):
+            assert [repr(e) for e in front.evaluate(designs)] == want
+    assert edges and 0 not in edges
+
+
 @settings(max_examples=50, deadline=None)
 @given(_chain(), st.data())
 def test_front_with_a_cone_covering_every_gate_matches_standalone_calls(n, data):
@@ -844,7 +874,8 @@ def _front(base, cs, count, seed, ds):
         compile_timing(base, _LIB.arc_index()), sample_matrix(_LIB, [seed])
     )[0]
     delays = sample_matrix(_LIB, range(seed, seed + count))
-    return MonteCarloFront(base, cs, _LIB, ds, delays, seed, clock), clock
+    program = compile_timing(base, _LIB.arc_index())
+    return MonteCarloFront(Evaluator(base), program, cs, ds, delays, seed, clock), clock
 
 
 def _front_reuse_matches_standalone(base, cs, rows, count, seed, ds):
@@ -971,7 +1002,7 @@ def _tmap_by_path_extraction(n, lib, count, seed):
 
 
 def _assert_tmap_and_clock_match_scalar(n, lib, count, seed):
-    clock, tmap = _clock_and_tmap(n, lib, count, seed)
+    clock, tmap = _clock_and_tmap(compile_timing(n, lib.arc_index()), lib, count, seed)
     want = _tmap_by_path_extraction(n, lib, count, seed)
     assert list(tmap.items()) == list(want.items())  # key order too
     assert annotate_edge_transitions(n, lib, count, seed) == tmap
@@ -1033,6 +1064,6 @@ def test_tmap_ties_take_the_first_pin_and_rise(gates, outputs, want, clock, coun
     endpoint and along the path, in the walk and in `extract_critical_path`."""
     n = Netlist("ties", ("a", "b"), outputs, gates)
     lib = _zero_sigma_library()
-    assert _clock_and_tmap(n, lib, count, 0) == (clock, want)
+    assert _clock_and_tmap(compile_timing(n, lib.arc_index()), lib, count, 0) == (clock, want)
     path = extract_critical_path(sta_arrivals(n, sample_library(lib, 0)))
     assert {(g, pin): edge for g, pin, edge in path}.items() <= want.items()
