@@ -132,8 +132,9 @@ class TimingProgram:
         after the last edge that reads it, and the slot of a gate nobody
         reads at once; kept nets are never freed.  So there are at most as
         many slots as net rows, and a net's slot holds its arrival while it
-        is live, which for a kept net is to the end.  Every row field,
-        `net_index` included, is mapped to slots.
+        is live, which for a kept net is to the end.  Every row field but
+        `net_index` is mapped to slots: `net_index` still gives net rows,
+        which a reader maps to slots through the returned `slot`.
         """
         n_edges = self.src.shape[0]
         preload = np.asarray(preload, dtype=np.int64)
@@ -168,7 +169,6 @@ class TimingProgram:
         slots = np.array(slot, dtype=np.int32)
         program = replace(
             self,
-            net_index={w: slot[row] for w, row in self.net_index.items()},
             src=slots[self.src],
             dst=slots[self.dst],
             unate=self.unate + _kernels.UN_FIRST * first.astype(np.int8),

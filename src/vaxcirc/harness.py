@@ -477,7 +477,7 @@ def _mc_row(e: McEvaluation) -> list[str]:
 def _front_row(d) -> list[str]:
     """A searched design's `_FRONT_FIELDS`; the genes are space-separated."""
     numbers = [_fmt(getattr(d, k)) for k, kind in _FRONT_FIELDS.items() if kind is float]
-    return numbers + [" ".join(str(int(g)) for g in d.genes)]
+    return numbers + [" ".join(map(str, d.genes.tolist()))]
 
 
 def _require(path, fields, have) -> None:

@@ -20,14 +20,7 @@ from .celllib import SampledLibrary, VariationLibrary
 from .errsim import Evaluator, SimulationDataset, nmed_words, unpack_bits
 from .errsim import _metrics_from_bits  # noqa: F401  perfbench's tracer wraps this name
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
-from .timing import (
-    DelayRV,
-    arc_rv,
-    extract_critical_path,
-    po_endpoint,
-    running_winners,
-    sta_arrivals,
-)
+from .timing import arc_rv, extract_critical_path, po_endpoints, running_winners, sta_arrivals
 from .timing import ssta_traverse  # noqa: F401  perfbench's tracer wraps this name
 
 
@@ -97,8 +90,8 @@ def initialize_population(cfg: GaConfig, cs: CandidateSet) -> np.ndarray:
     return np.where(exact, np.int8(-1), ties)
 
 
-# Bytes of the chromosomes' signal words one `SearchProgram` simulates at once.
-_STACK_BYTES = 8 << 20
+# Bytes of the cone gate words one `SearchProgram` simulates at once.
+_ARENA_BYTES = 8 << 20
 
 
 class SearchProgram:
@@ -113,9 +106,9 @@ class SearchProgram:
     level, with one vector step per level over every chromosome and gate
     of the level, `score_batch` times every gate from the PIs with the
     running-winner rule of `ssta_traverse` (`timing.running_winners`),
-    reading fanins through the alias, and re-simulates the cones of
-    `chunk` chromosomes at a time into a stack of word slots; every other
-    gate's words are read from the baseline's.
+    reading fanins through the alias, and re-simulates the cones of as
+    many chromosomes at a time as fit in the `capacity` word rows of an
+    arena; every other gate's words are read from the baseline's.
     """
 
     def __init__(
@@ -128,22 +121,30 @@ class SearchProgram:
     ):
         p = ev.program
         self._fold = TieFold(p, cs)
-        shape = (p.n_signals, (ds.n_vectors + 63) // 64)
-        self.chunk = max(1, _STACK_BYTES // (8 * shape[0] * shape[1]))
-        # `chunk` slots, then the baseline's words.  An anonymous map, which
+        n_words = (ds.n_vectors + 63) // 64
+        self.capacity = max(p.n_signals, _ARENA_BYTES // (8 * n_words))
+        # the arena, more rows than any cone (`capacity` may be lowered, not
+        # raised), then the baseline's words.  An anonymous map, which
         # holds only the pages written and is unmapped when freed.  Freeing a
         # malloc block this large would raise glibc's mmap threshold to its
         # size, so the arrays a later `run_evaluate` allocates would stay on
         # the heap: +8 MB peak RSS on array_multiplier(16).
-        self._stack = np.frombuffer(
-            mmap.mmap(-1, 8 * (self.chunk + 1) * shape[0] * shape[1]), dtype=np.uint64
-        ).reshape(self.chunk + 1, *shape)
-        words = ev.signal_words(ds, out=self._stack[-1])
+        self._words = np.frombuffer(
+            mmap.mmap(-1, 8 * (self.capacity + p.n_signals) * n_words), dtype=np.uint64
+        ).reshape(-1, n_words)
+        words = ev.signal_words(ds, out=self._words[self.capacity :])
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed
         self._exact = words[p.po_index]
         self._pi_rows = p.pi_index
         self._po_rows = p.po_index
+        # the gates in evaluation order (level, then op run), their output
+        # and fanin rows, and the (op code, pin count) and bounds of each run
+        levels = self._fold.levels
+        self._order = np.concatenate([lv.gates for lv in levels])
+        self._out, self._ins = p.out[self._order], p.fanin[self._order]
+        self._runs = [run for lv in levels for run in lv.ops]
+        self._run_bounds = np.cumsum([0, *np.concatenate([np.diff(lv.bounds) for lv in levels])])
         # per (gate, pin): the arc mean and variance; 0 for a constant pin
         self._arc_mu = np.zeros((len(p.ops), 3))
         self._arc_var = np.zeros((len(p.ops), 3))
@@ -172,12 +173,8 @@ class SearchProgram:
             return
         fold = self._fold.batch(np.array(list(new.values())))
         mu, var, has = self._ssta(fold)
-        po = fold.alias[:, self._po_rows]
-        for b, (key, nmed) in enumerate(zip(new, self._nmeds(fold))):
-            rows = [r for r in dict.fromkeys(po[b].tolist()) if has[b, r]]
-            rvs = map(DelayRV, mu[b, rows].tolist(), var[b, rows].tolist())
-            _, cpd, confidence = po_endpoint(list(rvs))
-            self._memo[key] = (nmed, cpd.mu, cpd.sigma, confidence)
+        cpds = po_endpoints(mu, var, has, fold.alias[:, self._po_rows])
+        self._memo.update(zip(new, zip(self._nmeds(fold), *cpds)))
 
     def _ssta(self, fold: FoldBatch):
         """(mu, var, has) per (chromosome, row): the arrival of each row's
@@ -201,39 +198,33 @@ class SearchProgram:
         return mu, var, has
 
     def _nmeds(self, fold: FoldBatch) -> list[float]:
-        """NMED per chromosome: its cone simulated into one of the `chunk`
-        slots, `chunk` chromosomes at a time, with one gather, gate
-        op and scatter per (level, op code), then their PO words scored
-        against the baseline's in one `errsim.nmed_words` call."""
-        n_rows = self._stack.shape[1]
-        flat = self._stack.reshape(-1, self._stack.shape[2])
-        # flat row of each logic row: in a chromosome's slot for its cone
-        # gates, else in the baseline's
-        own = (np.arange(self.chunk) * n_rows)[:, None] + np.arange(n_rows)
-        base = (len(self._stack) - 1) * n_rows + np.arange(n_rows)
-        first_gate = self._fold.first_gate
-        nmeds = []
-        for start in range(0, fold.alias.shape[0], self.chunk):
-            alias = fold.alias[start : start + self.chunk]
-            cone = fold.cone[start : start + self.chunk]
-            at = np.where(np.pad(cone, ((0, 0), (first_gate, 0))), own[: len(alias)], base)
-            # flat row that each (chromosome, logic row) reads, through the alias
-            src = np.take_along_axis(at, alias, 1)
-            offset = own[: len(alias), 0]
-            for lv in self._fold.levels:
-                gi, ci = np.nonzero(cone[:, lv.gates].T)
-                if not gi.size:
-                    continue
-                bounds = np.searchsorted(gi, lv.bounds)
-                for (op, n_pins), lo, hi in zip(lv.ops, bounds, bounds[1:]):
-                    if lo == hi:
-                        continue
-                    c, g = ci[lo:hi], gi[lo:hi]
-                    rows = src[c[:, None], lv.fanin[g, :n_pins]]
-                    ins = [np.take(flat, rows[:, k], axis=0) for k in range(n_pins)]
-                    flat[offset[c] + lv.out[g]] = _kernels.gate_words(op, *ins)
-            po = flat[src[:, self._po_rows]]
+        """NMED per chromosome.  The arena is filled with the cones of as
+        many chromosomes in a row as their summed size lets fit in its
+        `capacity` rows, and at least one, in evaluation order: level, op
+        run, gate, chromosome.  Each run is then one gather and one gate op
+        written in place, and the fill's PO words are scored against the
+        baseline's in one `errsim.nmed_words` call."""
+        base = np.arange(len(self._words) - self._fold.n_rows, len(self._words))
+        cone = fold.cone[:, self._order]
+        sizes = cone.sum(axis=1).tolist()
+        nmeds, start = [], 0
+        while start < len(sizes):
+            end, used = start + 1, sizes[start]
+            while end < len(sizes) and used + sizes[end] <= self.capacity:
+                used, end = used + sizes[end], end + 1
+            pos, c = np.nonzero(cone[start:end].T)  # arena row k is gate pos[k] of c[k]
+            at = np.tile(base, (end - start, 1))  # the row each logic row is read from
+            at[c, self._out[pos]] = np.arange(pos.size)
+            src = np.take_along_axis(at, fold.alias[start:end], 1)
+            bounds = np.searchsorted(pos, self._run_bounds).tolist()
+            for (op, n_pins), lo, hi in zip(self._runs, bounds, bounds[1:]):
+                if lo < hi:
+                    rows = src[c[lo:hi, None], self._ins[pos[lo:hi], :n_pins]]
+                    ins = [np.take(self._words, rows[:, k], axis=0) for k in range(n_pins)]
+                    _kernels.gate_words(op, *ins, out=self._words[lo:hi])
+            po = self._words[src[:, self._po_rows]]
             nmeds += nmed_words(self._exact, po, self._n_vectors, self._signed)
+            start = end
         return nmeds
 
 
@@ -273,10 +264,13 @@ def _dominance(obj: np.ndarray, violation: np.ndarray) -> np.ndarray:
     Feasible beats infeasible; infeasible designs rank by violation; two
     feasible designs compare by Pareto dominance (minimization).
     """
-    a, b = obj[:, None, :], obj[None, :, :]
+    shape = (len(obj), len(obj))
+    no_worse, better = np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for a in obj.T:  # Pareto: no objective worse and one better
+        no_worse &= a[:, None] <= a
+        better |= a[:, None] < a
     v, w = violation[:, None], violation[None, :]
-    pareto = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
-    return np.where(w > 0, v < w, (v == 0) & pareto)
+    return np.where(w > 0, v < w, (v == 0) & no_worse & better)
 
 
 def nondominated_sort(pop: list[EvaluatedDesign]) -> list[list[int]]:
@@ -343,6 +337,11 @@ def pareto_front_indices(points: list[tuple]) -> list[int]:
 # -- variation operators ------------------------------------------------------
 
 
+# [alt, gene + 1]: the value a mutated gene takes, the lower (alt 0) or the
+# higher (alt 1) of the two values other than its own
+_RESAMPLE = np.array([[0, -1, -1], [1, 1, 0]], dtype=np.int8)
+
+
 def mutate(genes, depths: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     """Depth-weighted per-gene mutation.
 
@@ -358,10 +357,7 @@ def mutate(genes, depths: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     p = base * (depths + 1.0) / (depths.max() + 1.0)
     hit = rng.random(n) < p
     alt = rng.integers(0, 2, size=n)
-    low = np.where(genes == -1, np.int8(0), np.int8(-1))
-    high = np.where(genes == 1, np.int8(0), np.int8(1))
-    resampled = np.where(alt == 0, low, high)
-    return np.where(hit, resampled, genes).astype(np.int8)
+    return np.where(hit, _RESAMPLE[alt, genes + 1], genes)
 
 
 def _crossover(a: np.ndarray, b: np.ndarray, cfg: GaConfig, rng):
@@ -443,12 +439,16 @@ def nsga2_run(
     pop = evaluate_all([genes0[i] for i in range(cfg.population)])
     archive = _update_archive([], pop)
     history = [list(archive)]
+    for f in nondominated_sort(pop):
+        crowding_assign(pop, f)
+    cut: list[int] = []  # where in `pop` the last front the survivors cut is
 
     for gen in range(1, cfg.generations + 1):
         rng = np.random.default_rng([cfg.seed, gen])
-        fronts = nondominated_sort(pop)
-        for f in fronts:
-            crowding_assign(pop, f)
+        # The survivors keep the ranks their combined sort gave them, which
+        # is what sorting them again gives, since a front they take whole
+        # keeps all its dominators; only the cut front's crowding changes.
+        crowding_assign(pop, cut)
         children: list[np.ndarray] = []
         while len(children) < cfg.population:
             p1 = pop[_tournament(pop, rng)].genes
@@ -468,6 +468,7 @@ def nsga2_run(
                 next_pop.extend(combined[i] for i in f)
             else:
                 room = cfg.population - len(next_pop)
+                cut = list(range(len(next_pop), cfg.population))
                 ranked = sorted(f, key=lambda i: (-combined[i].crowding, i))
                 next_pop.extend(combined[i] for i in ranked[:room])
                 break

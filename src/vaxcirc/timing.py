@@ -96,30 +96,31 @@ def running_winners(mu: np.ndarray, var: np.ndarray, live: np.ndarray):
     live, and the winner's mean and variance (pin 0's where none is).
 
     A candidate takes over when `rv_gt_prob(candidate, leader) > 0.5`,
-    decided exactly as that function decides it: by the means when both
-    variances are 0, else by the sign of z = (leader.mu - candidate.mu) /
-    sqrt(var sum), a candidate winning when z < 0.  For 0 < |z| < 1e-9,
-    where the erfc may round, `rv_gt_prob` itself decides.
+    decided exactly as that function decides it: by the sign of z =
+    (leader.mu - candidate.mu) / sqrt(var sum), a candidate winning when
+    z < 0.  When both variances are 0 (never -0.0), z is -inf, +inf or nan
+    as the candidate's mean is above, below or equal to the leader's, so
+    this compares the means.  For 0 < |z| < 1e-9, where the erfc may round,
+    `rv_gt_prob` itself decides.
     """
     win = np.where(live[..., 0], 0, -1)
     wmu, wvar = mu[..., 0], var[..., 0]
-    for k in range(1, mu.shape[-1]):
-        cmu, cvar, on = mu[..., k], var[..., k], live[..., k]
-        v = cvar + wvar
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (wmu - cmu) / np.sqrt(v)
-        takes = np.where(v == 0.0, cmu > wmu, z < 0.0)
-        band = on & (win >= 0) & (v > 0.0) & (z != 0.0) & (np.abs(z) < _Z_BAND)
-        for i in zip(*np.nonzero(band)):
-            takes[i] = rv_gt_prob(
-                DelayRV(float(cmu[i]), float(cvar[i])),
-                DelayRV(float(wmu[i]), float(wvar[i])),
-            ) > 0.5
-        takes &= on
-        takes |= on & (win < 0)
-        win = np.where(takes, k, win)
-        wmu = np.where(takes, cmu, wmu)
-        wvar = np.where(takes, cvar, wvar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, mu.shape[-1]):
+            cmu, cvar, on = mu[..., k], var[..., k], live[..., k]
+            z = (wmu - cmu) / np.sqrt(cvar + wvar)
+            takes = z < 0.0
+            small = np.abs(z) < _Z_BAND
+            if small.any():
+                for i in zip(*np.nonzero(small & on & (win >= 0) & (z != 0.0))):
+                    takes[i] = rv_gt_prob(
+                        DelayRV(float(cmu[i]), float(cvar[i])),
+                        DelayRV(float(wmu[i]), float(wvar[i])),
+                    ) > 0.5
+            takes = on & (takes | (win < 0))
+            win = np.where(takes, k, win)
+            wmu = np.where(takes, cmu, wmu)
+            wvar = np.where(takes, cvar, wvar)
     return win, wmu, wvar
 
 
@@ -142,6 +143,38 @@ def po_endpoint(rvs: list[DelayRV]):
         return None, DelayRV(0.0, 0.0), 1.0
     i, cpd = running_winner(enumerate(rvs))
     return i, cpd, endpoint_weight(rvs, i)
+
+
+def po_endpoints(mu: np.ndarray, var: np.ndarray, has: np.ndarray, po: np.ndarray):
+    """`po_endpoint` of each of B designs at once, as (cpd mu, cpd sigma,
+    confidence) lists: design b's arrivals are row b of the (B, rows)
+    `mu` and `var`, `has` False where a row has none, and its PO arrivals
+    are those of the rows `po[b]`, each row once at its first position.
+
+    The endpoints come from one `running_winners` call.  Each confidence is
+    the product of P(endpoint > other PO) in list order, each from the same
+    z as `rv_gt_prob`'s: numpy has no erfc, so the terms use `normal_cdf`.
+    """
+    if not po.shape[1]:  # no PO, so no arrival: `po_endpoint([])`
+        return [0.0] * len(po), [0.0] * len(po), [1.0] * len(po)
+    b = np.arange(po.shape[0])[:, None]
+    repeat = np.tril(po[:, :, None] == po[:, None, :], -1).any(axis=2)
+    live = has[b, po] & ~repeat
+    mu, var = mu[b, po], var[b, po]
+    win, wmu, wvar = running_winners(mu, var, live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = ((mu - wmu[:, None]) / np.sqrt(var + wvar[:, None])).tolist()
+    live[b[:, 0], win] = False  # not its own rival; with none live, win -1 clears nothing
+    found = win >= 0
+    confidence = []
+    for zs, on in zip(z, live.tolist()):
+        c = 1.0
+        for zj, o in zip(zs, on):
+            if o:  # a nan z is a tie of two zero-variance arrivals
+                c *= 0.5 if zj != zj else 1.0 - normal_cdf(zj)
+        confidence.append(c)
+    wvar = np.where(found, wvar, 0.0)
+    return np.where(found, wmu, 0.0).tolist(), np.sqrt(wvar).tolist(), confidence
 
 
 def arc_rv(lib: VariationLibrary, kind: str, pin: str, edge: str) -> DelayRV:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -400,6 +401,47 @@ class TestNsga2:
         for a, b in zip(r1.front, r2.front):
             assert np.array_equal(a.genes, b.genes)
             assert a.objectives == b.objectives
+
+    def test_survivors_carry_their_ranks(self, rca4, default_lib, rca4_setup, monkeypatch):
+        """At the first tournament of each generation every member of `pop`
+        has the rank and crowding that a fresh sort and crowding of a copy
+        give, so the survivors need no sort of their own: `nondominated_sort`
+        runs once per generation and once before the first.  Some generation
+        starts from a cut front, whose crowding is all that changes."""
+        tmap, _, cs, ds = rca4_setup
+        sort, crowding, tournament = nondominated_sort, crowding_assign, optimize._tournament
+        cut_fronts = []
+        for seed in (0, 1, 2):
+            cfg = GaConfig(population=8, generations=6, error_bound=0.05, seed=seed)
+            sorts, seen = [], []
+
+            def counted_sort(pop):
+                sorts.append(len(pop))
+                return sort(pop)
+
+            def recorded_crowding(pop, front):
+                if seen and len(pop) == cfg.population and front:  # the cut front's
+                    cut_fronts.append(len(front))
+                crowding(pop, front)
+
+            def checked_tournament(pop, rng):
+                if not any(p is pop for p in seen):  # a new generation's population
+                    seen.append(pop)
+                    fresh = [dataclasses.replace(d) for d in pop]
+                    for f in sort(fresh):
+                        crowding(fresh, f)
+                    assert [(d.rank, d.crowding) for d in pop] == [
+                        (d.rank, d.crowding) for d in fresh
+                    ]
+                return tournament(pop, rng)
+
+            monkeypatch.setattr(optimize, "nondominated_sort", counted_sort)
+            monkeypatch.setattr(optimize, "crowding_assign", recorded_crowding)
+            monkeypatch.setattr(optimize, "_tournament", checked_tournament)
+            nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
+            assert len(seen) == cfg.generations
+            assert len(sorts) == cfg.generations + 1
+        assert cut_fronts
 
     def test_infeasible_everything_warns(self, rca4, default_lib, rca4_setup):
         tmap, ssta, cs, ds = rca4_setup

@@ -7,12 +7,13 @@ calls, each checked against an independent slow reference; and the
 netlist text round trip."""
 
 import itertools
+import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vaxcirc import _kernels, harness, optimize
@@ -70,10 +71,15 @@ from vaxcirc.optimize import (
     pareto_front_indices,
 )
 from vaxcirc.timing import (
+    DelayRV,
     _clock_and_tmap,
     annotate_edge_transitions,
     cpd_over_delays,
     extract_critical_path,
+    po_endpoint,
+    po_endpoints,
+    running_winner,
+    running_winners,
     ssta_traverse,
     sta_arrivals,
     stacked_cpds,
@@ -445,6 +451,55 @@ def test_stale_words_unpack_to_stale_bits(case, data):
     assert (got == stale_bits(_words_to_bits(words, n), late)).all()
 
 
+# 100 and the next double up tie to z = -1.6e-17 at variance 4e5, inside
+# the erfc band; the zero variances tie with equal and unequal means
+_NEXT = math.nextafter(100.0, math.inf)
+_ARRIVAL_MU = (100.0, _NEXT, 100.0 + 1e-7, 101.0, 40.0)
+_ARRIVAL_VAR = (0.0, 1e-6, 2.5, 4e5)
+
+
+@st.composite
+def _po_arrivals(draw):
+    """(B, rows) arrival means, variances and has-arrival flags, and (B, P)
+    PO row ids, from few values: rows repeat and some have no arrival."""
+    b, rows, p = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+
+    def grid(values, size):
+        return draw(st.lists(st.sampled_from(values), min_size=b * size, max_size=b * size))
+
+    arrays = (grid(_ARRIVAL_MU, rows), grid(_ARRIVAL_VAR, rows), grid((True, True, False), rows))
+    po = np.array(grid(range(rows), p), dtype=np.int64).reshape(b, p)
+    return (*(np.array(a).reshape(b, rows) for a in arrays), po)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_po_arrivals())
+@example((  # repeated rows and a row with no arrival; zero-variance ties
+    np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [5.0, 7.0, 6.0], [100.0, _NEXT, 99.0]]),
+    np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4e5, 4e5, 0.0]]),
+    np.array([[True, False, True], [True] * 3, [True] * 3, [True, True, False]]),
+    np.array([[2, 0, 2, 1], [0, 1, 2, 1], [0, 1, 2, 0], [1, 0, 2, 0]]),
+))
+def test_po_endpoints_match_po_endpoint(case):
+    """Each design's (cpd mu, cpd sigma, confidence) is, bit for bit,
+    `po_endpoint`'s over its distinct arriving PO rows in first-position
+    order, and `running_winners` picks `running_winner`'s endpoint, zero
+    variances included.  A 0/0 outside `errstate` would fail as a
+    RuntimeWarning."""
+    mu, var, has, po = case
+    got = list(zip(*po_endpoints(mu, var, has, po)))
+    assert len(got) == len(po)
+    for b, want in enumerate(got):
+        rows = [r for r in dict.fromkeys(po[b].tolist()) if has[b, r]]
+        rvs = [DelayRV(m, v) for m, v in zip(mu[b, rows].tolist(), var[b, rows].tolist())]
+        _, cpd, confidence = po_endpoint(rvs)
+        assert want == (cpd.mu, cpd.sigma, confidence)
+        if rvs:
+            live = np.ones((1, len(rows)), dtype=bool)
+            win, _, _ = running_winners(mu[b, rows][None], var[b, rows][None], live)
+            assert win[0] == running_winner(enumerate(rvs))[0]
+
+
 def _reference_score(n, cs, genes, lib, tmap, ds):
     """(nmed, mu_cpd, sigma_cpd, confidence) through the object path:
     apply the chromosome, simulate both netlists, traverse the result."""
@@ -499,19 +554,22 @@ def test_search_program_matches_reference_on_families(family, width, taps):
         assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
 
 
-def _batch_matches_reference(n, cs, rows, tmap, ds, chunk):
-    """`score_batch` over `rows` with a simulation chunk of `chunk`, after
+def _batch_matches_reference(n, cs, rows, tmap, ds, capacity):
+    """`score_batch` over `rows` with an arena of `capacity` rows, after
     the first row was scored alone, gives each row its object-path score;
     each distinct row is scored once."""
     program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
-    program.chunk = chunk
+    program.capacity = capacity
     program.score(rows[0])  # memoized before the batch
     batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
     distinct = {r.tobytes() for r in rows}
-    new = len(distinct - {rows[0].tobytes()})
-    assert new > chunk  # the new rows span more than one chunk
+    fresh = {r.tobytes(): r for r in rows if r.tobytes() != rows[0].tobytes()}
+    new = len(fresh)
+    with_cone = int(program._fold.batch(np.array(list(fresh.values()))).cone.any(axis=1).sum())
     with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
         program.score_batch(batch)
+    # the new rows span more than one arena fill once two of them have a cone
+    assert nmeds.call_count >= min(2, with_cone)
     assert sum(len(call.args[1]) for call in nmeds.call_args_list) == new
     assert len(program._memo) == len(distinct)
     for genes in rows:
@@ -540,7 +598,7 @@ def test_score_batch_matches_reference(case, data):
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         _batch_matches_reference(base, cs, [all_gnd, exact, po_vdd, *drawn],
-                                 tmap, ds, chunk=1)
+                                 tmap, ds, capacity=0)
 
 
 @pytest.mark.parametrize("family,width,taps", [
@@ -562,7 +620,55 @@ def test_score_batch_matches_reference_on_families(family, width, taps):
             genes[po_genes[i % len(po_genes)]] = i % 4 // 2
         rows.append(genes)
     ds = generate_dataset(n, 300, seed=3)
-    _batch_matches_reference(n, cs, rows, tmap, ds, chunk=4)
+    widest = TieFold(compile_logic(n), cs).batch(np.array(rows)).cone.sum(axis=1).max()
+    _batch_matches_reference(n, cs, rows, tmap, ds, capacity=int(widest))
+
+
+@pytest.mark.parametrize("family,width", [("rca_adder", 8), ("array_multiplier", 4)])
+def test_score_batch_fills_the_arena_by_cone_size(family, width):
+    """One `score_batch` over several arena fills, the arena as large as the
+    widest cone: its chromosome fills the first one alone, and a later fill
+    holds two chromosomes or more and closes where the next does not fit.
+    Every fill takes chromosomes in order while their summed cone fits, and
+    every score is the object path's.  Two cones that fill the arena
+    exactly share one fill."""
+    n = generate_benchmark(BenchmarkSpec(family, width))
+    tmap = annotate_edge_transitions(n, _LIB, 20, seed=0)
+    cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
+    ds = generate_dataset(n, 200, seed=5)
+    rng = np.random.default_rng(11)
+    drawn = {exact_chromosome(cs).tobytes(): None}
+    while len(drawn) < 9:
+        p = rng.choice((0.1, 0.2, 0.4))
+        genes = np.where(rng.random(len(cs)) < p, rng.integers(0, 2, len(cs)), -1)
+        genes = genes.astype(np.int8)
+        drawn.setdefault(genes.tobytes(), genes)
+    rows = list(drawn.values())[1:]
+    program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
+    cone = program._fold.batch(np.array(rows)).cone.sum(axis=1)
+    order = np.argsort(-cone, kind="stable")
+    rows = [rows[i] for i in order]
+    rows.insert(3, exact_chromosome(cs))  # an empty cone
+    cone = [*cone[order][:3].tolist(), 0, *cone[order][3:].tolist()]
+    program.capacity = cone[0]
+    with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
+        program.score_batch(np.array(rows))
+    fills = np.cumsum([0] + [len(call.args[1]) for call in nmeds.call_args_list])
+    assert fills[-1] == len(rows) and fills[1] == 1 and cone[1] > 0
+    for lo, hi in zip(fills, fills[1:]):
+        assert hi - lo == 1 or sum(cone[lo:hi]) <= cone[0]
+        if hi < len(rows):
+            assert sum(cone[lo : hi + 1]) > cone[0]
+    assert any(hi - lo >= 2 and hi < len(rows) for lo, hi in zip(fills, fills[1:]))
+    for genes in rows:
+        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+    # two cones that sum to the capacity share a fill
+    again = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
+    again.capacity = cone[1] + cone[2]
+    with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
+        again.score_batch(np.array([rows[1], rows[2], rows[0]]))
+    assert [len(call.args[1]) for call in nmeds.call_args_list] == [2, 1]
+    assert [again.score(g) for g in rows[:3]] == [program.score(g) for g in rows[:3]]
 
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])
