@@ -125,26 +125,8 @@ class FoldBatch:
 
     # per row: GND 0, VDD 1, the upstream row it forwards, or itself
     alias: np.ndarray  # (B, rows) int32
-    visited: np.ndarray  # (B, gates) bool: gates in the fanout of the ties
+    cone: np.ndarray  # (B, gates) bool: kept gates in the fanout of the ties
     dropped: np.ndarray  # (B, gates) bool: tied nets' drivers and the gates folded away
-
-    @property
-    def cone(self) -> np.ndarray:
-        return self.visited & ~self.dropped
-
-
-@dataclass
-class Level:
-    """The gates of one logic level, sorted by op code.  No gate reads
-    another gate of its level."""
-
-    gates: np.ndarray  # gate indices
-    out: np.ndarray  # their output rows
-    fanin: np.ndarray  # (gates, 3) fanin rows; a pin the gate lacks reads GND
-    readers: np.ndarray  # `fanin`, but a pin the gate lacks reads row `n_rows`
-    folds: np.ndarray  # (gates, 27): `netlist.FOLD_TABLE` row of each gate
-    ops: list[tuple[int, int]]  # (op code, pin count) of each run of one op
-    bounds: np.ndarray  # run r is gates[bounds[r]:bounds[r + 1]]
 
 
 class TieFold:
@@ -158,28 +140,38 @@ class TieFold:
     since `simplify_constants` folds those too.  A gate it does not visit
     is kept with its baseline fanins.  A tied net's driver is dropped
     whether or not it is visited.
+
+    The gates are held in one schedule, in evaluation order: by logic
+    level, then by op code.  Position i of the schedule is gate `order[i]`,
+    with output row `out[i]` and fanin rows `fanin[i]`.  The slice
+    `levels[l]` holds level l, and no gate reads another gate of its level;
+    positions `run_bounds[r]:run_bounds[r + 1]` hold run r, the gates of
+    one level and one (op code, pin count) `runs[r]`.
     """
 
     def __init__(self, p: LogicProgram, cs: CandidateSet):
         require_fingerprint(p.netlist, cs)
         self.first_gate = 2 + len(p.netlist.inputs)  # row of the first gate output
         self.n_rows = p.n_signals
-        gates = p.netlist.topological_order()
-        pins = np.arange(3) < np.array([len(g.cell.input_pins) for g in gates])[:, None]
-        level = np.zeros(p.n_signals, dtype=np.int64)
-        for gi in range(len(gates)):
-            level[p.out[gi]] = 1 + level[p.fanin[gi][pins[gi]]].max()
-        level = level[p.out]
-        order = np.lexsort((p.ops, level))
-        self.levels = []
-        for gs in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
-            ops = p.ops[gs]
-            bounds = np.array([0, *np.flatnonzero(np.diff(ops)) + 1, len(gs)])
-            runs = [(int(ops[i]), int(pins[gs[i]].sum())) for i in bounds[:-1]]
-            readers = np.where(pins[gs], p.fanin[gs], self.n_rows)
-            self.levels.append(Level(
-                gs, p.out[gs], p.fanin[gs], readers, FOLD_TABLE[ops], runs, bounds
-            ))
+        # a row's level: 0 for GND, VDD and the PIs; a pin the gate lacks reads GND
+        level = [0] * self.n_rows
+        for o, (a, b, c) in zip(p.out.tolist(), p.fanin.tolist()):
+            level[o] = 1 + max(level[a], level[b], level[c])
+        level = np.array(level, dtype=np.int64)[p.out]
+        self.order = np.lexsort((p.ops, level))
+        level, ops = level[self.order], p.ops[self.order]
+        pins = np.array([len(g.cell.input_pins) for g in p.netlist.topological_order()],
+                        dtype=np.int64)[self.order]
+        self.out, self.fanin = p.out[self.order], p.fanin[self.order]
+        # `fanin`, but a pin the gate lacks reads row `n_rows`
+        self.readers = np.where(np.arange(3) < pins[:, None], self.fanin, self.n_rows)
+        self.folds = FOLD_TABLE[ops]  # (gates, 27): the fold of each position
+        new_level = np.diff(level, prepend=0) != 0  # gate levels start at 1
+        starts = np.append(np.flatnonzero(new_level), len(level)).tolist()
+        self.levels = [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
+        starts = np.flatnonzero(new_level | (np.diff(ops, prepend=-1) != 0))
+        self.runs = list(zip(ops[starts].tolist(), pins[starts].tolist()))
+        self.run_bounds = np.append(starts, len(level))
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
 
     def batch(self, genes: np.ndarray) -> FoldBatch:
@@ -200,24 +192,25 @@ class TieFold:
         gate = rows >= self.first_gate
         dropped[b[gate], rows[gate] - self.first_gate] = True
         for lv in self.levels:
-            seen = touched[:, lv.readers].any(axis=2)
+            seen = touched[:, self.readers[lv]].any(axis=2)
             if not seen.any():
                 continue
-            fanin = alias[:, lv.fanin]
+            gates, out = self.order[lv], self.out[lv]
+            fanin = alias[:, self.fanin[lv]]
             # a pin the gate lacks reads GND, code 0, as the table has it
             code = np.minimum(fanin, 2) @ _PIN_WEIGHTS
-            target = lv.folds[np.arange(len(lv.gates)), code]
-            folded = seen & (target >= 0) & ~dropped[:, lv.gates]
+            target = self.folds[np.arange(lv.start, lv.stop), code]
+            folded = seen & (target >= 0) & ~dropped[:, gates]
             forward = np.where(
                 target == 2, fanin[..., 0], np.where(target == 3, fanin[..., 1], fanin[..., 2])
             )
-            alias[:, lv.out] = np.where(
-                folded, np.where(target < 2, target, forward), alias[:, lv.out]
+            alias[:, out] = np.where(
+                folded, np.where(target < 2, target, forward), alias[:, out]
             )
-            dropped[:, lv.gates] |= folded
-            visited[:, lv.gates] = seen
-            touched[:, lv.out] |= seen
-        return FoldBatch(alias, visited, dropped)
+            dropped[:, gates] |= folded
+            visited[:, gates] = seen
+            touched[:, out] |= seen
+        return FoldBatch(alias, visited & ~dropped, dropped)
 
 
 def format_chromosome(cs: CandidateSet, genes) -> str:

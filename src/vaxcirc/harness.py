@@ -751,14 +751,15 @@ def run_report(run_dir) -> list[McEvaluation]:
     front = pareto_filter(designs, baseline, bound)
     front_ids = {d.design_id for d in front}
 
+    def reduction(value: float, base: float) -> str:
+        """Percent below the baseline's `base`; 0.0 when that is 0.0."""
+        return _fmt(100.0 * (1.0 - value / base) if base > 0.0 else 0.0)
+
     def reduction_row(d: McEvaluation):
-        cpd_red = 100.0 * (1.0 - d.mean_cpd_ps / baseline.mean_cpd_ps)
-        std_red = (
-            100.0 * (1.0 - d.std_cpd_ps / baseline.std_cpd_ps)
-            if baseline.std_cpd_ps > 0.0
-            else 0.0
-        )
-        return _mc_row(d) + [_fmt(cpd_red), _fmt(std_red)]
+        return _mc_row(d) + [
+            reduction(d.mean_cpd_ps, baseline.mean_cpd_ps),
+            reduction(d.std_cpd_ps, baseline.std_cpd_ps),
+        ]
 
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)

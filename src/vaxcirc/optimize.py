@@ -102,9 +102,9 @@ class SearchProgram:
     `ssta_traverse` give for each of many chromosomes, without building a
     netlist.  Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.
     The baseline's `approx.TieFold` turns each tie set into a per-row alias
-    and the cone of kept gates it visited.  Walking the baseline level by
-    level, with one vector step per level over every chromosome and gate
-    of the level, `score_batch` times every gate from the PIs with the
+    and the cone of kept gates it visited.  Walking the fold's gate schedule
+    level by level, with one vector step per level over every chromosome and
+    gate of the level, `score_batch` times every gate from the PIs with the
     running-winner rule of `ssta_traverse` (`timing.running_winners`),
     reading fanins through the alias, and re-simulates the cones of as
     many chromosomes at a time as fit in the `capacity` word rows of an
@@ -138,13 +138,6 @@ class SearchProgram:
         self._exact = words[p.po_index]
         self._pi_rows = p.pi_index
         self._po_rows = p.po_index
-        # the gates in evaluation order (level, then op run), their output
-        # and fanin rows, and the (op code, pin count) and bounds of each run
-        levels = self._fold.levels
-        self._order = np.concatenate([lv.gates for lv in levels])
-        self._out, self._ins = p.out[self._order], p.fanin[self._order]
-        self._runs = [run for lv in levels for run in lv.ops]
-        self._run_bounds = np.cumsum([0, *np.concatenate([np.diff(lv.bounds) for lv in levels])])
         # per (gate, pin): the arc mean and variance; 0 for a constant pin
         self._arc_mu = np.zeros((len(p.ops), 3))
         self._arc_var = np.zeros((len(p.ops), 3))
@@ -187,14 +180,16 @@ class SearchProgram:
         has = np.zeros(shape, dtype=bool)
         has[:, self._pi_rows] = True
         at = np.arange(shape[0])[:, None, None]
-        for lv in self._fold.levels:
-            fanin = fold.alias[:, lv.fanin]
+        f = self._fold
+        for lv in f.levels:
+            fanin = fold.alias[:, f.fanin[lv]]
             # a pin the gate lacks reads GND, which has no arrival
             pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin], has[at, fanin])
             k = np.maximum(pin, 0)
-            mu[:, lv.out] = wmu + self._arc_mu[lv.gates, k]
-            var[:, lv.out] = wvar + self._arc_var[lv.gates, k]
-            has[:, lv.out] = pin >= 0
+            gates, out = f.order[lv], f.out[lv]
+            mu[:, out] = wmu + self._arc_mu[gates, k]
+            var[:, out] = wvar + self._arc_var[gates, k]
+            has[:, out] = pin >= 0
         return mu, var, has
 
     def _nmeds(self, fold: FoldBatch) -> list[float]:
@@ -204,8 +199,9 @@ class SearchProgram:
         run, gate, chromosome.  Each run is then one gather and one gate op
         written in place, and the fill's PO words are scored against the
         baseline's in one `errsim.nmed_words` call."""
-        base = np.arange(len(self._words) - self._fold.n_rows, len(self._words))
-        cone = fold.cone[:, self._order]
+        f = self._fold
+        base = np.arange(len(self._words) - f.n_rows, len(self._words))
+        cone = fold.cone[:, f.order]
         sizes = cone.sum(axis=1).tolist()
         nmeds, start = [], 0
         while start < len(sizes):
@@ -214,12 +210,12 @@ class SearchProgram:
                 used, end = used + sizes[end], end + 1
             pos, c = np.nonzero(cone[start:end].T)  # arena row k is gate pos[k] of c[k]
             at = np.tile(base, (end - start, 1))  # the row each logic row is read from
-            at[c, self._out[pos]] = np.arange(pos.size)
+            at[c, f.out[pos]] = np.arange(pos.size)
             src = np.take_along_axis(at, fold.alias[start:end], 1)
-            bounds = np.searchsorted(pos, self._run_bounds).tolist()
-            for (op, n_pins), lo, hi in zip(self._runs, bounds, bounds[1:]):
+            bounds = np.searchsorted(pos, f.run_bounds).tolist()
+            for (op, n_pins), lo, hi in zip(f.runs, bounds, bounds[1:]):
                 if lo < hi:
-                    rows = src[c[lo:hi, None], self._ins[pos[lo:hi], :n_pins]]
+                    rows = src[c[lo:hi, None], f.fanin[pos[lo:hi], :n_pins]]
                     ins = [np.take(self._words, rows[:, k], axis=0) for k in range(n_pins)]
                     _kernels.gate_words(op, *ins, out=self._words[lo:hi])
             po = self._words[src[:, self._po_rows]]
@@ -342,20 +338,27 @@ def pareto_front_indices(points: list[tuple]) -> list[int]:
 _RESAMPLE = np.array([[0, -1, -1], [1, 1, 0]], dtype=np.int8)
 
 
-def mutate(genes, depths: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
-    """Depth-weighted per-gene mutation.
+def mutation_rates(depths: np.ndarray, cfg: GaConfig) -> np.ndarray:
+    """Depth-weighted per-gene mutation rates.
 
     P(mutate gene) = base * (d+1)/(D_max+1) with d = depths[i], candidate
-    i's gate-depth to the nearest PO, so genes near outputs move rarely.  A
-    mutated gene resamples uniformly from the two other values.
+    i's gate-depth to the nearest PO, so genes near outputs move rarely.
+    base is `cfg.base_mutation_rate`, or 2/|genes| when that is None.
     """
+    if not depths.size:
+        return depths
+    base = cfg.base_mutation_rate if cfg.base_mutation_rate is not None else 2.0 / depths.size
+    return base * (depths + 1.0) / (depths.max() + 1.0)
+
+
+def mutate(genes, rates: np.ndarray, rng) -> np.ndarray:
+    """Gene i mutates with probability rates[i] (`mutation_rates`); a
+    mutated gene resamples uniformly from the two other values."""
     genes = np.asarray(genes, dtype=np.int8)
     n = genes.shape[0]
     if n == 0:
         return genes.copy()
-    base = cfg.base_mutation_rate if cfg.base_mutation_rate is not None else 2.0 / n
-    p = base * (depths + 1.0) / (depths.max() + 1.0)
-    hit = rng.random(n) < p
+    hit = rng.random(n) < rates
     alt = rng.integers(0, 2, size=n)
     return np.where(hit, _RESAMPLE[alt, genes + 1], genes)
 
@@ -426,7 +429,7 @@ def nsga2_run(
     cfg.validate()
     n = ev.netlist
     depth_map = depth_to_output(n)
-    depths = np.array([depth_map[w] for w in cs.nets], dtype=np.float64)
+    rates = mutation_rates(np.array([depth_map[w] for w in cs.nets], dtype=np.float64), cfg)
     program = SearchProgram(ev, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
@@ -454,9 +457,9 @@ def nsga2_run(
             p1 = pop[_tournament(pop, rng)].genes
             p2 = pop[_tournament(pop, rng)].genes
             c1, c2 = _crossover(p1, p2, cfg, rng)
-            children.append(mutate(c1, depths, cfg, rng))
+            children.append(mutate(c1, rates, rng))
             if len(children) < cfg.population:
-                children.append(mutate(c2, depths, cfg, rng))
+                children.append(mutate(c2, rates, rng))
         child_designs = evaluate_all(children)
         combined = pop + child_designs
         fronts = nondominated_sort(combined)

@@ -208,6 +208,25 @@ class TestPipeline:
         assert "front_size " in out
         assert (tmp_path / "run" / "report" / "pareto.csv").is_file()
 
+    def test_gate_free_netlist(self, capsys, tmp_path):
+        """Every stage runs on a baseline with no gates, whose POs are its
+        PIs; its mean CPD is 0.0, and so is every CPD reduction."""
+        path = tmp_path / "t.nl"
+        path.write_text("circuit t\ninput a b\noutput a b\nend\n")
+        run = str(tmp_path / "run")
+        for argv in (
+            ["optimize", "--netlist", str(path), "--pop", "4", "--gens", "1",
+             "--search-vectors", "64", "--report-vectors", "64",
+             "--tmap-samples", "8", "--bound-samples", "8", "--out", run],
+            ["evaluate", "--run", run, "--samples", "8"],
+            ["report", "--run", run],
+        ):
+            code, _, err = _run(capsys, argv)
+            assert code == 0, err
+        with open(tmp_path / "run" / "report" / "designs.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and {r["cpd_reduction_pct"] for r in rows} == {"0.0"}
+
     def test_evaluate_without_run_dir(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, ["evaluate", "--run", str(tmp_path / "nothing")]

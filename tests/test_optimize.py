@@ -18,6 +18,7 @@ from vaxcirc.optimize import (
     greedy_glp,
     initialize_population,
     mutate,
+    mutation_rates,
     nondominated_sort,
     nsga2_run,
     pareto_front_indices,
@@ -286,8 +287,9 @@ class TestMutate:
         genes = exact_chromosome(cs)
         trials = 100_000
         flips = np.zeros(len(cs))
+        rates = mutation_rates(depths, cfg)
         for _ in range(trials):
-            out = mutate(genes, depths, cfg, rng)
+            out = mutate(genes, rates, rng)
             flips += out != genes
         for i, w in enumerate(cs.nets):
             want = base * (depth[w] + 1) / (d_max + 1)
@@ -303,23 +305,22 @@ class TestMutate:
         cfg = GaConfig(base_mutation_rate=0.5)
         genes = exact_chromosome(cs)
         i = cs.nets.index("n3")
-        flips = sum(
-            mutate(genes, depths, cfg, rng)[i] != -1 for _ in range(40_000)
-        )
+        rates = mutation_rates(depths, cfg)
+        flips = sum(mutate(genes, rates, rng)[i] != -1 for _ in range(40_000))
         assert abs(flips / 40_000 - po_rate) < 0.1 * po_rate
 
     def test_resamples_other_values(self):
         n, cs = self._chain_setup()
         depth = depth_to_output(n)
         depths = np.array([depth[w] for w in cs.nets], dtype=np.float64)
-        cfg = GaConfig(base_mutation_rate=1.0)
+        rates = mutation_rates(depths, GaConfig(base_mutation_rate=1.0))
         rng = np.random.default_rng(17)
         seen = {(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)}
         hit = set()
         for start in (-1, 0, 1):
             genes = np.full(len(cs), start, dtype=np.int8)
             for _ in range(200):
-                out = mutate(genes, depths, cfg, rng)
+                out = mutate(genes, rates, rng)
                 for a, b in zip(genes.tolist(), out.tolist()):
                     if a != b:
                         hit.add((a, b))

@@ -772,6 +772,25 @@ def test_monte_carlo_front_matches_standalone_calls_on_families(family, width, t
     _front_matches_standalone(n, cs, rows, 20, 9000, generate_dataset(n, 2000, seed=3))
 
 
+@pytest.mark.parametrize("text", [
+    "circuit t\ninput a b\noutput a b\nend\n",
+    "circuit kc\ninput a b\noutput kc a VDD\ngate u_kc AND2 A=GND B=VDD Y=kc\nend\n",
+], ids=["no_gates", "constant_gate"])
+def test_degenerate_baselines_match_reference(text):
+    """A baseline with no gates, and one whose only gate reads constants,
+    score every chromosome as the object path does, in the search and in
+    the Monte-Carlo front."""
+    base = parse_netlist(text)
+    nets = base.inputs + tuple(g.output for g in base.gates)
+    cs = CandidateSet(nets, 1e-3, netlist_fingerprint(base))
+    tmap = annotate_edge_transitions(base, _LIB, 8, seed=0)
+    ds = generate_dataset(base, 0, seed=0, exhaustive=True)
+    rows = [np.array(g, dtype=np.int8)
+            for g in itertools.product((-1, 0, 1), repeat=len(nets))]
+    _batch_matches_reference(base, cs, rows, tmap, ds, capacity=0)
+    _front_matches_standalone(base, cs, rows, 3, 0, ds)
+
+
 def test_monte_carlo_front_drops_undisturbed_drivers_of_tied_nets(rca8):
     """c1's driver reads only slice 0, which no tie disturbs, so the
     dirty-only fold never visits it.  It must still count as dropped: its
