@@ -225,13 +225,15 @@ def format_chromosome(cs: CandidateSet, genes) -> str:
 
 def parse_chromosome(text: str, cs: CandidateSet) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not len(cs) and len(lines) == 1:
+        lines.append("")  # the gene line of no candidates is blank
     if len(lines) != 2 or not lines[0].startswith("fingerprint "):
         raise ChromosomeError("expected a fingerprint header and one gene line")
     fp = lines[0].split(None, 1)[1].strip()
     if fp != cs.fingerprint:
         raise ChromosomeError("chromosome was saved for a different netlist")
     try:
-        genes = np.array([int(t) for t in lines[1].split(",")], dtype=np.int8)
+        genes = np.array([int(t) for t in lines[1].split(",") if lines[1]], dtype=np.int8)
     except ValueError as e:
         raise ChromosomeError(f"bad gene value: {e}") from e
     return validate_genes(cs, genes)

@@ -397,17 +397,12 @@ def stale_nmed_bound(
     program, _ = program.compact(program.po_rows)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
     exact = ev.signal_words(ds)[ev.program.po_index]
-    per_lib = np.zeros(len(delays), dtype=np.float64)
-    cache: dict[bytes, float] = {}
-    for k in range(len(delays)):
-        key = late[k].tobytes()
-        if key not in cache:
-            if not late[k].any():
-                cache[key] = 0.0
-            else:
-                stale = stale_words(exact, late[k])
-                cache[key] = nmed_words(exact, stale[None], ds.n_vectors, ds.signed)[0]
-        per_lib[k] = cache[key]
+    patterns, which = np.unique(late, axis=0, return_inverse=True)
+    nmeds = [
+        nmed_words(exact, stale_words(exact, p)[None], ds.n_vectors, ds.signed)[0]
+        for p in patterns
+    ]
+    per_lib = np.array(nmeds, dtype=np.float64)[which]
     return float(per_lib.max(initial=0.0)), per_lib
 
 
@@ -520,6 +515,17 @@ def _read_json(path, fields) -> dict:
         if isinstance(doc[name], bool) or not isinstance(doc[name], kinds):
             raise HarnessError(f"{path}: field {name!r} is not {kind.__name__}")
     return doc
+
+
+def _read_mc(path, meta) -> list[McEvaluation]:
+    """The rows of an mc/*.csv file; a row that was not evaluated with the
+    library count, seed and clock of mc/meta.json `meta` is refused."""
+    run = (meta["mc_count"], meta["mc_seed"], meta["clock_ps"])
+    rows = [McEvaluation(**r) for r in _read_csv(path, _MC_FIELDS)]
+    for e in rows:
+        if (e.count, e.seed, e.baseline_clock_ps) != run:
+            raise HarnessError(f"{path}: {e.design_id} is not from the run of mc/meta.json")
+    return rows
 
 
 @dataclass
@@ -690,7 +696,8 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     once, and shared by every design.  The baseline, as the all-exact
     chromosome, and the designs go through one `MonteCarloFront.evaluate`
     call; each gets the numbers `monte_carlo_evaluate` gives it.  The
-    report of an earlier evaluate is removed only once every input is read.
+    report and mc/meta.json, the completion marker, of an earlier evaluate
+    are removed only once every input is read; mc/meta.json is written last.
     """
     if mc_count < 1:
         raise HarnessError("count must be >= 1")
@@ -710,7 +717,7 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     front = MonteCarloFront(Evaluator(baseline), program, cs, ds, delays, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
     base_eval, *evals = front.evaluate(designs)
-    _remove_outputs(run_dir, ("report/*",))  # the report of earlier MC results
+    _remove_outputs(run_dir, ("mc/meta.json", "report/*"))
     _write_csv(
         os.path.join(run_dir, "mc", "baseline.csv"), _MC_FIELDS, [_mc_row(base_eval)]
     )
@@ -740,12 +747,11 @@ def run_report(run_dir) -> list[McEvaluation]:
     config = _read_json(os.path.join(run_dir, "config.json"), _RUN_FIELDS)
     meta = _read_json(os.path.join(mc_dir, "meta.json"), _META_FIELDS)
     path = os.path.join(mc_dir, "baseline.csv")
-    rows = _read_csv(path, _MC_FIELDS)
+    rows = _read_mc(path, meta)
     if len(rows) != 1:
         raise HarnessError(f"{path}: {len(rows)} rows, not one")
-    baseline = McEvaluation(**rows[0])
-    rows = _read_csv(os.path.join(mc_dir, "designs.csv"), _MC_FIELDS)
-    designs = [McEvaluation(**r) for r in rows]
+    baseline = rows[0]
+    designs = _read_mc(os.path.join(mc_dir, "designs.csv"), meta)
     bound = meta["stale_worst_nmed"]
 
     front = pareto_filter(designs, baseline, bound)

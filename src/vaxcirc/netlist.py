@@ -99,9 +99,8 @@ class Gate:
 
 
 def _check_name(token: str, what: str):
-    if not token or any(c.isspace() for c in token):
-        raise NetlistError(f"invalid {what} name {token!r}")
-    if "=" in token or "#" in token:
+    """Refuse an empty name, or one holding whitespace, '=' or '#'."""
+    if token.split() != [token] or "=" in token or "#" in token:
         raise NetlistError(f"invalid {what} name {token!r}")
 
 

@@ -148,26 +148,18 @@ class SearchProgram:
                     self._arc_mu[gi, k], self._arc_var[gi, k] = rv.mu, rv.var
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
 
-    def score(self, genes: np.ndarray) -> tuple[float, float, float, float]:
-        """(nmed, mu_cpd, sigma_cpd, confidence) of a validated chromosome,
-        memoized by its gene bytes."""
-        self.score_batch(genes[None])
-        return self._memo[genes.tobytes()]
-
-    def score_batch(self, genes: np.ndarray):
-        """Score and memoize each row of validated chromosomes `genes` whose
-        gene bytes are not memoized yet, each distinct row once."""
-        new = {}
-        for row in genes:
-            key = row.tobytes()
-            if key not in self._memo:
-                new[key] = row
-        if not new:
-            return
-        fold = self._fold.batch(np.array(list(new.values())))
-        mu, var, has = self._ssta(fold)
-        cpds = po_endpoints(mu, var, has, fold.alias[:, self._po_rows])
-        self._memo.update(zip(new, zip(self._nmeds(fold), *cpds)))
+    def score_batch(self, genes: np.ndarray) -> list[tuple[float, float, float, float]]:
+        """(nmed, mu_cpd, sigma_cpd, confidence) of each row of validated
+        chromosomes `genes`, in row order.  The rows whose gene bytes are not
+        memoized yet are scored, each distinct row once, and memoized."""
+        keys = [row.tobytes() for row in genes]
+        new = {key: row for key, row in zip(keys, genes) if key not in self._memo}
+        if new:
+            fold = self._fold.batch(np.array(list(new.values())))
+            mu, var, has = self._ssta(fold)
+            cpds = po_endpoints(mu, var, has, fold.alias[:, self._po_rows])
+            self._memo.update(zip(new, zip(self._nmeds(fold), *cpds)))
+        return [self._memo[key] for key in keys]
 
     def _ssta(self, fold: FoldBatch):
         """(mu, var, has) per (chromosome, row): the arrival of each row's
@@ -224,6 +216,14 @@ class SearchProgram:
         return nmeds
 
 
+def _design(genes: np.ndarray, scores, cfg: GaConfig) -> EvaluatedDesign:
+    """The design of validated `genes` that `score_batch` scored `scores`."""
+    nmed, mu, sigma, conf = scores
+    mu_eff = mu * (1.0 + cfg.confidence_penalty * (1.0 - conf))
+    violation = max(0.0, nmed - cfg.error_bound)
+    return EvaluatedDesign(genes, nmed, mu, sigma, conf, mu_eff, violation == 0.0, violation)
+
+
 def evaluate_individual(
     n: Netlist,
     cs: CandidateSet,
@@ -232,23 +232,13 @@ def evaluate_individual(
     tmap: dict,
     ds: SimulationDataset,
     cfg: GaConfig,
-    program: SearchProgram | None = None,
 ) -> EvaluatedDesign:
-    """Score one chromosome: error, timing and the penalized objective.
-
-    `program` is the `SearchProgram` of these (n, cs, lib, tmap, ds),
-    shared by every individual of a run; None compiles one for this call.
-    Pure in its inputs.
+    """Score one chromosome: error, timing and the penalized objective,
+    through a `SearchProgram` compiled for this call.  Pure in its inputs.
     """
-    genes = validate_genes(cs, genes)
-    if program is None:
-        program = SearchProgram(Evaluator(n), cs, lib, tmap, ds)
-    nmed, mu, sigma, conf = program.score(genes)
-    mu_eff = mu * (1.0 + cfg.confidence_penalty * (1.0 - conf))
-    violation = max(0.0, nmed - cfg.error_bound)
-    return EvaluatedDesign(
-        genes.copy(), nmed, mu, sigma, conf, mu_eff, violation == 0.0, violation
-    )
+    genes = validate_genes(cs, genes).copy()
+    program = SearchProgram(Evaluator(n), cs, lib, tmap, ds)
+    return _design(genes, program.score_batch(genes[None])[0], cfg)
 
 
 # -- dominance machinery ------------------------------------------------------
@@ -421,25 +411,21 @@ def nsga2_run(
     """Standard NSGA-II over chromosomes of the baseline whose `Evaluator`
     is `ev`; deterministic for a given seed.
 
-    All stochastic choices happen sequentially.  Each generation's new
-    chromosomes are scored in one `score_batch` call of one `SearchProgram(ev,
-    ...)`.  The returned front is the archive of feasible nondominated
-    designs over the whole run (elitist: it never regresses).
+    All stochastic choices happen sequentially.  Each generation's designs
+    are built from the scores of one `score_batch` call of one
+    `SearchProgram(ev, ...)`.  The returned front is the archive of feasible
+    nondominated designs over the whole run (elitist: it never regresses).
     """
     cfg.validate()
-    n = ev.netlist
-    depth_map = depth_to_output(n)
+    depth_map = depth_to_output(ev.netlist)
     rates = mutation_rates(np.array([depth_map[w] for w in cs.nets], dtype=np.float64), cfg)
     program = SearchProgram(ev, cs, lib, tmap, ds)
 
     def evaluate_all(gene_rows: list[np.ndarray]) -> list[EvaluatedDesign]:
-        program.score_batch(np.array(gene_rows))
-        return [
-            evaluate_individual(n, cs, g, lib, tmap, ds, cfg, program) for g in gene_rows
-        ]
+        scores = program.score_batch(np.array(gene_rows))
+        return [_design(g, s, cfg) for g, s in zip(gene_rows, scores)]
 
-    genes0 = initialize_population(cfg, cs)
-    pop = evaluate_all([genes0[i] for i in range(cfg.population)])
+    pop = evaluate_all(list(initialize_population(cfg, cs)))
     archive = _update_archive([], pop)
     history = [list(archive)]
     for f in nondominated_sort(pop):

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import shutil
 
 import pytest
 
+from vaxcirc import harness
 from vaxcirc.celllib import default_library, nominal_library, save_variation_library
 from vaxcirc.cli import _COMMANDS, _FLAGS, main
 from vaxcirc.harness import rca_adder
@@ -227,6 +229,22 @@ class TestPipeline:
             rows = list(csv.DictReader(f))
         assert rows and {r["cpd_reduction_pct"] for r in rows} == {"0.0"}
 
+    def test_zero_candidate_run(self, capsys, tmp_path):
+        """A run whose baseline has no candidate net is optimized, evaluated
+        and reported: its chromosome files, with their blank gene line,
+        read back."""
+        path = tmp_path / "t.nl"
+        path.write_text("circuit t\ninput a b\noutput GND\ngate g AND2 A=a B=b Y=y\nend\n")
+        run = str(tmp_path / "run")
+        code, out, err = _run(capsys, ["optimize", "--netlist", str(path), *_SMALL_OPTIMIZE,
+                                       "--out", run])
+        assert code == 0, err
+        assert "candidates 0" in out
+        assert list((tmp_path / "run" / "fronts" / "chromosomes").glob("*.chrom"))
+        for argv in (["evaluate", "--run", run, "--samples", "8"], ["report", "--run", run]):
+            code, _, err = _run(capsys, argv)
+            assert code == 0, err
+
     def test_evaluate_without_run_dir(self, capsys, tmp_path):
         code, _, err = _run(
             capsys, ["evaluate", "--run", str(tmp_path / "nothing")]
@@ -323,6 +341,67 @@ class TestRunDirErrors:
         assert path in lines[0] and (field is None or repr(field) in lines[0])
         assert "Traceback" not in err
         assert not any((run / "report").iterdir())
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_interrupted_evaluate_never_reports_a_mixed_mc(at, capsys, tmp_path, rca4_run,
+                                                       monkeypatch):
+    """An `evaluate` over an evaluated run, interrupted at each of its three
+    writes in turn (mc/baseline.csv, mc/designs.csv, mc/meta.json), leaves
+    a run that `report` either refuses in one `error:` line or reads from
+    files of one evaluate run."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_run, run)
+    assert main(["evaluate", "--run", str(run), "--samples", "50", "--mc-seed", "9000"]) == 0
+    writes = []
+
+    def interrupt(real):
+        def write(path, *args):
+            writes.append(os.path.relpath(path, run))
+            if len(writes) > at:
+                raise KeyboardInterrupt
+            return real(path, *args)
+        return write
+
+    monkeypatch.setattr(harness, "_write_csv", interrupt(harness._write_csv))
+    monkeypatch.setattr(harness, "_write_json", interrupt(harness._write_json))
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_evaluate(run, mc_count=70, mc_seed=123)
+    monkeypatch.undo()
+    assert writes[-1] == os.path.join("mc", ("baseline.csv", "designs.csv", "meta.json")[at])
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["report", "--run", str(run)])
+    if code:
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "mc" in lines[0], err
+        return
+    meta = json.loads((run / "mc" / "meta.json").read_text())
+    for name in ("baseline.csv", "designs.csv"):
+        with open(run / "mc" / name, newline="") as f:
+            for row in csv.DictReader(f):
+                assert (int(row["count"]), int(row["seed"])) == (
+                    meta["mc_count"], meta["mc_seed"])
+
+
+@pytest.mark.parametrize("name,column,value", [
+    ("baseline.csv", "count", "7"),
+    ("designs.csv", "seed", "1"),
+    ("designs.csv", "baseline_clock_ps", "1.5"),
+])
+def test_mc_row_of_another_evaluate_is_refused(name, column, value, capsys, tmp_path,
+                                              rca4_run):
+    """`report` refuses, naming the file, an mc/ row whose library count,
+    seed or clock is not the one mc/meta.json records."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_run, run)
+    _csv_edit(column, value)(run / "mc" / name)
+    code, out, err = _run(capsys, ["report", "--run", str(run)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(run / "mc" / name) in lines[0]
+    assert not any((run / "report").iterdir())
 
 
 def _bad_library(tmp_path):

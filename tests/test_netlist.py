@@ -123,6 +123,14 @@ class TestValidation:
         with pytest.raises(NetlistError, match="undriven"):
             Netlist("c", ("a",), ("zz",), (Gate("g", "INV", {"A": "a"}, "y"),))
 
+    @pytest.mark.parametrize("bad", ["", "a\tb", "a\u00a0b", "a=b", "a#b"])
+    def test_invalid_gate_and_net_names_rejected(self, bad):
+        with pytest.raises(NetlistError, match="invalid gate name"):
+            Netlist("c", ("a",), ("y",), (Gate(bad, "INV", {"A": "a"}, "y"),))
+        with pytest.raises(NetlistError, match="invalid net name"):
+            Netlist("c", ("a",), (bad,), (Gate("g", "INV", {"A": "a"}, bad),))
+        Netlist("c", ("a",), ("y[0]",), (Gate("g.0", "INV", {"A": "a"}, "y[0]"),))
+
 
 class TestTopologicalOrder:
     def test_single_gate(self):

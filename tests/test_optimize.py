@@ -177,17 +177,49 @@ class TestSearchProgram:
         program = SearchProgram(Evaluator(rca4), cs, default_lib, tmap, ds)
         tied = exact_chromosome(cs)
         tied[0] = 0
-        rows = [exact_chromosome(cs), tied, exact_chromosome(cs), tied.copy(), tied]
-        cfg = GaConfig(error_bound=0.05)
-        designs = [
-            evaluate_individual(rca4, cs, g, default_lib, tmap, ds, cfg, program)
-            for g in rows
-        ]
+        rows = np.array([exact_chromosome(cs), tied, exact_chromosome(cs), tied, tied])
+        scores = program.score_batch(rows)
         assert len(scored) == 2
-        assert len({id(d) for d in designs}) == len(rows)
-        assert designs[0].objectives == designs[2].objectives
-        assert designs[1].objectives == designs[3].objectives == designs[4].objectives
-        assert designs[0].objectives != designs[1].objectives
+        assert len(scores) == len(rows)
+        assert scores[0] == scores[2]
+        assert scores[1] == scores[3] == scores[4]
+        assert scores[0] != scores[1]
+        # memo hits come back in row order without scoring again
+        assert program.score_batch(rows[::-1]) == scores[::-1]
+        assert len(scored) == 2
+        cfg = GaConfig(error_bound=0.05)
+        for g, s in zip(rows[:2], scores):
+            d = evaluate_individual(rca4, cs, g, default_lib, tmap, ds, cfg)
+            assert (d.nmed, d.mu_cpd, d.sigma_cpd, d.confidence) == s
+
+    def test_nsga2_builds_each_generation_from_one_score_batch(
+        self, rca4, default_lib, rca4_setup, monkeypatch
+    ):
+        """`nsga2_run` scores each generation in one `score_batch` call and
+        builds its designs from those scores, never through
+        `evaluate_individual`; the designs are the ones it gives."""
+        tmap, _, cs, ds = rca4_setup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nsga2_run called evaluate_individual")
+
+        batches = []
+        score_batch = SearchProgram.score_batch
+        monkeypatch.setattr(optimize, "evaluate_individual", refuse)
+        monkeypatch.setattr(
+            SearchProgram, "score_batch",
+            lambda self, genes: batches.append(len(genes)) or score_batch(self, genes),
+        )
+        cfg = GaConfig(population=8, generations=3, error_bound=0.05, seed=2)
+        res = nsga2_run(Evaluator(rca4), cs, default_lib, tmap, ds, cfg)
+        assert batches == [cfg.population] * (cfg.generations + 1)
+        monkeypatch.undo()
+        assert res.front
+        for d in res.population + res.front:
+            e = evaluate_individual(rca4, cs, d.genes, default_lib, tmap, ds, cfg)
+            fields = ("nmed", "mu_cpd", "sigma_cpd", "confidence", "mu_cpd_eff",
+                      "feasible", "violation")
+            assert [getattr(e, k) for k in fields] == [getattr(d, k) for k in fields]
 
 
 def _brute_force_ranks(points):

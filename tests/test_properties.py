@@ -526,7 +526,8 @@ def test_search_program_matches_reference(case, data):
             dtype=np.int8,
         )
         for g in (exact_chromosome(cs), genes):
-            assert program.score(g) == _reference_score(base, cs, g, _LIB, tmap, ds)
+            assert (program.score_batch(g[None])[0]
+                    == _reference_score(base, cs, g, _LIB, tmap, ds))
 
 
 @pytest.mark.parametrize("family,width,taps", [
@@ -551,7 +552,8 @@ def test_search_program_matches_reference_on_families(family, width, taps):
             genes[po_genes[i % len(po_genes)]] = i % 8 // 4
         rows.append(genes)
     for genes in rows:
-        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+        assert (program.score_batch(genes[None])[0]
+                == _reference_score(n, cs, genes, _LIB, tmap, ds))
 
 
 def _batch_matches_reference(n, cs, rows, tmap, ds, capacity):
@@ -560,7 +562,7 @@ def _batch_matches_reference(n, cs, rows, tmap, ds, capacity):
     each distinct row is scored once."""
     program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
     program.capacity = capacity
-    program.score(rows[0])  # memoized before the batch
+    program.score_batch(rows[0][None])  # memoized before the batch
     batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
     distinct = {r.tobytes() for r in rows}
     fresh = {r.tobytes(): r for r in rows if r.tobytes() != rows[0].tobytes()}
@@ -573,7 +575,8 @@ def _batch_matches_reference(n, cs, rows, tmap, ds, capacity):
     assert sum(len(call.args[1]) for call in nmeds.call_args_list) == new
     assert len(program._memo) == len(distinct)
     for genes in rows:
-        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+        assert (program.score_batch(genes[None])[0]
+                == _reference_score(n, cs, genes, _LIB, tmap, ds))
     assert len(program._memo) == len(distinct)
 
 
@@ -661,14 +664,16 @@ def test_score_batch_fills_the_arena_by_cone_size(family, width):
             assert sum(cone[lo : hi + 1]) > cone[0]
     assert any(hi - lo >= 2 and hi < len(rows) for lo, hi in zip(fills, fills[1:]))
     for genes in rows:
-        assert program.score(genes) == _reference_score(n, cs, genes, _LIB, tmap, ds)
+        assert (program.score_batch(genes[None])[0]
+                == _reference_score(n, cs, genes, _LIB, tmap, ds))
     # two cones that sum to the capacity share a fill
     again = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
     again.capacity = cone[1] + cone[2]
     with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
         again.score_batch(np.array([rows[1], rows[2], rows[0]]))
     assert [len(call.args[1]) for call in nmeds.call_args_list] == [2, 1]
-    assert [again.score(g) for g in rows[:3]] == [program.score(g) for g in rows[:3]]
+    assert ([again.score_batch(g[None])[0] for g in rows[:3]]
+            == [program.score_batch(g[None])[0] for g in rows[:3]])
 
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])
