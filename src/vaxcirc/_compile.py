@@ -179,6 +179,9 @@ class TimingProgram:
         return program, slots
 
 
+_UNATE_CODE = {NEGATIVE: _kernels.UN_NEG, NON_UNATE: _kernels.UN_NON}  # else UN_POS
+
+
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
     net_index, topo = _net_rows(n)
 
@@ -191,12 +194,7 @@ def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
                 continue  # constants carry no transitions
             src.append(net_index[w])
             dst.append(net_index[g.output])
-            if un == NEGATIVE:
-                unate.append(_kernels.UN_NEG)
-            elif un == NON_UNATE:
-                unate.append(_kernels.UN_NON)
-            else:
-                unate.append(_kernels.UN_POS)
+            unate.append(_UNATE_CODE.get(un, _kernels.UN_POS))
             a_rise.append(arc_index[(g.kind, pin, "rise")])
             a_fall.append(arc_index[(g.kind, pin, "fall")])
 

@@ -223,7 +223,7 @@ def nmed_words(
     for j in range(width):
         d = diff[:, j]
         wins = approx[:, j] if signed and j == width - 1 else exact[j]
-        lt = (d & wins) | (~d & lt)
+        lt ^= (lt ^ wins) & d  # lt where d is clear, else wins
     larger = np.bitwise_count(diff & (approx ^ lt[:, None])).sum(axis=2, dtype=np.int64)
     ones = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
     weights = [1 << j for j in range(width)]

@@ -348,12 +348,7 @@ def netlist_fingerprint(n: Netlist) -> str:
 # -- rewrites ----------------------------------------------------------------
 
 
-def _const_value(net: str):
-    if net == GND:
-        return 0
-    if net == VDD:
-        return 1
-    return None
+_CONST_VALUE = {GND: 0, VDD: 1}  # a constant net's logic value
 
 
 def _fold_target(g: Gate, fanin: dict[str, str]):
@@ -365,7 +360,7 @@ def _fold_target(g: Gate, fanin: dict[str, str]):
     other logic could create new timing paths.
     """
     kind = g.kind
-    consts = {p: _const_value(w) for p, w in fanin.items()}
+    consts = {p: _CONST_VALUE.get(w) for p, w in fanin.items()}
     if all(v is not None for v in consts.values()):
         return VDD if CELLS[kind].evaluate(consts) else GND
     if kind == "AND2" or kind == "NAND2":
@@ -395,9 +390,7 @@ def _fold_target(g: Gate, fanin: dict[str, str]):
             return fanin["B"]
         if consts["A"] is not None and consts["A"] == consts["B"]:
             return VDD if consts["A"] else GND
-    elif kind == "BUF":
-        pass  # all-const case handled above; BUF of a live net stays
-    return None
+    return None  # e.g. a BUF of a live net
 
 
 def _fold_table(kind: str) -> np.ndarray:

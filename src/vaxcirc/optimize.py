@@ -20,7 +20,7 @@ from .celllib import SampledLibrary, VariationLibrary
 from .errsim import Evaluator, SimulationDataset, nmed_words, unpack_bits
 from .errsim import _metrics_from_bits  # noqa: F401  perfbench's tracer wraps this name
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
-from .timing import arc_rv, extract_critical_path, po_endpoints, running_winners, sta_arrivals
+from .timing import extract_critical_path, po_endpoints, running_winners, sta_arrivals
 from .timing import ssta_traverse  # noqa: F401  perfbench's tracer wraps this name
 
 
@@ -138,14 +138,20 @@ class SearchProgram:
         self._exact = words[p.po_index]
         self._pi_rows = p.pi_index
         self._po_rows = p.po_index
-        # per (gate, pin): the arc mean and variance; 0 for a constant pin
-        self._arc_mu = np.zeros((len(p.ops), 3))
-        self._arc_var = np.zeros((len(p.ops), 3))
-        for gi, g in enumerate(p.netlist.topological_order()):
+        # per (gate, pin): the arc mean and variance, as `ssta_traverse` takes
+        # them; 0 for a constant pin and a pin the gate lacks, the arc after the last
+        index = lib.arc_index()
+        arcs = [[len(index)] * 3 for _ in p.ops]
+        for row, g in zip(arcs, p.netlist.topological_order()):
             for k, pin in enumerate(g.cell.input_pins):
                 if g.fanin[pin] not in CONSTANT_NETS:
-                    rv = arc_rv(lib, g.kind, pin, tmap[(g.name, pin)])
-                    self._arc_mu[gi, k], self._arc_var[gi, k] = rv.mu, rv.var
+                    row[k] = index[(g.kind, pin, tmap[(g.name, pin)])]
+        self._arc_mu = np.append(lib.mu_vector(), 0.0)[arcs]
+        self._arc_var = np.array([s**2 for s in lib.sigma_vector().tolist()] + [0.0])[arcs]
+        f = self._fold
+        first_run = np.searchsorted(f.run_bounds, [lv.start for lv in f.levels])
+        # per level, the most pins a gate of it has
+        self._level_pins = np.maximum.reduceat([n for _, n in f.runs], first_run).tolist()
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
 
     def score_batch(self, genes: np.ndarray) -> list[tuple[float, float, float, float]]:
@@ -156,33 +162,30 @@ class SearchProgram:
         new = {key: row for key, row in zip(keys, genes) if key not in self._memo}
         if new:
             fold = self._fold.batch(np.array(list(new.values())))
-            mu, var, has = self._ssta(fold)
-            cpds = po_endpoints(mu, var, has, fold.alias[:, self._po_rows])
+            cpds = po_endpoints(*self._ssta(fold), fold.alias[:, self._po_rows])
             self._memo.update(zip(new, zip(self._nmeds(fold), *cpds)))
         return [self._memo[key] for key in keys]
 
     def _ssta(self, fold: FoldBatch):
-        """(mu, var, has) per (chromosome, row): the arrival of each row's
-        net, `has` False where it has none (a constant, or a gate whose
-        fanins all are).  A dropped gate's row is timed too, but no one
-        reads it: readers go through the alias."""
+        """(mu, var) per (chromosome, row): the arrival of each row's net, a
+        -inf mean where it has none (a constant, or a gate whose fanins all
+        are).  A dropped gate's row is timed too, but no one reads it:
+        readers go through the alias."""
         shape = fold.alias.shape
-        mu = np.zeros(shape)
+        mu = np.full(shape, -np.inf)
+        mu[:, self._pi_rows] = 0.0
         var = np.zeros(shape)
-        has = np.zeros(shape, dtype=bool)
-        has[:, self._pi_rows] = True
         at = np.arange(shape[0])[:, None, None]
         f = self._fold
-        for lv in f.levels:
-            fanin = fold.alias[:, f.fanin[lv]]
+        for lv, n_pins in zip(f.levels, self._level_pins):
+            fanin = fold.alias[:, f.fanin[lv, :n_pins]]
             # a pin the gate lacks reads GND, which has no arrival
-            pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin], has[at, fanin])
+            pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin])
             k = np.maximum(pin, 0)
             gates, out = f.order[lv], f.out[lv]
             mu[:, out] = wmu + self._arc_mu[gates, k]
             var[:, out] = wvar + self._arc_var[gates, k]
-            has[:, out] = pin >= 0
-        return mu, var, has
+        return mu, var
 
     def _nmeds(self, fold: FoldBatch) -> list[float]:
         """NMED per chromosome.  The arena is filled with the cones of as
@@ -204,11 +207,11 @@ class SearchProgram:
             at = np.tile(base, (end - start, 1))  # the row each logic row is read from
             at[c, f.out[pos]] = np.arange(pos.size)
             src = np.take_along_axis(at, fold.alias[start:end], 1)
+            fanin = src[c[:, None], f.fanin[pos]]  # the rows each arena row reads
             bounds = np.searchsorted(pos, f.run_bounds).tolist()
             for (op, n_pins), lo, hi in zip(f.runs, bounds, bounds[1:]):
                 if lo < hi:
-                    rows = src[c[lo:hi, None], f.fanin[pos[lo:hi], :n_pins]]
-                    ins = [np.take(self._words, rows[:, k], axis=0) for k in range(n_pins)]
+                    ins = [np.take(self._words, fanin[lo:hi, k], axis=0) for k in range(n_pins)]
                     _kernels.gate_words(op, *ins, out=self._words[lo:hi])
             po = self._words[src[:, self._po_rows]]
             nmeds += nmed_words(self._exact, po, self._n_vectors, self._signed)

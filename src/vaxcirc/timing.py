@@ -88,36 +88,36 @@ def running_winner(candidates):
 _Z_BAND = 1e-9
 
 
-def running_winners(mu: np.ndarray, var: np.ndarray, live: np.ndarray):
+def running_winners(mu: np.ndarray, var: np.ndarray):
     """`running_winner` over the last axis of (..., pins) arrays at once.
 
-    Entry [..., k] is the arrival of pin k; only pins where `live` is set
-    compete.  Returns the winning pin per leading index, -1 where no pin is
-    live, and the winner's mean and variance (pin 0's where none is).
+    Entry [..., k] is the arrival of pin k, a -inf mean where it has none.
+    Returns the winning pin per leading index, -1 where none has one, and
+    the winner's mean and variance (pin 0's where none is).
 
     A candidate takes over when `rv_gt_prob(candidate, leader) > 0.5`,
     decided exactly as that function decides it: by the sign of z =
     (leader.mu - candidate.mu) / sqrt(var sum), a candidate winning when
     z < 0.  When both variances are 0 (never -0.0), z is -inf, +inf or nan
     as the candidate's mean is above, below or equal to the leader's, so
-    this compares the means.  For 0 < |z| < 1e-9, where the erfc may round,
-    `rv_gt_prob` itself decides.
+    this compares the means.  A -inf candidate gives z = +inf, a finite one
+    after a -inf leader -inf, and two -inf pins nan, which keeps the leader.
+    For 0 < |z| < 1e-9, where the erfc may round, `rv_gt_prob` decides.
     """
-    win = np.where(live[..., 0], 0, -1)
+    win = np.where(mu[..., 0] > NEG_INF, 0, -1)
     wmu, wvar = mu[..., 0], var[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, mu.shape[-1]):
-            cmu, cvar, on = mu[..., k], var[..., k], live[..., k]
+            cmu, cvar = mu[..., k], var[..., k]
             z = (wmu - cmu) / np.sqrt(cvar + wvar)
             takes = z < 0.0
             small = np.abs(z) < _Z_BAND
             if small.any():
-                for i in zip(*np.nonzero(small & on & (win >= 0) & (z != 0.0))):
+                for i in zip(*np.nonzero(small & (z != 0.0))):
                     takes[i] = rv_gt_prob(
                         DelayRV(float(cmu[i]), float(cvar[i])),
                         DelayRV(float(wmu[i]), float(wvar[i])),
                     ) > 0.5
-            takes = on & (takes | (win < 0))
             win = np.where(takes, k, win)
             wmu = np.where(takes, cmu, wmu)
             wvar = np.where(takes, cvar, wvar)
@@ -145,10 +145,10 @@ def po_endpoint(rvs: list[DelayRV]):
     return i, cpd, endpoint_weight(rvs, i)
 
 
-def po_endpoints(mu: np.ndarray, var: np.ndarray, has: np.ndarray, po: np.ndarray):
+def po_endpoints(mu: np.ndarray, var: np.ndarray, po: np.ndarray):
     """`po_endpoint` of each of B designs at once, as (cpd mu, cpd sigma,
     confidence) lists: design b's arrivals are row b of the (B, rows)
-    `mu` and `var`, `has` False where a row has none, and its PO arrivals
+    `mu` and `var`, a -inf mean where a row has none, and its PO arrivals
     are those of the rows `po[b]`, each row once at its first position.
 
     The endpoints come from one `running_winners` call.  Each confidence is
@@ -158,29 +158,23 @@ def po_endpoints(mu: np.ndarray, var: np.ndarray, has: np.ndarray, po: np.ndarra
     if not po.shape[1]:  # no PO, so no arrival: `po_endpoint([])`
         return [0.0] * len(po), [0.0] * len(po), [1.0] * len(po)
     b = np.arange(po.shape[0])[:, None]
-    repeat = np.tril(po[:, :, None] == po[:, None, :], -1).any(axis=2)
-    live = has[b, po] & ~repeat
     mu, var = mu[b, po], var[b, po]
-    win, wmu, wvar = running_winners(mu, var, live)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = ((mu - wmu[:, None]) / np.sqrt(var + wvar[:, None])).tolist()
-    live[b[:, 0], win] = False  # not its own rival; with none live, win -1 clears nothing
+    mu[np.tril(po[:, :, None] == po[:, None, :], -1).any(axis=2)] = NEG_INF  # a repeat
+    win, wmu, wvar = running_winners(mu, var)
     found = win >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (mu - wmu[:, None]) / np.sqrt(var + wvar[:, None])
+    z[b[:, 0], win] = NEG_INF  # not its own rival
+    z[~found] = NEG_INF  # no arrival, so no rival
     confidence = []
-    for zs, on in zip(z, live.tolist()):
+    for zs in z.tolist():
         c = 1.0
-        for zj, o in zip(zs, on):
-            if o:  # a nan z is a tie of two zero-variance arrivals
+        for zj in zs:  # -inf: no rival; nan: a tie of two zero-variance arrivals
+            if zj != NEG_INF:
                 c *= 0.5 if zj != zj else 1.0 - normal_cdf(zj)
         confidence.append(c)
     wvar = np.where(found, wvar, 0.0)
     return np.where(found, wmu, 0.0).tolist(), np.sqrt(wvar).tolist(), confidence
-
-
-def arc_rv(lib: VariationLibrary, kind: str, pin: str, edge: str) -> DelayRV:
-    """The arc delay of (kind, pin, output edge) as a DelayRV."""
-    arc = lib.arc(kind, pin, edge)
-    return DelayRV(arc.mu_ps, arc.sigma_ps**2)
 
 
 # -- deterministic STA --------------------------------------------------------
@@ -344,17 +338,19 @@ def stacked_union(program: TimingProgram, timed, forwards, po_rows, n_arcs: int)
     return union, slot, columns, seeds, own[:, seeds].T
 
 
-def _arrivals_and_table(program: TimingProgram, columns, n_designs: int, delays: np.ndarray, out):
+def _arrivals_and_table(program: TimingProgram, columns, n_designs: int, delays, out, spare=None):
     """`program`'s initial arrivals over `n_designs` stacked copies of the
     rows of `delays`, at the head of `out` (new without it), and then its
-    delay table, there when it fits, else new: the arcs, an all-0.0 column
-    and each private column's arc, -inf in the rows of designs not using it."""
+    delay table, there when it fits, else at the head of `spare` or, without
+    it, new: the arcs, an all-0.0 column and each private column's arc, -inf
+    in the rows of designs not using it."""
     count, n_arcs = delays.shape
     shape = (n_arcs + 1 + len(columns), n_designs, count)
+    size = math.prod(shape)
     arr = program.init_arrivals(n_designs * count, out)
     end = 2 * program.n_rows * n_designs * count
-    fits = out is not None and out.size >= end + math.prod(shape)
-    table = out[end : end + math.prod(shape)].reshape(shape) if fits else np.empty(shape)
+    at = out[end:] if out is not None and out.size >= end + size else spare
+    table = np.empty(shape) if at is None else at[:size].reshape(shape)
     table[:n_arcs] = delays.T[:, None, :]  # arc-major
     table[n_arcs] = 0.0
     # column by column: `table[columns[:, 0]]` would copy them all at once
@@ -392,8 +388,9 @@ def stacked_cpds(
     few blocks as let the baseline's pass, or a block's seeds and one
     design, fit in it with their delay tables, and a chunk is as many
     designs as let their arrivals fit after the seeds, and at least one.
-    If not one row fits, each row is a block in new memory.  Without `out`,
-    all is one block and one chunk in new memory.
+    The chunks whose delay table does not fit after their arrivals share
+    one table in new memory.  If not one row fits, each row is a block in
+    new memory.  Without `out`, all is one block and one chunk in new memory.
     """
     count, n_arcs = delays.shape
     _, seed, po_own, po_out = _front_rows(program, timed, forwards, po_rows)
@@ -413,6 +410,14 @@ def stacked_cpds(
     parts = [slice(start, start + chunk) for start in range(0, len(writes), chunk)]
     parts = [(writes[part], whole if chunk >= len(writes) else stacked_union(
         program, timed[writes[part]], fwd[part], pos[part], n_arcs)) for part in parts]
+    # the one overflow delay table: as large as the largest chunk table that
+    # does not fit after the seeds and its chunk's arrivals in a whole block
+    over = [0]
+    for ds, (prog, _, columns, _, _) in parts if out is not None else ():
+        table = len(ds) * block * (n_arcs + 1 + len(columns))
+        if 2 * (head + prog.n_rows * len(ds)) * block + table > out.size:
+            over.append(table)
+    spare = np.empty(max(over)) if max(over) else None
     cpds = np.zeros((timed.shape[0], count))
     for first in range(0, count, block):
         rows = slice(first, first + block)
@@ -425,7 +430,7 @@ def stacked_cpds(
         rest = None if out is None else out[2 * head * k :]  # after the seeds
         for ds, (prog, slot, columns, preload, owned) in parts:
             assert prog.n_rows <= slots
-            arr, table = _arrivals_and_table(prog, columns, len(ds), delays[rows], rest)
+            arr, table = _arrivals_and_table(prog, columns, len(ds), delays[rows], rest, spare)
             pre = arr.transpose(1, 2, 0)[2 : 2 + preload.size].reshape(-1, 2, len(ds), k)
             for dst, at in zip(pre, np.searchsorted(seeds, preload).tolist()):
                 dst[...] = known[at][:, None, :]
@@ -549,8 +554,8 @@ def ssta_traverse(
         )
         if winner is None:
             continue  # all fanins constant: no transitions to time
-        arc = arc_rv(lib, g.kind, winner, tmap[(g.name, winner)])
-        arrivals[g.output] = rv_sum(win_rv, arc)
+        arc = lib.arc(g.kind, winner, tmap[(g.name, winner)])
+        arrivals[g.output] = rv_sum(win_rv, DelayRV(arc.mu_ps, arc.sigma_ps**2))
         critical_fanin[g.name] = winner
 
     po_rvs = {po: arrivals[po] for po in n.outputs if po in arrivals}

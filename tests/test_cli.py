@@ -1,5 +1,7 @@
+import builtins
 import csv
 import json
+import math
 import os
 import shutil
 
@@ -382,6 +384,51 @@ def test_interrupted_evaluate_never_reports_a_mixed_mc(at, capsys, tmp_path, rca
             for row in csv.DictReader(f):
                 assert (int(row["count"]), int(row["seed"])) == (
                     meta["mc_count"], meta["mc_seed"])
+
+
+def test_interrupted_optimize_is_refused(capsys, tmp_path, rca4_file, monkeypatch):
+    """An `optimize` over a finished run with another seed, interrupted at
+    each of its file writes in turn, leaves a run that `evaluate` refuses in
+    one `error:` line naming the missing config.json."""
+    argv = ["optimize", "--netlist", rca4_file, "--pop", "4", "--gens", "1",
+            "--search-vectors", "64", "--report-vectors", "64",
+            "--tmap-samples", "8", "--bound-samples", "8"]
+    done = tmp_path / "done"
+    assert main(argv + ["--out", str(done)]) == 0
+    real_open = builtins.open
+
+    def optimize_again(run, at=math.inf):
+        """The file writes of a second `optimize` into `run`, raising at
+        write `at`."""
+        shutil.copytree(done, run)
+        writes = []
+
+        def interrupt(file, mode="r", *args, **kwargs):
+            if str(file).startswith(str(run)) and set(mode) & set("wax+"):
+                writes.append(os.path.relpath(file, run))
+                if len(writes) > at:
+                    raise KeyboardInterrupt
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", interrupt)
+        try:
+            assert main(["--seed", "1", *argv, "--out", str(run)]) == 0
+        finally:
+            monkeypatch.undo()
+        return writes
+
+    writes = optimize_again(tmp_path / "whole")
+    assert writes[-1] == "config.json" and len(writes) > 5
+    for at in range(len(writes)):
+        run = tmp_path / f"cut{at}"
+        with pytest.raises(KeyboardInterrupt):
+            optimize_again(run, at)
+        capsys.readouterr()
+        code, out, err = _run(capsys, ["evaluate", "--run", str(run), "--samples", "8"])
+        assert code == 2 and out == "", (at, writes[at], err)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "missing config.json" in lines[0]
 
 
 @pytest.mark.parametrize("name,column,value", [

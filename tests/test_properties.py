@@ -487,7 +487,7 @@ def test_po_endpoints_match_po_endpoint(case):
     variances included.  A 0/0 outside `errstate` would fail as a
     RuntimeWarning."""
     mu, var, has, po = case
-    got = list(zip(*po_endpoints(mu, var, has, po)))
+    got = list(zip(*po_endpoints(np.where(has, mu, -np.inf), var, po)))
     assert len(got) == len(po)
     for b, want in enumerate(got):
         rows = [r for r in dict.fromkeys(po[b].tolist()) if has[b, r]]
@@ -495,8 +495,7 @@ def test_po_endpoints_match_po_endpoint(case):
         _, cpd, confidence = po_endpoint(rvs)
         assert want == (cpd.mu, cpd.sigma, confidence)
         if rvs:
-            live = np.ones((1, len(rows)), dtype=bool)
-            win, _, _ = running_winners(mu[b, rows][None], var[b, rows][None], live)
+            win, _, _ = running_winners(mu[b, rows][None], var[b, rows][None])
             assert win[0] == running_winner(enumerate(rvs))[0]
 
 

@@ -13,6 +13,7 @@ from vaxcirc.timing import (
     cpb_backprop,
     extract_critical_path,
     mc_sta_cpd,
+    po_endpoints,
     rv_gt_prob,
     running_winner,
     running_winners,
@@ -116,7 +117,8 @@ class TestRunningWinners:
         choices = list(itertools.product(self.MU, self.VAR, (True, False)))
         cases = list(itertools.product(choices, repeat=n_pins))
         mu, var, live = (np.array([[p[i] for p in c] for c in cases]) for i in range(3))
-        got, win_mu, win_var = running_winners(mu, var, live)
+        arrival = np.where(live, mu, -np.inf)  # -inf: no arrival
+        got, win_mu, win_var = running_winners(arrival, var)
         want = [
             running_winner(
                 (k, DelayRV(m, v)) for k, (m, v, on) in enumerate(c) if on
@@ -125,7 +127,7 @@ class TestRunningWinners:
         ]
         assert got.tolist() == [-1 if w is None else w for w in want]
         at = np.maximum(got, 0)[:, None]
-        assert np.array_equal(win_mu, np.take_along_axis(mu, at, 1)[:, 0])
+        assert np.array_equal(win_mu, np.take_along_axis(arrival, at, 1)[:, 0])
         assert np.array_equal(win_var, np.take_along_axis(var, at, 1)[:, 0])
         return mu, var, live
 
@@ -142,6 +144,22 @@ class TestRunningWinners:
 
     def test_three_pins(self):
         self._check(3)
+
+    def test_minus_inf_is_no_arrival(self):
+        """Rows whose pins all are -inf give pin -1 and a -inf mean, a
+        finite pin after a -inf leader takes over, and no RuntimeWarning
+        escapes (the test configuration makes one a failure)."""
+        inf = math.inf
+        mu = np.array([[-inf, -inf, -inf], [-inf, 5.0, -inf], [-inf, -inf, 3.0], [2.0, -inf, 2.0]])
+        var = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        win, win_mu, win_var = running_winners(mu, var)
+        assert win.tolist() == [-1, 1, 2, 0]
+        assert win_mu.tolist() == [-inf, 5.0, 3.0, 2.0]
+        assert win_var.tolist() == [0.0, 0.0, 0.0, 0.0]
+        po = np.array([[0, 1, 2]] * 4)
+        assert list(zip(*po_endpoints(mu, var, po))) == [
+            (0.0, 0.0, 1.0), (5.0, 0.0, 1.0), (3.0, 0.0, 1.0), (2.0, 0.0, 0.5)
+        ]
 
 
 class TestStaArrivals:
