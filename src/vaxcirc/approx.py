@@ -232,8 +232,8 @@ def parse_chromosome(text: str, cs: CandidateSet) -> np.ndarray:
     fp = lines[0].split(None, 1)[1].strip()
     if fp != cs.fingerprint:
         raise ChromosomeError("chromosome was saved for a different netlist")
-    try:
-        genes = np.array([int(t) for t in lines[1].split(",") if lines[1]], dtype=np.int8)
+    try:  # clamped to [-2, 2] for int8: `validate_genes` refuses any gene out of range
+        genes = [min(max(int(t), -2), 2) for t in lines[1].split(",") if lines[1]]
     except ValueError as e:
         raise ChromosomeError(f"bad gene value: {e}") from e
     return validate_genes(cs, genes)

@@ -68,9 +68,11 @@ def generate_dataset(
         return SimulationDataset(vectors, n.inputs, seed, signed)
     if count <= 0:
         raise SimulationError("count must be positive")
-    rng = np.random.default_rng(seed)
-    vectors = rng.integers(0, 2, size=(count, n_pi), dtype=np.uint8)
-    return SimulationDataset(vectors, n.inputs, seed, signed)
+    # numpy's `integers(0, 2, dtype=np.uint8)`: the top bit of each raw byte, little-endian
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-count * n_pi // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8)
+    bits >>= 7
+    return SimulationDataset(bits[: count * n_pi].reshape(count, n_pi), n.inputs, seed, signed)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -202,30 +204,33 @@ def nmed_words(
 ) -> list[float]:
     """NMED of each approximate bus against the exact one, read straight
     from packed words: bitwise `_metrics_from_bits(...).nmed` of the same
-    buses, at any width.
+    buses, at any width.  `approx` is overwritten.
 
     `exact` is (width, words) and `approx` (count, width, words), with
     words = ceil(n / 64); row j holds bus bit j (LSB first) of the `n`
-    vectors, and the bits past `n` are ignored.  Per vector, A < E is found in one pass from LSB to
-    MSB, 64 vectors per word op; the larger bus then has bit j set on
-    `d_j & (a_j ^ lt)` of the bits `d_j = a_j ^ e_j` that differ, so
-    |A - E| sums to sum_j w_j * (2 * popcount(d_j & (a_j ^ lt)) - popcount(d_j))
+    vectors, and the bits past `n` are ignored.  `approx` becomes the bits
+    `d_j = a_j ^ e_j` that differ, and A < E is found per vector in one pass
+    from LSB to MSB, 64 vectors per word op; the larger bus then has bit j
+    set on `d_j & (a_j ^ lt) = d_j & (e_j ^ ~lt)`, so |A - E| sums to
+    sum_j w_j * (2 * popcount(d_j & (e_j ^ ~lt)) - popcount(d_j))
     with w_j = 2^j, and -2^(width-1) for the sign bit of a signed bus.
     The sum is an exact Python int, so no per-vector value is built.
     """
     count, width, n_words = approx.shape
     if not n or not width:
         return [0.0] * count
-    diff = approx ^ exact
+    diff = np.bitwise_xor(approx, exact, out=approx)
     if n % 64:  # the padding bits of the last word
         diff[..., -1] &= np.uint64((1 << (n % 64)) - 1)
     lt = np.zeros((count, n_words), dtype=np.uint64)  # A < E, per vector
     for j in range(width):
         d = diff[:, j]
-        wins = approx[:, j] if signed and j == width - 1 else exact[j]
+        wins = d ^ exact[j] if signed and j == width - 1 else exact[j]
         lt ^= (lt ^ wins) & d  # lt where d is clear, else wins
-    larger = np.bitwise_count(diff & (approx ^ lt[:, None])).sum(axis=2, dtype=np.int64)
     ones = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    lt = ~lt
+    diff &= exact ^ lt[:, None]  # the larger bus's bits
+    larger = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
     weights = [1 << j for j in range(width)]
     if signed:
         weights[-1] = -weights[-1]

@@ -606,6 +606,7 @@ def run_optimize(
     ds_report = generate_dataset(n, report_vectors, seed=cfg.seed + 2)
     delays = sample_matrix(vlib, range(bound_seed, bound_seed + bound_count))
     stale_worst, _ = stale_nmed_bound(ev, program, delays, clock, ds_report)
+    del ds_report, delays  # only the bound reads them: freed before the search
     if error_bound is None:
         cfg = replace(cfg, error_bound=stale_worst)
 
@@ -620,16 +621,19 @@ def run_optimize(
         _CANDIDATE_FIELDS,
         [(w, _fmt(ssta.cpb[w])) for w in cs.nets],
     )
+    # one row per design: the history and the front repeat the same objects
+    rows = {id(d): d for snapshot in result.history for d in snapshot}
+    rows = {key: _front_row(d) for key, d in rows.items()}
     for g, snapshot in enumerate(result.history):
         _write_csv(
             os.path.join(run_dir, "fronts", f"gen_{g:04d}.csv"),
             _FRONT_FIELDS,
-            map(_front_row, snapshot),
+            [rows[id(d)] for d in snapshot],
         )
     _write_csv(
         os.path.join(run_dir, "fronts", "final_front.csv"),
         _FINAL_FRONT_FIELDS,
-        [[f"design_{i:03d}", *_front_row(d)] for i, d in enumerate(result.front)],
+        [[f"design_{i:03d}", *rows[id(d)]] for i, d in enumerate(result.front)],
     )
     for i, d in enumerate(result.front):
         path = os.path.join(run_dir, "fronts", "chromosomes", f"design_{i:03d}.chrom")

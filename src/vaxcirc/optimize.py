@@ -153,6 +153,7 @@ class SearchProgram:
         # per level, the most pins a gate of it has
         self._level_pins = np.maximum.reduceat([n for _, n in f.runs], first_run).tolist()
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
+        self._po = self._words[:0]  # a fill's PO words, which `nmed_words` overwrites
 
     def score_batch(self, genes: np.ndarray) -> list[tuple[float, float, float, float]]:
         """(nmed, mu_cpd, sigma_cpd, confidence) of each row of validated
@@ -213,7 +214,11 @@ class SearchProgram:
                 if lo < hi:
                     ins = [np.take(self._words, fanin[lo:hi, k], axis=0) for k in range(n_pins)]
                     _kernels.gate_words(op, *ins, out=self._words[lo:hi])
-            po = self._words[src[:, self._po_rows]]
+            rows = src[:, self._po_rows]
+            if len(self._po) < rows.size:  # kept across fills, grown as needed
+                self._po = np.empty((rows.size, self._words.shape[1]), np.uint64)
+            po = self._po[: rows.size].reshape(*rows.shape, self._po.shape[1])
+            np.take(self._words, rows, axis=0, out=po, mode="clip")  # "raise" gathers to a copy
             nmeds += nmed_words(self._exact, po, self._n_vectors, self._signed)
             start = end
         return nmeds

@@ -755,6 +755,22 @@ def test_corrupt_run_file_error_names_it(name, corrupt, capsys, tmp_path, rca4_r
     assert err.startswith("error:") and str(run / name) in err, err
 
 
+@pytest.mark.parametrize("gene", ["128", "-129", str(10**20), str(-(10**20))])
+def test_out_of_range_gene_is_refused_by_file(gene, capsys, tmp_path, rca4_reported):
+    """A gene past int8 or any machine int gets the same `error:` line as a
+    gene of 2, naming the file, not a traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_reported, run)
+    path = run / "fronts" / "chromosomes" / "design_000.chrom"
+    header, genes = path.read_text().splitlines()
+    path.write_text(f"{header}\n{','.join([gene, *genes.split(',')[1:]])}\n")
+    code, out, err = _run(capsys, ["evaluate", "--run", str(run)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(path) in err and "genes must be -1, 0 or 1" in err, err
+
+
 # every numeric flag of every subcommand (a global flag under each), with
 # values at and past the low end of the usual ranges
 _TRIALS = {int: ("-1", "0"), float: ("-1", "0", "nan", "inf")}

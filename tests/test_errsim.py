@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vaxcirc.errsim import (
     SimulationError,
     generate_dataset,
     interpret_values,
+    nmed_words,
     pack_bits,
     simulate_metrics,
     timing_error_metrics,
@@ -105,6 +107,39 @@ class TestGenerateDataset:
         ds = generate_dataset(rca8, 100_000, seed=1)
         freq = ds.vectors.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.01)
+
+    @pytest.mark.parametrize("count,n_pi,seed", [
+        (1, 1, 0), (1, 17, 3), (100, 1, 4), (7, 3, 5), (999, 5, 6),
+        (1000, 32, 2**40 + 7), (33, 17, 2**64 - 1), (5, 0, 8),
+    ])
+    def test_matches_numpy_integer_draw(self, count, n_pi, seed):
+        """The vectors are numpy's own 0/1 draw at the same seed, whether or
+        not count * n_pi fills whole raw words."""
+        n = Netlist("pis", tuple(f"i{k}" for k in range(n_pi)), (), ())
+        want = np.random.default_rng(seed).integers(0, 2, size=(count, n_pi), dtype=np.uint8)
+        got = generate_dataset(n, count, seed).vectors
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestNmedWords:
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_search_block_allocates_at_most_one_more_block(self, signed):
+        """On the search's (chromosomes, POs, words) block, `nmed_words`
+        overwrites `approx` and allocates at most 1.5 times its size."""
+        rng = np.random.default_rng(0)
+        exact = rng.integers(0, 2**64, size=(9, 157), dtype=np.uint64)
+        approx = rng.integers(0, 2**64, size=(44, 9, 157), dtype=np.uint64)
+        approx[:, :4] = exact[:4]
+        want = nmed_words(exact, approx.copy(), 10_000, signed)
+        tracemalloc.start()
+        try:
+            got = nmed_words(exact, approx, 10_000, signed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 1.5 * approx.nbytes
 
 
 class TestInterpretValues:

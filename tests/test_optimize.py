@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from vaxcirc import optimize
-from vaxcirc.approx import build_candidates, exact_chromosome
+from vaxcirc.approx import CandidateSet, build_candidates, exact_chromosome
 from vaxcirc.celllib import nominal_library
 from vaxcirc.errsim import Evaluator, generate_dataset
-from vaxcirc.netlist import Gate, Netlist, depth_to_output
+from vaxcirc.netlist import Gate, Netlist, depth_to_output, netlist_fingerprint
 from vaxcirc.optimize import (
     EvaluatedDesign,
     GaConfig,
@@ -191,6 +191,17 @@ class TestSearchProgram:
         for g, s in zip(rows[:2], scores):
             d = evaluate_individual(rca4, cs, g, default_lib, tmap, ds, cfg)
             assert (d.nmed, d.mu_cpd, d.sigma_cpd, d.confidence) == s
+
+    def test_baseline_without_po_scores_zero_error(self, default_lib):
+        """A fill whose chromosomes have no PO word to score still scores."""
+        n = Netlist("nopo", ("a", "b"), (), (Gate("g", "AND2", {"A": "a", "B": "b"}, "y"),))
+        cs = CandidateSet(("a", "y"), 1e-3, netlist_fingerprint(n))
+        tmap = annotate_edge_transitions(n, default_lib, 4, seed=0)
+        program = SearchProgram(
+            Evaluator(n), cs, default_lib, tmap, generate_dataset(n, 100, seed=0)
+        )
+        rows = np.array([[0, 1], [-1, -1], [1, 0]], dtype=np.int8)
+        assert [s[0] for s in program.score_batch(rows)] == [0.0, 0.0, 0.0]
 
     def test_nsga2_builds_each_generation_from_one_score_batch(
         self, rca4, default_lib, rca4_setup, monkeypatch
