@@ -125,48 +125,18 @@ class TimingProgram:
         Slot 0 holds every PI (0.0) and slot 1 every net no edge writes
         (-inf).  The gate rows of `preload` take slots 2, 3, ... in that
         order, for the caller to preload: their edges raise what the slot
-        holds rather than write it.  Scanning the edges, which
-        must be grouped by destination in topological order, every other
-        gate takes a free slot at its first edge, flagged `UN_FIRST` so that
-        the kernel overwrites what the slot held.  A source's slot is freed
-        after the last edge that reads it, and the slot of a gate nobody
-        reads at once; kept nets are never freed.  So there are at most as
-        many slots as net rows, and a net's slot holds its arrival while it
-        is live, which for a kept net is to the end.  Every row field but
+        holds rather than write it.  Every other gate takes a slot by
+        `scan_slots` over the edges, which must be grouped by destination in
+        topological order; its first edge is flagged `UN_FIRST` so that the
+        kernel overwrites what the slot held.  So there are at most as many
+        slots as net rows, and a net's slot holds its arrival while it is
+        live, which for a kept net is to the end.  Every row field but
         `net_index` is mapped to slots: `net_index` still gives net rows,
         which a reader maps to slots through the returned `slot`.
         """
-        n_edges = self.src.shape[0]
-        preload = np.asarray(preload, dtype=np.int64)
-        first = np.ones(n_edges, dtype=bool)
-        first[1:] = self.dst[1:] != self.dst[:-1]
-        first &= ~np.isin(self.dst, preload)
-        last = np.full(self.n_nets, -1, dtype=np.int64)  # last edge reading a net
-        nets, at = np.unique(self.src[::-1], return_index=True)
-        last[nets] = n_edges - 1 - at
-        last[keep] = n_edges
-        last = last.tolist()
-        slot = [1] * self.n_nets
-        for row in self.pi_rows.tolist():
-            slot[row] = 0
-        for k, row in enumerate(preload.tolist(), 2):
-            slot[row] = k
-        n_rows = 2 + preload.size
-        free: list[int] = []
-        for e, (s, d, f) in enumerate(
-            zip(self.src.tolist(), self.dst.tolist(), first.tolist())
-        ):
-            if f:
-                if free:
-                    slot[d] = free.pop()
-                else:
-                    slot[d] = n_rows
-                    n_rows += 1
-                if last[d] < 0:
-                    free.append(slot[d])
-            if last[s] == e and slot[s] >= 2:
-                free.append(slot[s])
-        slots = np.array(slot, dtype=np.int32)
+        slots, n_rows, first = scan_slots(
+            self.src, self.dst, keep, preload, self.pi_rows, self.n_nets
+        )
         program = replace(
             self,
             src=slots[self.src],
@@ -177,6 +147,46 @@ class TimingProgram:
             n_rows=n_rows,
         )
         return program, slots
+
+
+def scan_slots(src, dst, keep, preload, zero, n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Linear-scan slots (Poletto & Sarkar, TOPLAS 1999) for the `n` rows of
+    a program that writes row dst[e] from row src[e], reads grouped by
+    destination in topological order, for a caller that reads only the rows
+    `keep` at the end.  The rows `zero` sit in slot 0, other unwritten rows
+    in slot 1 and the rows of `preload` in 2, 3, ...; any other row takes a
+    free slot at its first read, before its sources' are freed.  A slot from
+    2 up is freed after its row's last read (at once if none) unless the row
+    is kept.  Returns each row's slot, the slot count and first-read mask."""
+    n_edges = src.shape[0]
+    preload = np.asarray(preload, dtype=np.int64)
+    first = np.ones(n_edges, dtype=bool)
+    first[1:] = dst[1:] != dst[:-1]
+    first &= ~np.isin(dst, preload)
+    last = np.full(n, -1, dtype=np.int64)  # the last read of each row
+    rows, at = np.unique(src[::-1], return_index=True)
+    last[rows] = n_edges - 1 - at
+    last[keep] = n_edges
+    last = last.tolist()
+    slot = [1] * n
+    for row in np.asarray(zero).tolist():
+        slot[row] = 0
+    for k, row in enumerate(preload.tolist(), 2):
+        slot[row] = k
+    n_rows = 2 + preload.size
+    free: list[int] = []
+    for e, (s, d, f) in enumerate(zip(src.tolist(), dst.tolist(), first.tolist())):
+        if f:
+            if free:
+                slot[d] = free.pop()
+            else:
+                slot[d] = n_rows
+                n_rows += 1
+            if last[d] < 0:
+                free.append(slot[d])
+        if last[s] == e and slot[s] >= 2:
+            free.append(slot[s])
+    return np.array(slot, dtype=np.int32), n_rows, first
 
 
 _UNATE_CODE = {NEGATIVE: _kernels.UN_NEG, NON_UNATE: _kernels.UN_NON}  # else UN_POS

@@ -76,9 +76,10 @@ def eval_words(ops, in0, in1, in2, out, words):
     are written in the order given, which must be topological, each in
     place by `gate_words`, so no gate may read its own row.
     """
+    view = list(words)  # one view per row, not four indexings per gate
     rows = zip(ops.tolist(), in0.tolist(), in1.tolist(), in2.tolist(), out.tolist())
     for op, i0, i1, i2, o in rows:
-        gate_words(op, words[i0], words[i1], words[i2], words[o])
+        gate_words(op, view[i0], view[i1], view[i2], view[o])
     return words
 
 

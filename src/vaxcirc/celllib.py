@@ -151,8 +151,8 @@ def sample_matrix(lib: VariationLibrary, seeds, rho=None) -> np.ndarray:
     generator seeded with seeds[i], `Generator(PCG64(seeds[i]))`, gives:
     its first standard normal is g, its next `arcs` are z.  All seeds are
     hashed at once (`_seed_words`), then one PCG64 is re-seeded per row and
-    draws g and z together; the arithmetic and the clamp run once over the
-    whole matrix.
+    draws g and z together; the arithmetic and the clamp run in place over
+    the whole matrix, so the result is a view of it, rows `arcs + 1` apart.
     """
     if rho is None:
         rho = lib.rho_default
@@ -176,9 +176,13 @@ def sample_matrix(lib: VariationLibrary, seeds, rho=None) -> np.ndarray:
             "has_uint32": 0, "uinteger": 0,
         }
         rng.standard_normal(out=row)
+    # mu + sigma * (sqrt(rho) * g + sqrt(1 - rho) * z), bit for bit: + and * commute
     g, z = draws[:, :1], draws[:, 1:]
-    raw = lib._mu + lib._sigma * (math.sqrt(rho) * g + math.sqrt(1.0 - rho) * z)
-    return np.maximum(0.05 * lib._mu, raw, out=raw)
+    z *= math.sqrt(1.0 - rho)
+    z += math.sqrt(rho) * g
+    z *= lib._sigma
+    z += lib._mu
+    return np.maximum(0.05 * lib._mu, z, out=z)
 
 
 # numpy's SeedSequence hash (bit_generator.pyx) and PCG64's 128-bit multiplier

@@ -1,19 +1,20 @@
 """Bit-parallel functional simulation, datasets, and error metrics.
 
-Vectors are packed 64 per machine word; gate evaluation runs over whole
-words in topological order.  Output words are interpreted as unsigned or
-two's-complement integers with the LSB-first bus convention (bit i of a
-bus is PO position i).
+Vectors are packed 64 per machine word, in the dataset as in every
+simulator; gate evaluation runs over whole words in topological order.
+Output words are interpreted as unsigned or two's-complement integers
+with the LSB-first bus convention (bit i of a bus is PO position i).
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._compile import compile_logic
+from ._compile import compile_logic, scan_slots
 from .celllib import SampledLibrary
 from .netlist import Netlist
 from .timing import sta_arrivals
@@ -26,34 +27,44 @@ class SimulationError(Exception):
     """Dataset/netlist mismatch or unsupported configuration."""
 
 
-@dataclass
 class SimulationDataset:
-    """Input stimulus: one row per vector, one column per PI (0/1)."""
+    """Input stimulus, packed: `words` (n_pi, ceil(n_vectors / 64)) uint64 has
+    PI j of vector i at bit i % 64 of words[j, i // 64], the padding clear.
+    Built from an (N, n_pi) 0/1 matrix, which `vectors` gives back."""
 
-    vectors: np.ndarray
-    pi_names: tuple[str, ...]
-    seed: int
-    signed: bool = False
-
-    @property
-    def n_vectors(self) -> int:
-        return int(self.vectors.shape[0])
-
-    def __post_init__(self):
-        v = self.vectors
-        if v.ndim != 2 or v.shape[1] != len(self.pi_names):
+    def __init__(self, vectors, pi_names: tuple[str, ...], seed: int, signed: bool = False):
+        v = np.asarray(vectors)
+        if v.ndim != 2 or v.shape[1] != len(pi_names):
             raise SimulationError("vector matrix does not match PI names")
         if v.size and int(v.max(initial=0)) > 1:
             raise SimulationError("vectors must be 0/1")
+        self.words = np.zeros((len(pi_names), -(-len(v) // 64)), dtype=np.uint64)
+        for i in range(0, len(v), _BLOCK):  # a whole-matrix transpose would double the memory
+            _pack_into(self.words, i, v[i : i + _BLOCK])
+        self.n_vectors, self.pi_names, self.seed, self.signed = len(v), pi_names, seed, signed
+
+    @classmethod
+    def _packed(cls, words, n_vectors: int, pi_names, seed: int, signed: bool):
+        """The dataset of `n_vectors` vectors already packed into `words`."""
+        ds = cls.__new__(cls)
+        ds.words, ds.n_vectors, ds.pi_names = words, n_vectors, pi_names
+        ds.seed, ds.signed = seed, signed
+        return ds
+
+    @property
+    def vectors(self) -> np.ndarray:  # (N, n_pi) uint8
+        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
+        return np.ascontiguousarray(bits[:, : self.n_vectors].T)
 
 
 EXHAUSTIVE_LIMIT = 20  # 2^20 vectors; beyond this exhaustive mode is refused
+_BLOCK = 8192  # vectors drawn and packed at a time; a multiple of 64
 
 
 def generate_dataset(
     n: Netlist, count: int, seed: int, exhaustive: bool = False, signed: bool = False
 ) -> SimulationDataset:
-    """Uniform random vectors, or every input combination when exhaustive."""
+    """Uniform random vectors, packed `_BLOCK` at a time, or every combination when exhaustive."""
     n_pi = len(n.inputs)
     if exhaustive:
         if n_pi > EXHAUSTIVE_LIMIT:
@@ -68,21 +79,35 @@ def generate_dataset(
         return SimulationDataset(vectors, n.inputs, seed, signed)
     if count <= 0:
         raise SimulationError("count must be positive")
-    # numpy's `integers(0, 2, dtype=np.uint8)`: the top bit of each raw byte, little-endian
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-count * n_pi // 8))
-    bits = raw.astype("<u8", copy=False).view(np.uint8)
-    bits >>= 7
-    return SimulationDataset(bits[: count * n_pi].reshape(count, n_pi), n.inputs, seed, signed)
+    words = np.zeros((n_pi, -(-count // 64)), dtype=np.uint64)
+    bits = np.random.default_rng(seed).bit_generator
+    for i in range(0, count, _BLOCK):  # a full block draws whole raw words: one stream
+        m = min(_BLOCK, count - i)
+        # numpy's `integers(0, 2, dtype=np.uint8)`: the top bit of each raw byte, little-endian
+        raw = bits.random_raw(-(-m * n_pi // 8)).astype("<u8", copy=False).view(np.uint8)
+        raw >>= 7
+        _pack_into(words, i, raw[: m * n_pi].reshape(m, n_pi))
+    return SimulationDataset._packed(words, count, n.inputs, seed, signed)
+
+
+def _pack_into(words: np.ndarray, i: int, v: np.ndarray) -> None:
+    """Pack the (m, n_pi) 0/1 rows `v`, vectors i .. i + m - 1 with i a multiple of
+    64, into the zeroed `SimulationDataset.words` `words` through one transpose."""
+    packed = np.packbits(np.ascontiguousarray(v.T), axis=1, bitorder="little")
+    words.view(np.uint8)[:, i // 8 :][:, : packed.shape[1]] = packed
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """(N,) 0/1 -> packed uint64 words, vector i at bit position i%64."""
-    n = bits.shape[0]
-    n_words = (n + 63) // 64
-    raw = np.packbits(bits.astype(np.uint8), bitorder="little")
-    buf = np.zeros(n_words * 8, dtype=np.uint8)
-    buf[: raw.shape[0]] = raw
-    return buf.view(np.uint64)
+    words = np.zeros((1, (bits.shape[0] + 63) // 64), dtype=np.uint64)
+    _pack_into(words, 0, bits.astype(np.uint8)[:, None])
+    return words[0]
+
+
+def mapped_words(rows: int, n_words: int) -> np.ndarray:
+    """A zeroed (rows, n_words) uint64 array in an anonymous map.  A freed malloc
+    block of a few MB raises glibc's mmap threshold; mid-size arrays then stay resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * n_words), np.uint64).reshape(rows, n_words)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -120,10 +145,22 @@ class Evaluator:
             words = out.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
         words[0] = 0
         words[1] = _FULL
-        for j, row in enumerate(p.pi_index):
-            words[row] = pack_bits(ds.vectors[:, j])
+        words[p.pi_index] = ds.words
         _kernels.eval_words(p.ops, *p.fanin.T, p.out, words)
         return words
+
+    def po_words(self, ds: SimulationDataset) -> np.ndarray:
+        """The PO rows of `signal_words(ds)`, simulated in only as many word
+        rows as are live at once (`_compile.scan_slots`)."""
+        self._check(ds)
+        p = self.program
+        fanin, out = p.fanin.ravel(), p.out.repeat(3)  # one read per pin
+        slot, n_rows, _ = scan_slots(fanin, out, p.po_index, p.pi_index, [0], p.n_signals)
+        words = mapped_words(n_rows, (ds.n_vectors + 63) // 64)  # zeroed: GND
+        words[1] = _FULL
+        words[slot[p.pi_index]] = ds.words
+        _kernels.eval_words(p.ops, *slot[p.fanin].T, slot[p.out], words)
+        return words[slot[p.po_index]]
 
     def po_bits(self, ds: SimulationDataset) -> np.ndarray:
         """(N, n_po) output bit matrix.  It is column-major, so each column
@@ -137,9 +174,7 @@ class Evaluator:
 
     def __call__(self, vectors: np.ndarray) -> np.ndarray:
         """PO bit matrix for a raw (N, n_pi) 0/1 vector array."""
-        ds = SimulationDataset(
-            np.asarray(vectors, dtype=np.uint8), self.netlist.inputs, -1, False
-        )
+        ds = SimulationDataset(np.asarray(vectors, dtype=np.uint8), self.netlist.inputs, -1)
         return self.po_bits(ds)
 
 

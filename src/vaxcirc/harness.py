@@ -324,7 +324,7 @@ class MonteCarloFront:
 
     def __init__(
         self, ev: Evaluator, program: TimingProgram, cs: CandidateSet, ds: SimulationDataset,
-        delays: np.ndarray, seed: int, clock_ps: float,
+        delays: np.ndarray | None, seed: int, clock_ps: float,
     ):
         p = ev.program
         self._fold = TieFold(p, cs)
@@ -343,10 +343,11 @@ class MonteCarloFront:
         self._seed = seed
         self._clock = clock_ps
 
-    def evaluate(self, designs: list[tuple[str, np.ndarray]]) -> list[McEvaluation]:
-        """The `McEvaluation` of each (design_id, validated genes).  POs are
-        read through the alias, so a tied net or PI never counts as one, and
-        the arrivals of the gates that no longer reach a PO are never read."""
+    def evaluate(self, designs: list[tuple[str, np.ndarray]], delays=None) -> list[McEvaluation]:
+        """The `McEvaluation` of each (design_id, validated genes) under the
+        library draw `delays`, by default the constructor's.  POs are read
+        through the alias, so a tied net or PI never counts as one, and the
+        arrivals of the gates that no longer reach a PO are never read."""
         if not designs:
             return []
         folds = self._fold.batch(np.array([genes for _, genes in designs]))
@@ -369,7 +370,7 @@ class MonteCarloFront:
         src = folds.alias[:, self._timing.src]
         timed = folds.cone[:, self._edge_gate] & (src >= 2)
         cpds = stacked_cpds(
-            self._timing, timed, forwards, po_rows, self._delays,
+            self._timing, timed, forwards, po_rows, self._delays if delays is None else delays,
             self._buf[self._head :].view(np.float64),
         )
         return [
@@ -396,7 +397,7 @@ def stale_nmed_bound(
     """
     program, _ = program.compact(program.po_rows)
     late = program.po_arrivals(program.forward(delays)) > clock_ps
-    exact = ev.signal_words(ds)[ev.program.po_index]
+    exact = ev.po_words(ds)
     patterns, which = np.unique(late, axis=0, return_inverse=True)
     nmeds = [
         nmed_words(exact, stale_words(exact, p)[None], ds.n_vectors, ds.signed)[0]
@@ -715,12 +716,12 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
         designs.append((r["design_id"], load_chromosome(chrom, cs)))
     clock = config["clock_ps"]
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
-    delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
-
     program = compile_timing(baseline, vlib.arc_index())
-    front = MonteCarloFront(Evaluator(baseline), program, cs, ds, delays, mc_seed, clock)
+    front = MonteCarloFront(Evaluator(baseline), program, cs, ds, None, mc_seed, clock)
     del ds  # the front keeps the PI words it needs
-    base_eval, *evals = front.evaluate(designs)
+    # drawn only now: neither it nor the dataset is alive beside the front's buffer
+    delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
+    base_eval, *evals = front.evaluate(designs, delays)
     _remove_outputs(run_dir, ("mc/meta.json", "report/*"))
     _write_csv(
         os.path.join(run_dir, "mc", "baseline.csv"), _MC_FIELDS, [_mc_row(base_eval)]

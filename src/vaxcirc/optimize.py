@@ -8,7 +8,6 @@ a hard NMED bound handled through constrained dominance.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import _kernels
 from .approx import CandidateSet, FoldBatch, TieFold, tie_nets, validate_genes
 from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
-from .errsim import Evaluator, SimulationDataset, nmed_words, unpack_bits
+from .errsim import Evaluator, SimulationDataset, mapped_words, nmed_words, unpack_bits
 from .errsim import _metrics_from_bits  # noqa: F401  perfbench's tracer wraps this name
 from .netlist import CONSTANT_NETS, GND, VDD, Netlist, depth_to_output
 from .timing import extract_critical_path, po_endpoints, running_winners, sta_arrivals
@@ -124,14 +123,9 @@ class SearchProgram:
         n_words = (ds.n_vectors + 63) // 64
         self.capacity = max(p.n_signals, _ARENA_BYTES // (8 * n_words))
         # the arena, more rows than any cone (`capacity` may be lowered, not
-        # raised), then the baseline's words.  An anonymous map, which
-        # holds only the pages written and is unmapped when freed.  Freeing a
-        # malloc block this large would raise glibc's mmap threshold to its
-        # size, so the arrays a later `run_evaluate` allocates would stay on
-        # the heap: +8 MB peak RSS on array_multiplier(16).
-        self._words = np.frombuffer(
-            mmap.mmap(-1, 8 * (self.capacity + p.n_signals) * n_words), dtype=np.uint64
-        ).reshape(-1, n_words)
+        # raised), then the baseline's words; a malloc block instead would add
+        # 8 MB to `run_evaluate`'s peak RSS on array_multiplier(16)
+        self._words = mapped_words(self.capacity + p.n_signals, n_words)
         words = ev.signal_words(ds, out=self._words[self.capacity :])
         self._n_vectors = ds.n_vectors
         self._signed = ds.signed

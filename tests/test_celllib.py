@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +192,19 @@ class TestNominalLibrary:
         assert np.array_equal(
             nominal_library(lib).values(), sample_library(lib, 7).values()
         )
+
+
+class TestSampleMatrixMemory:
+    def test_peak_near_the_draw(self, default_lib):
+        """The transform runs in place: 5000 libraries peak at most 1.6 times
+        their (count, arcs + 1) draw."""
+        arcs = len(default_lib.arc_order())
+        sample_matrix(default_lib, range(10))
+        tracemalloc.start()
+        try:
+            delays = sample_matrix(default_lib, range(5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 5000 * (arcs + 1) * 8
+        assert delays.shape == (5000, arcs)

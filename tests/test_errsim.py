@@ -6,6 +6,7 @@ import pytest
 
 from vaxcirc.celllib import nominal_library
 from vaxcirc.errsim import (
+    _BLOCK,
     Evaluator,
     SimulationDataset,
     SimulationError,
@@ -245,3 +246,78 @@ class TestTimingErrorMetrics:
         assert m1 == m2
         assert m1.nmed > 0.0
         print(f"rca8 stale NMED at 0.9x nominal: {m1.nmed!r}")
+
+
+def _pis(n_pi):
+    return Netlist("pis", tuple(f"i{k}" for k in range(n_pi)), (), ())
+
+
+class TestPackedDataset:
+    @pytest.mark.parametrize("n_pi", [0, 1, 17, 33])
+    @pytest.mark.parametrize("count", [1, 7, 63, 64, 65, 8193, 100_001])
+    def test_round_trip_and_pi_words(self, count, n_pi):
+        """A dataset built from a 0/1 matrix gives it back, and the PI rows
+        `signal_words` writes are `pack_bits` of each column."""
+        v = np.random.default_rng(count + n_pi).integers(0, 2, (count, n_pi), dtype=np.uint8)
+        n = _pis(n_pi)
+        ds = SimulationDataset(v, n.inputs, 0)
+        assert ds.n_vectors == count and np.array_equal(ds.vectors, v)
+        words = Evaluator(n).signal_words(ds)
+        n_words = (count + 63) // 64
+        want = [np.zeros(n_words, np.uint64), ~np.zeros(n_words, np.uint64)]
+        want += [pack_bits(v[:, j]) for j in range(n_pi)]
+        assert np.array_equal(words, np.array(want))
+
+    @pytest.mark.parametrize("n_pi", [1, 3, 17, 32])
+    @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 63])
+    def test_draw_split_into_blocks_matches_numpy(self, count, n_pi):
+        """Drawn a block at a time, the vectors are still numpy's own 0/1
+        draw, and their words are the packed columns."""
+        seed = 31 * count + n_pi
+        want = np.random.default_rng(seed).integers(0, 2, size=(count, n_pi), dtype=np.uint8)
+        ds = generate_dataset(_pis(n_pi), count, seed)
+        assert np.array_equal(ds.vectors, want)
+        assert np.array_equal(ds.words, np.array([pack_bits(col) for col in want.T]))
+
+    def test_draw_peak_is_below_the_byte_matrix(self):
+        """100k vectors over 32 PIs are 3.2 MB as a byte matrix and 0.4 MB
+        as words; the draw never holds the byte matrix."""
+        n = _pis(32)
+        generate_dataset(n, 1000, seed=0)  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(n, 100_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert ds.n_vectors == 100_000
+
+
+class TestPoWords:
+    @staticmethod
+    def _check(n, count, seed):
+        ev = Evaluator(n)
+        ds = generate_dataset(n, count, seed)
+        assert np.array_equal(ev.po_words(ds), ev.signal_words(ds)[ev.program.po_index])
+
+    def test_random_dags_and_their_ties(self):
+        """The slotted simulation reads what the full one does, also when a
+        tie folds gates away and leaves POs on PIs or constants."""
+        from vaxcirc.approx import tie_nets
+
+        rng = np.random.default_rng(12)
+        for k in range(40):
+            n = random_dag(rng, int(rng.integers(1, 40)), n_pis=int(rng.integers(1, 7)))
+            self._check(n, int(rng.integers(1, 300)), k)
+            nets = [g.output for g in n.gates] + list(n.inputs)
+            tie = {w: ("GND", "VDD")[k % 2] for w in rng.choice(nets, 2)}
+            self._check(tie_nets(n, tie), 200, k)
+
+    @pytest.mark.parametrize("family,width,taps", [
+        ("rca_adder", 8, 1), ("cla_adder", 8, 1), ("array_multiplier", 16, 1), ("mac_fir", 8, 2),
+    ])
+    def test_families(self, family, width, taps):
+        from vaxcirc.harness import BenchmarkSpec, generate_benchmark
+
+        self._check(generate_benchmark(BenchmarkSpec(family, width, taps=taps)), 1000, 4)

@@ -648,3 +648,29 @@ class TestPipelineDeterminism:
             b / "fronts" / "final_front.csv",
             shallow=False,
         )
+
+
+def test_front_takes_the_library_draw_at_evaluate(rca8, default_lib):
+    """A front built before its libraries are drawn, as `run_evaluate` builds
+    it, scores as one given the draw at construction."""
+    from vaxcirc.approx import build_candidates, exact_chromosome
+    from vaxcirc.timing import annotate_edge_transitions, ssta_traverse
+
+    tmap = annotate_edge_transitions(rca8, default_lib, 20)
+    cs = build_candidates(rca8, ssta_traverse(rca8, default_lib, tmap))
+    rng = np.random.default_rng(3)
+    designs = [("baseline", exact_chromosome(cs))] + [
+        (f"d{i}", np.where(rng.random(len(cs)) < 0.3, rng.integers(0, 2, len(cs)), -1)
+         .astype(np.int8))
+        for i in range(4)
+    ]
+    delays = sample_matrix(default_lib, range(9000, 9040))
+
+    def front(given):
+        program = compile_timing(rca8, default_lib.arc_index())
+        ds = generate_dataset(rca8, 500, seed=1)
+        return harness.MonteCarloFront(Evaluator(rca8), program, cs, ds, given, 9000, 60.0)
+
+    late = front(None).evaluate(designs, delays)
+    assert list(map(repr, late)) == list(map(repr, front(delays).evaluate(designs)))
+    assert {e.violations for e in late} != {0}  # the clock binds in some library
