@@ -143,10 +143,10 @@ class TieFold:
 
     The gates are held in one schedule, in evaluation order: by logic
     level, then by op code.  Position i of the schedule is gate `order[i]`,
-    with output row `out[i]` and fanin rows `fanin[i]`.  The slice
-    `levels[l]` holds level l, and no gate reads another gate of its level;
-    positions `run_bounds[r]:run_bounds[r + 1]` hold run r, the gates of
-    one level and one (op code, pin count) `runs[r]`.
+    with output row `out[i]`, fanin rows `fanin[i]` and the same rows in
+    `readers[i]` but `n_rows` for a pin the gate lacks.  The slice
+    `levels[l]` holds level l, whose gates have at most `level_pins[l]`
+    pins, and no gate reads another gate of its level.
     """
 
     def __init__(self, p: LogicProgram, cs: CandidateSet):
@@ -163,15 +163,12 @@ class TieFold:
         pins = np.array([len(g.cell.input_pins) for g in p.netlist.topological_order()],
                         dtype=np.int64)[self.order]
         self.out, self.fanin = p.out[self.order], p.fanin[self.order]
-        # `fanin`, but a pin the gate lacks reads row `n_rows`
         self.readers = np.where(np.arange(3) < pins[:, None], self.fanin, self.n_rows)
         self.folds = FOLD_TABLE[ops]  # (gates, 27): the fold of each position
         new_level = np.diff(level, prepend=0) != 0  # gate levels start at 1
         starts = np.append(np.flatnonzero(new_level), len(level)).tolist()
         self.levels = [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
-        starts = np.flatnonzero(new_level | (np.diff(ops, prepend=-1) != 0))
-        self.runs = list(zip(ops[starts].tolist(), pins[starts].tolist()))
-        self.run_bounds = np.append(starts, len(level))
+        self.level_pins = np.maximum.reduceat(pins, starts[:-1]).tolist()
         self._cand_rows = np.array([p.signal_index[w] for w in cs.nets], np.int64)
 
     def batch(self, genes: np.ndarray) -> FoldBatch:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._compile import compile_logic, scan_slots
+from ._compile import compile_logic
 from .celllib import SampledLibrary
 from .netlist import Netlist
 from .timing import sta_arrivals
@@ -72,11 +72,13 @@ def generate_dataset(
                 f"exhaustive dataset over {n_pi} inputs exceeds 2^{EXHAUSTIVE_LIMIT}"
             )
         total = 1 << n_pi
-        idx = np.arange(total, dtype=np.uint32)
-        vectors = np.empty((total, n_pi), dtype=np.uint8)
-        for j in range(n_pi):
-            vectors[:, j] = (idx >> j) & 1
-        return SimulationDataset(vectors, n.inputs, seed, signed)
+        words = np.empty((n_pi, -(-total // 64)), dtype=np.uint64)
+        for j in range(min(n_pi, 6)):  # vector i's PI j is bit j of i: one pattern per word
+            words[j] = sum(1 << i for i in range(min(total, 64)) if i >> j & 1)
+        index = np.arange(words.shape[1], dtype=np.uint64)
+        for j in range(6, n_pi):  # whole words of 0 or 1, by bit j - 6 of the word index
+            words[j] = np.negative(index >> (j - 6) & 1)
+        return SimulationDataset._packed(words, total, n.inputs, seed, signed)
     if count <= 0:
         raise SimulationError("count must be positive")
     words = np.zeros((n_pi, -(-count // 64)), dtype=np.uint64)
@@ -151,11 +153,10 @@ class Evaluator:
 
     def po_words(self, ds: SimulationDataset) -> np.ndarray:
         """The PO rows of `signal_words(ds)`, simulated in only as many word
-        rows as are live at once (`_compile.scan_slots`)."""
+        rows as are live at once (`LogicProgram.word_slots`)."""
         self._check(ds)
         p = self.program
-        fanin, out = p.fanin.ravel(), p.out.repeat(3)  # one read per pin
-        slot, n_rows, _ = scan_slots(fanin, out, p.po_index, p.pi_index, [0], p.n_signals)
+        slot, n_rows = p.word_slots()
         words = mapped_words(n_rows, (ds.n_vectors + 63) // 64)  # zeroed: GND
         words[1] = _FULL
         words[slot[p.pi_index]] = ds.words
@@ -241,38 +242,40 @@ def nmed_words(
     from packed words: bitwise `_metrics_from_bits(...).nmed` of the same
     buses, at any width.  `approx` is overwritten.
 
-    `exact` is (width, words) and `approx` (count, width, words), with
-    words = ceil(n / 64); row j holds bus bit j (LSB first) of the `n`
-    vectors, and the bits past `n` are ignored.  `approx` becomes the bits
-    `d_j = a_j ^ e_j` that differ, and A < E is found per vector in one pass
-    from LSB to MSB, 64 vectors per word op; the larger bus then has bit j
-    set on `d_j & (a_j ^ lt) = d_j & (e_j ^ ~lt)`, so |A - E| sums to
+    `exact` is (width, words) and `approx` (width, count, words), PO-major
+    as a simulator's slots hold them, with words = ceil(n / 64); row j
+    holds bus bit j (LSB first) of the `n` vectors, and the bits past `n`
+    are ignored.  `approx` becomes the bits `d_j = a_j ^ e_j` that differ,
+    and A < E is found per vector in one pass from LSB to MSB, 64 vectors
+    per word op; the larger bus then has bit j set on
+    `d_j & (a_j ^ lt) = d_j & (e_j ^ ~lt)`, so |A - E| sums to
     sum_j w_j * (2 * popcount(d_j & (e_j ^ ~lt)) - popcount(d_j))
     with w_j = 2^j, and -2^(width-1) for the sign bit of a signed bus.
     The sum is an exact Python int, so no per-vector value is built.
     """
-    count, width, n_words = approx.shape
+    width, count, n_words = approx.shape
     if not n or not width:
         return [0.0] * count
-    diff = np.bitwise_xor(approx, exact, out=approx)
+    diff = np.bitwise_xor(approx, exact[:, None], out=approx)
     if n % 64:  # the padding bits of the last word
         diff[..., -1] &= np.uint64((1 << (n % 64)) - 1)
     lt = np.zeros((count, n_words), dtype=np.uint64)  # A < E, per vector
     for j in range(width):
-        d = diff[:, j]
+        d = diff[j]
         wins = d ^ exact[j] if signed and j == width - 1 else exact[j]
         lt ^= (lt ^ wins) & d  # lt where d is clear, else wins
     ones = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
     lt = ~lt
-    diff &= exact ^ lt[:, None]  # the larger bus's bits
+    for d, e in zip(diff, exact):  # no temporary the size of `approx`
+        d &= e ^ lt  # the larger bus's bits
     larger = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
     weights = [1 << j for j in range(width)]
     if signed:
         weights[-1] = -weights[-1]
     denom = n * ((1 << width) - 1)
     return [
-        sum(w * c for w, c in zip(weights, row)) / denom
-        for row in (2 * larger - ones).tolist()
+        sum(w * c for w, c in zip(weights, column)) / denom
+        for column in (2 * larger - ones).T.tolist()
     ]
 
 

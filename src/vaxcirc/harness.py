@@ -359,7 +359,7 @@ class MonteCarloFront:
             _kernels.eval_words(p.ops[gates], *ins, p.out[gates], self._words)
             self._dirty = (self._dirty & dropped) | cone
             po = alias[p.po_index]
-            nmeds.append(nmed_words(self._exact, self._words[po][None], *self._ds)[0])
+            nmeds.append(nmed_words(self._exact, self._words[po][:, None], *self._ds)[0])
             po_rows.append(po)
             # a dropped gate aliased to a net forwards that net's arrivals
             out = p.out[dropped]
@@ -400,7 +400,7 @@ def stale_nmed_bound(
     exact = ev.po_words(ds)
     patterns, which = np.unique(late, axis=0, return_inverse=True)
     nmeds = [
-        nmed_words(exact, stale_words(exact, p)[None], ds.n_vectors, ds.signed)[0]
+        nmed_words(exact, stale_words(exact, p)[:, None], ds.n_vectors, ds.signed)[0]
         for p in patterns
     ]
     per_lib = np.array(nmeds, dtype=np.float64)[which]

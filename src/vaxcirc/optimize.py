@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .approx import CandidateSet, FoldBatch, TieFold, tie_nets, validate_genes
+from .approx import GENE_EXACT, CandidateSet, FoldBatch, TieFold, tie_nets, validate_genes
 from .approx import apply_chromosome  # noqa: F401  perfbench's tracer wraps this name
 from .celllib import SampledLibrary, VariationLibrary
 from .errsim import Evaluator, SimulationDataset, mapped_words, nmed_words, unpack_bits
@@ -89,8 +89,11 @@ def initialize_population(cfg: GaConfig, cs: CandidateSet) -> np.ndarray:
     return np.where(exact, np.int8(-1), ties)
 
 
-# Bytes of the cone gate words one `SearchProgram` simulates at once.
+# Bytes of the word slots that one `SearchProgram` fill simulates.
 _ARENA_BYTES = 8 << 20
+
+# the words of a GND gene (0) and of a VDD gene (1)
+_TIE_WORDS = np.array([0, 2**64 - 1], dtype=np.uint64)
 
 
 class SearchProgram:
@@ -100,14 +103,15 @@ class SearchProgram:
     `score_batch` gives exactly what `apply_chromosome` -> `Evaluator` ->
     `ssta_traverse` give for each of many chromosomes, without building a
     netlist.  Rows are `compile_logic`'s, so row 0 is GND and row 1 is VDD.
-    The baseline's `approx.TieFold` turns each tie set into a per-row alias
-    and the cone of kept gates it visited.  Walking the fold's gate schedule
-    level by level, with one vector step per level over every chromosome and
-    gate of the level, `score_batch` times every gate from the PIs with the
-    running-winner rule of `ssta_traverse` (`timing.running_winners`),
-    reading fanins through the alias, and re-simulates the cones of as
-    many chromosomes at a time as fit in the `capacity` word rows of an
-    arena; every other gate's words are read from the baseline's.
+    The baseline's `approx.TieFold` turns each tie set into a per-row alias.
+    Walking the fold's gate schedule level by level, with one vector step
+    per level over every chromosome and gate of the level, `score_batch`
+    times every gate from the PIs with the running-winner rule of
+    `ssta_traverse` (`timing.running_winners`), reading fanins through the
+    alias.  The NMED needs no fold: a tie is a stuck-at fault, and the fold
+    only propagates constants, so a chromosome's PO words are the
+    baseline's with each tied row overwritten by its constant (parallel
+    fault simulation; Seshu, IEEE Trans. Electronic Computers, 1965).
     """
 
     def __init__(
@@ -120,16 +124,21 @@ class SearchProgram:
     ):
         p = ev.program
         self._fold = TieFold(p, cs)
+        self._slot, self._n_slots = p.word_slots()
         n_words = (ds.n_vectors + 63) // 64
-        self.capacity = max(p.n_signals, _ARENA_BYTES // (8 * n_words))
-        # the arena, more rows than any cone (`capacity` may be lowered, not
-        # raised), then the baseline's words; a malloc block instead would add
-        # 8 MB to `run_evaluate`'s peak RSS on array_multiplier(16)
-        self._words = mapped_words(self.capacity + p.n_signals, n_words)
-        words = ev.signal_words(ds, out=self._words[self.capacity :])
-        self._n_vectors = ds.n_vectors
-        self._signed = ds.signed
-        self._exact = words[p.po_index]
+        self.capacity = max(1, _ARENA_BYTES // (8 * n_words * self._n_slots))  # per fill
+        # a fill's slots, then its PO words (`capacity` may be lowered, not
+        # raised); a malloc block instead would add 8 MB to `run_evaluate`'s
+        # peak RSS on array_multiplier(16)
+        self._rows = self._n_slots + len(p.po_index)
+        self._arena = mapped_words(self._rows * self.capacity, n_words)
+        fanin, out = self._slot[p.fanin].T.tolist(), self._slot[p.out].tolist()
+        self._gates = list(zip(p.ops.tolist(), *fanin, out))
+        rows = np.array([p.signal_index[w] for w in cs.nets], dtype=np.int64)
+        self._by_row = np.argsort(rows)  # the PIs, then the gates in topological order
+        self._tie_rows = rows[self._by_row]
+        self._exact = ev.po_words(ds)
+        self._ds = ds
         self._pi_rows = p.pi_index
         self._po_rows = p.po_index
         # per (gate, pin): the arc mean and variance, as `ssta_traverse` takes
@@ -142,12 +151,7 @@ class SearchProgram:
                     row[k] = index[(g.kind, pin, tmap[(g.name, pin)])]
         self._arc_mu = np.append(lib.mu_vector(), 0.0)[arcs]
         self._arc_var = np.array([s**2 for s in lib.sigma_vector().tolist()] + [0.0])[arcs]
-        f = self._fold
-        first_run = np.searchsorted(f.run_bounds, [lv.start for lv in f.levels])
-        # per level, the most pins a gate of it has
-        self._level_pins = np.maximum.reduceat([n for _, n in f.runs], first_run).tolist()
         self._memo: dict[bytes, tuple[float, float, float, float]] = {}
-        self._po = self._words[:0]  # a fill's PO words, which `nmed_words` overwrites
 
     def score_batch(self, genes: np.ndarray) -> list[tuple[float, float, float, float]]:
         """(nmed, mu_cpd, sigma_cpd, confidence) of each row of validated
@@ -156,9 +160,10 @@ class SearchProgram:
         keys = [row.tobytes() for row in genes]
         new = {key: row for key, row in zip(keys, genes) if key not in self._memo}
         if new:
-            fold = self._fold.batch(np.array(list(new.values())))
+            genes = np.array(list(new.values()))
+            fold = self._fold.batch(genes)
             cpds = po_endpoints(*self._ssta(fold), fold.alias[:, self._po_rows])
-            self._memo.update(zip(new, zip(self._nmeds(fold), *cpds)))
+            self._memo.update(zip(new, zip(self._nmeds(genes), *cpds)))
         return [self._memo[key] for key in keys]
 
     def _ssta(self, fold: FoldBatch):
@@ -172,7 +177,7 @@ class SearchProgram:
         var = np.zeros(shape)
         at = np.arange(shape[0])[:, None, None]
         f = self._fold
-        for lv, n_pins in zip(f.levels, self._level_pins):
+        for lv, n_pins in zip(f.levels, f.level_pins):
             fanin = fold.alias[:, f.fanin[lv, :n_pins]]
             # a pin the gate lacks reads GND, which has no arrival
             pin, wmu, wvar = running_winners(mu[at, fanin], var[at, fanin])
@@ -182,39 +187,37 @@ class SearchProgram:
             var[:, out] = wvar + self._arc_var[gates, k]
         return mu, var
 
-    def _nmeds(self, fold: FoldBatch) -> list[float]:
-        """NMED per chromosome.  The arena is filled with the cones of as
-        many chromosomes in a row as their summed size lets fit in its
-        `capacity` rows, and at least one, in evaluation order: level, op
-        run, gate, chromosome.  Each run is then one gather and one gate op
-        written in place, and the fill's PO words are scored against the
-        baseline's in one `errsim.nmed_words` call."""
-        f = self._fold
-        base = np.arange(len(self._words) - f.n_rows, len(self._words))
-        cone = fold.cone[:, f.order]
-        sizes = cone.sum(axis=1).tolist()
-        nmeds, start = [], 0
-        while start < len(sizes):
-            end, used = start + 1, sizes[start]
-            while end < len(sizes) and used + sizes[end] <= self.capacity:
-                used, end = used + sizes[end], end + 1
-            pos, c = np.nonzero(cone[start:end].T)  # arena row k is gate pos[k] of c[k]
-            at = np.tile(base, (end - start, 1))  # the row each logic row is read from
-            at[c, f.out[pos]] = np.arange(pos.size)
-            src = np.take_along_axis(at, fold.alias[start:end], 1)
-            fanin = src[c[:, None], f.fanin[pos]]  # the rows each arena row reads
-            bounds = np.searchsorted(pos, f.run_bounds).tolist()
-            for (op, n_pins), lo, hi in zip(f.runs, bounds, bounds[1:]):
-                if lo < hi:
-                    ins = [np.take(self._words, fanin[lo:hi, k], axis=0) for k in range(n_pins)]
-                    _kernels.gate_words(op, *ins, out=self._words[lo:hi])
-            rows = src[:, self._po_rows]
-            if len(self._po) < rows.size:  # kept across fills, grown as needed
-                self._po = np.empty((rows.size, self._words.shape[1]), np.uint64)
-            po = self._po[: rows.size].reshape(*rows.shape, self._po.shape[1])
-            np.take(self._words, rows, axis=0, out=po, mode="clip")  # "raise" gathers to a copy
-            nmeds += nmed_words(self._exact, po, self._n_vectors, self._signed)
-            start = end
+    def _nmeds(self, genes: np.ndarray) -> list[float]:
+        """NMED per row of validated chromosomes `genes`, `capacity` rows a
+        fill.  A fill's slab is slot-major, (slots, chromosomes, words), so
+        each gate is one `gate_words` over every chromosome of the fill:
+        GND, VDD and the PI words go in first, each tied PI's row is then
+        overwritten for the chromosomes that tie it, and each tied gate's
+        row right after the gate runs.  The PO slots are gathered PO-major
+        into the fill's tail and scored in one `errsim.nmed_words` call."""
+        nmeds = []
+        for start in range(0, len(genes), self.capacity):
+            chunk = genes[start : start + self.capacity, self._by_row]
+            fill = self._arena[: self._rows * len(chunk)].reshape(self._rows, len(chunk), -1)
+            slots, po = fill[: self._n_slots], fill[self._n_slots :]
+            slots[:2] = _TIE_WORDS[:, None, None]
+            slots[self._slot[self._pi_rows]] = self._ds.words[:, None]
+            k, c = np.nonzero(chunk.T != GENE_EXACT)  # the ties by row
+            rows, words = self._tie_rows[k], _TIE_WORDS[chunk[c, k]][:, None]
+            pi = int(np.searchsorted(rows, self._fold.first_gate))
+            slots[self._slot[rows[:pi]], c[:pi]] = words[:pi]
+            gates, cut = np.unique(rows[pi:] - self._fold.first_gate, return_index=True)
+            ties = zip(gates.tolist(), np.split(c[pi:], cut[1:]), np.split(words[pi:], cut[1:]))
+            at, chroms, tied = next(ties, (-1, None, None))
+            view = list(slots)
+            for i, (op, a, b, s, o) in enumerate(self._gates):
+                _kernels.gate_words(op, view[a], view[b], view[s], out=view[o])
+                if i == at:
+                    view[o][chroms] = tied
+                    at, chroms, tied = next(ties, (-1, None, None))
+            # mode "raise" would gather to a copy
+            np.take(slots, self._slot[self._po_rows], axis=0, out=po, mode="clip")
+            nmeds += nmed_words(self._exact, po, self._ds.n_vectors, self._ds.signed)
         return nmeds
 
 

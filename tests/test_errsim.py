@@ -104,6 +104,31 @@ class TestGenerateDataset:
         with pytest.raises(SimulationError):
             generate_dataset(n, 1, seed=0, exhaustive=True)
 
+    @pytest.mark.parametrize("n_pi", [0, 1, 5, 6, 7, 12])
+    def test_exhaustive_words_are_the_packed_matrix(self, n_pi):
+        """The exhaustive words, written as fixed patterns, are those of the
+        (2^n_pi, n_pi) matrix whose vector i holds bit j of i at PI j."""
+        n = Netlist("pis", tuple(f"i{k}" for k in range(n_pi)), (), ())
+        index = np.arange(1 << n_pi)
+        matrix = ((index[:, None] >> np.arange(n_pi)) & 1).astype(np.uint8)
+        got = generate_dataset(n, 1, seed=4, exhaustive=True)
+        assert got.n_vectors == len(index)
+        assert got.words.dtype == np.uint64
+        assert np.array_equal(got.words, SimulationDataset(matrix, n.inputs, 4).words)
+        assert np.array_equal(got.vectors, matrix)
+
+    def test_exhaustive_builds_no_vector_matrix(self):
+        """At 18 PIs the (2^18, 18) byte matrix would be 4.7 MB; the words
+        are 0.59 MB, and the draw allocates at most twice that."""
+        n = Netlist("pis", tuple(f"i{k}" for k in range(18)), (), ())
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(n, 1, seed=0, exhaustive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ds.words.nbytes
+
     def test_bit_frequency(self, rca8):
         ds = generate_dataset(rca8, 100_000, seed=1)
         freq = ds.vectors.mean(axis=0)
@@ -126,12 +151,12 @@ class TestGenerateDataset:
 class TestNmedWords:
     @pytest.mark.parametrize("signed", [False, True])
     def test_search_block_allocates_at_most_one_more_block(self, signed):
-        """On the search's (chromosomes, POs, words) block, `nmed_words`
+        """On the search's (POs, chromosomes, words) fill, `nmed_words`
         overwrites `approx` and allocates at most 1.5 times its size."""
         rng = np.random.default_rng(0)
         exact = rng.integers(0, 2**64, size=(9, 157), dtype=np.uint64)
-        approx = rng.integers(0, 2**64, size=(44, 9, 157), dtype=np.uint64)
-        approx[:, :4] = exact[:4]
+        approx = rng.integers(0, 2**64, size=(9, 44, 157), dtype=np.uint64)
+        approx[:4] = exact[:4, None]
         want = nmed_words(exact, approx.copy(), 10_000, signed)
         tracemalloc.start()
         try:

@@ -172,7 +172,7 @@ class TestSearchProgram:
         nmed_words = optimize.nmed_words
         monkeypatch.setattr(
             optimize, "nmed_words",
-            lambda e, a, *rest: scored.extend(a) or nmed_words(e, a, *rest),
+            lambda e, a, *rest: scored.extend(a.swapaxes(0, 1)) or nmed_words(e, a, *rest),
         )
         program = SearchProgram(Evaluator(rca4), cs, default_lib, tmap, ds)
         tied = exact_chromosome(cs)

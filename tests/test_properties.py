@@ -6,9 +6,11 @@ batch at a time, and the shared Monte-Carlo evaluation, reused across
 calls, each checked against an independent slow reference; and the
 netlist text round trip."""
 
+import importlib.util
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vaxcirc
 from vaxcirc import _kernels, harness, optimize
 from vaxcirc._compile import compile_logic, compile_timing
 from vaxcirc.approx import (
@@ -67,6 +70,7 @@ from vaxcirc.netlist import (
 from vaxcirc.optimize import (
     GaConfig,
     SearchProgram,
+    initialize_population,
     nondominated_sort,
     pareto_front_indices,
 )
@@ -428,14 +432,15 @@ def test_nmed_words_matches_metrics_from_bits(case, count, data):
     rng = np.random.default_rng(seed)
     n_words = (n + 63) // 64
     exact = _random_words(rng, (width, n_words))
-    approx = _random_words(rng, (count, width, n_words))
+    approx = _random_words(rng, (width, count, n_words))  # PO-major
     for b in range(count):
         keep = data.draw(st.integers(0, width))
-        approx[b, keep:, :] = exact[keep:]
-        approx[b, keep:, -1] ^= _random_words(rng, (width - keep,)) << np.uint64(n % 64)
+        approx[keep:, b, :] = exact[keep:]
+        approx[keep:, b, -1] ^= _random_words(rng, (width - keep,)) << np.uint64(n % 64)
     exact_values = interpret_values(_words_to_bits(exact, n), signed)
     want = [
-        _metrics_from_bits(exact_values, _words_to_bits(a, n), signed).nmed for a in approx
+        _metrics_from_bits(exact_values, _words_to_bits(approx[:, b], n), signed).nmed
+        for b in range(count)
     ]
     assert nmed_words(exact, approx, n, signed) == want
 
@@ -556,22 +561,19 @@ def test_search_program_matches_reference_on_families(family, width, taps):
 
 
 def _batch_matches_reference(n, cs, rows, tmap, ds, capacity):
-    """`score_batch` over `rows` with an arena of `capacity` rows, after
+    """`score_batch` over `rows` with `capacity` chromosomes a fill, after
     the first row was scored alone, gives each row its object-path score;
-    each distinct row is scored once."""
+    each distinct row is scored once, in fills of `capacity` rows in order."""
     program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
     program.capacity = capacity
     program.score_batch(rows[0][None])  # memoized before the batch
     batch = np.array(rows + rows[1:3] + rows[:1])  # duplicates, a memoized row
     distinct = {r.tobytes() for r in rows}
-    fresh = {r.tobytes(): r for r in rows if r.tobytes() != rows[0].tobytes()}
-    new = len(fresh)
-    with_cone = int(program._fold.batch(np.array(list(fresh.values()))).cone.any(axis=1).sum())
+    new = len({r.tobytes() for r in rows if r.tobytes() != rows[0].tobytes()})
     with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
         program.score_batch(batch)
-    # the new rows span more than one arena fill once two of them have a cone
-    assert nmeds.call_count >= min(2, with_cone)
-    assert sum(len(call.args[1]) for call in nmeds.call_args_list) == new
+    fills = [call.args[1].shape[1] for call in nmeds.call_args_list]  # (POs, fill, words)
+    assert fills == [capacity] * (new // capacity) + [new % capacity] * (new % capacity > 0)
     assert len(program._memo) == len(distinct)
     for genes in rows:
         assert (program.score_batch(genes[None])[0]
@@ -600,7 +602,7 @@ def test_score_batch_matches_reference(case, data):
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         _batch_matches_reference(base, cs, [all_gnd, exact, po_vdd, *drawn],
-                                 tmap, ds, capacity=0)
+                                 tmap, ds, capacity=2)
 
 
 @pytest.mark.parametrize("family,width,taps", [
@@ -622,18 +624,14 @@ def test_score_batch_matches_reference_on_families(family, width, taps):
             genes[po_genes[i % len(po_genes)]] = i % 4 // 2
         rows.append(genes)
     ds = generate_dataset(n, 300, seed=3)
-    widest = TieFold(compile_logic(n), cs).batch(np.array(rows)).cone.sum(axis=1).max()
-    _batch_matches_reference(n, cs, rows, tmap, ds, capacity=int(widest))
+    _batch_matches_reference(n, cs, rows, tmap, ds, capacity=4)
 
 
 @pytest.mark.parametrize("family,width", [("rca_adder", 8), ("array_multiplier", 4)])
-def test_score_batch_fills_the_arena_by_cone_size(family, width):
-    """One `score_batch` over several arena fills, the arena as large as the
-    widest cone: its chromosome fills the first one alone, and a later fill
-    holds two chromosomes or more and closes where the next does not fit.
-    Every fill takes chromosomes in order while their summed cone fits, and
-    every score is the object path's.  Two cones that fill the arena
-    exactly share one fill."""
+def test_score_batch_fills_the_arena_by_chromosome_count(family, width):
+    """One `score_batch` takes `capacity` chromosomes a fill, in row order,
+    the last fill the rest; the all-exact row takes its place in a fill like
+    any other.  Every capacity gives every row the object path's score."""
     n = generate_benchmark(BenchmarkSpec(family, width))
     tmap = annotate_edge_transitions(n, _LIB, 20, seed=0)
     cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
@@ -646,33 +644,80 @@ def test_score_batch_fills_the_arena_by_cone_size(family, width):
         genes = genes.astype(np.int8)
         drawn.setdefault(genes.tobytes(), genes)
     rows = list(drawn.values())[1:]
+    rows.insert(3, exact_chromosome(cs))
+    want = [_reference_score(n, cs, genes, _LIB, tmap, ds) for genes in rows]
+    for capacity in (1, 4, 9, 20):
+        program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
+        program.capacity = capacity
+        with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
+            assert program.score_batch(np.array(rows)) == want
+        fills = [call.args[1].shape[1] for call in nmeds.call_args_list]
+        assert fills == [min(capacity, len(rows) - lo) for lo in range(0, len(rows), capacity)]
+
+
+def test_score_batch_is_the_same_at_any_capacity():
+    """A paper-scale batch, 100 rows of `array_multiplier(16)` at the
+    search's 10 000 vectors, scores the same one chromosome a fill, at the
+    arena's own capacity (several fills) and all in one fill; and five of
+    its rows score as the object path does."""
+    n = generate_benchmark(BenchmarkSpec("array_multiplier", 16))
+    tmap = annotate_edge_transitions(n, _LIB, 20, seed=0)
+    cs = build_candidates(n, ssta_traverse(n, _LIB, tmap))
+    cfg = GaConfig(population=100, seed=3)
+    rows = initialize_population(cfg, cs)
+    ds = generate_dataset(n, cfg.search_vectors, seed=1)
     program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
-    cone = program._fold.batch(np.array(rows)).cone.sum(axis=1)
-    order = np.argsort(-cone, kind="stable")
-    rows = [rows[i] for i in order]
-    rows.insert(3, exact_chromosome(cs))  # an empty cone
-    cone = [*cone[order][:3].tolist(), 0, *cone[order][3:].tolist()]
-    program.capacity = cone[0]
-    with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
-        program.score_batch(np.array(rows))
-    fills = np.cumsum([0] + [len(call.args[1]) for call in nmeds.call_args_list])
-    assert fills[-1] == len(rows) and fills[1] == 1 and cone[1] > 0
-    for lo, hi in zip(fills, fills[1:]):
-        assert hi - lo == 1 or sum(cone[lo:hi]) <= cone[0]
-        if hi < len(rows):
-            assert sum(cone[lo : hi + 1]) > cone[0]
-    assert any(hi - lo >= 2 and hi < len(rows) for lo, hi in zip(fills, fills[1:]))
-    for genes in rows:
-        assert (program.score_batch(genes[None])[0]
-                == _reference_score(n, cs, genes, _LIB, tmap, ds))
-    # two cones that sum to the capacity share a fill
-    again = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
-    again.capacity = cone[1] + cone[2]
-    with mock.patch.object(optimize, "nmed_words", wraps=optimize.nmed_words) as nmeds:
-        again.score_batch(np.array([rows[1], rows[2], rows[0]]))
-    assert [len(call.args[1]) for call in nmeds.call_args_list] == [2, 1]
-    assert ([again.score_batch(g[None])[0] for g in rows[:3]]
-            == [program.score_batch(g[None])[0] for g in rows[:3]])
+    assert 1 < program.capacity < len(rows)
+    want = program.score_batch(rows)
+    program.capacity, program._memo = 1, {}
+    assert program.score_batch(rows) == want
+    with mock.patch.object(optimize, "_ARENA_BYTES", 100 << 20):  # room for 100 rows a fill
+        program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
+    program.capacity = 100
+    assert program.score_batch(rows) == want
+    for k in range(0, 100, 20):
+        assert want[k] == _reference_score(n, cs, rows[k], _LIB, tmap, ds)
+
+
+def test_no_perfbench_workload_fills_the_arena_twice():
+    """Each perfbench workload's generation fits in one fill, so its
+    `optimize_s` measures one gate pass per generation."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        family, *shape = w["circuit"]
+        n = getattr(vaxcirc, family)(*shape)
+        cfg = GaConfig(**w["ga"])
+        cs = CandidateSet((), 1e-3, netlist_fingerprint(n))
+        tmap = annotate_edge_transitions(n, _LIB, 2, seed=0)
+        ds = generate_dataset(n, cfg.search_vectors, seed=1)
+        assert SearchProgram(Evaluator(n), cs, _LIB, tmap, ds).capacity >= cfg.population
+
+
+def test_stuck_at_ties_match_reference_in_every_combination():
+    """Every chromosome over four nets: PI `a`, which is also a PO and read
+    by two gates; `x`, read by `y`; `y`, which reads `x`; and PO `z`, which
+    no gate reads.  So a tied PI is a PO, a tied gate with no reader is a
+    PO, and a downstream net tied to 1 reads an upstream net tied to 0."""
+    n = parse_netlist(
+        "circuit sa\ninput a b c\noutput a z y\n"
+        "gate g1 AND2 A=a B=b Y=x\ngate g2 OR2 A=x B=c Y=y\n"
+        "gate g3 XOR2 A=y B=a Y=z\nend\n"
+    )
+    cs = CandidateSet(("z", "a", "y", "x"), 1e-3, netlist_fingerprint(n))
+    tmap = annotate_edge_transitions(n, _LIB, 8, seed=0)
+    ds = generate_dataset(n, 0, seed=0, exhaustive=True)
+    rows = [np.array(g, dtype=np.int8) for g in itertools.product((-1, 0, 1), repeat=4)]
+    for capacity in (1, 7, len(rows)):
+        _batch_matches_reference(n, cs, rows, tmap, ds, capacity)
+    program = SearchProgram(Evaluator(n), cs, _LIB, tmap, ds)
+    forced = [[0, 1, -1, -1], [-1, -1, 1, 0], [1, -1, -1, -1], [-1, 0, 1, 0]]
+    scores = program.score_batch(np.array(forced, dtype=np.int8))
+    for genes, score in zip(forced, scores):
+        assert score == _reference_score(n, cs, np.array(genes, np.int8), _LIB, tmap, ds)
+        assert score[0] > 0  # each tie changes the outputs
 
 
 @pytest.mark.parametrize("family,width,taps", [("rca_adder", 8, 1), ("mac_fir", 8, 2)])
@@ -791,7 +836,7 @@ def test_degenerate_baselines_match_reference(text):
     ds = generate_dataset(base, 0, seed=0, exhaustive=True)
     rows = [np.array(g, dtype=np.int8)
             for g in itertools.product((-1, 0, 1), repeat=len(nets))]
-    _batch_matches_reference(base, cs, rows, tmap, ds, capacity=0)
+    _batch_matches_reference(base, cs, rows, tmap, ds, capacity=2)
     _front_matches_standalone(base, cs, rows, 3, 0, ds)
 
 
