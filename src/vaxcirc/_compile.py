@@ -30,10 +30,12 @@ class LogicProgram:
     def n_signals(self) -> int:
         return 2 + len(self.netlist.inputs) + len(self.ops)
 
-    def word_slots(self) -> tuple[np.ndarray, int]:
+    def word_slots(self, keep=None) -> tuple[np.ndarray, int]:
         """Each signal row's slot and the slot count, for a simulation read only at the
-        POs: `scan_slots` over one read per pin, GND in 0, VDD in 1, the PIs in 2, 3, ..."""
-        reads = (self.fanin.ravel(), self.out.repeat(3), self.po_index, self.pi_index, [0])
+        rows `keep`, by default the POs: `scan_slots` over one read per pin, GND in
+        0, VDD in 1, the PIs in 2, 3, ..."""
+        keep = self.po_index if keep is None else keep
+        reads = (self.fanin.ravel(), self.out.repeat(3), keep, self.pi_index, [0])
         return scan_slots(*reads, self.n_signals)[:2]
 
 

@@ -8,6 +8,7 @@ with the LSB-first bus convention (bit i of a bus is PO position i).
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 from dataclasses import dataclass
 
@@ -106,10 +107,20 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return words[0]
 
 
-def mapped_words(rows: int, n_words: int) -> np.ndarray:
-    """A zeroed (rows, n_words) uint64 array in an anonymous map.  A freed malloc
-    block of a few MB raises glibc's mmap threshold; mid-size arrays then stay resident."""
-    return np.frombuffer(mmap.mmap(-1, 8 * rows * n_words), np.uint64).reshape(rows, n_words)
+def mapped_words(rows: int, n_words: int, huge: bool = False) -> np.ndarray:
+    """A zeroed (rows, n_words) uint64 array in a private anonymous map, which a forked
+    child copies on write.  A freed malloc block of a few MB raises glibc's mmap threshold;
+    mid-size arrays then stay resident.  With `huge`, one of 2 MB or more starts on a 2 MB
+    boundary in transparent huge pages: a fault per 2 MB touched, not per 4 KB page."""
+    size, page = 8 * rows * n_words, 2 << 20
+    pad = page if huge and size >= page and hasattr(mmap, "MADV_HUGEPAGE") else 0
+    buf = mmap.mmap(-1, size + pad, flags=mmap.MAP_PRIVATE)
+    words = np.frombuffer(buf, np.uint64)
+    if pad:
+        with contextlib.suppress(OSError):  # a kernel built without huge pages refuses
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        words = words[-words.ctypes.data % pad // 8 :][: rows * n_words]
+    return words.reshape(rows, n_words)
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -131,25 +142,12 @@ class Evaluator:
                 f"{self.netlist.inputs}"
             )
 
-    def signal_words(
-        self, ds: SimulationDataset, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """All signal rows (constants, PIs, gate outputs) as packed words,
-        in the head of the uint64 array `out` when given, else in a new
-        array."""
+    def signal_words(self, ds: SimulationDataset) -> np.ndarray:
+        """All signal rows (constants, PIs, gate outputs) as packed words."""
         self._check(ds)
-        n = ds.n_vectors
-        p = self.program
-        shape = (p.n_signals, (n + 63) // 64)
-        if out is None:
-            words = np.empty(shape, dtype=np.uint64)
-        else:
-            words = out.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
-        words[0] = 0
-        words[1] = _FULL
-        words[p.pi_index] = ds.words
-        _kernels.eval_words(p.ops, *p.fanin.T, p.out, words)
-        return words
+        n_rows = self.program.n_signals
+        words = np.empty((n_rows, ds.words.shape[1]), dtype=np.uint64)
+        return self.slot_words(ds.words, np.arange(n_rows), words)
 
     def po_words(self, ds: SimulationDataset) -> np.ndarray:
         """The PO rows of `signal_words(ds)`, simulated in only as many word
@@ -157,11 +155,19 @@ class Evaluator:
         self._check(ds)
         p = self.program
         slot, n_rows = p.word_slots()
-        words = mapped_words(n_rows, (ds.n_vectors + 63) // 64)  # zeroed: GND
-        words[1] = _FULL
-        words[slot[p.pi_index]] = ds.words
-        _kernels.eval_words(p.ops, *slot[p.fanin].T, slot[p.out], words)
+        words = self.slot_words(ds.words, slot, mapped_words(n_rows, ds.words.shape[1]))
         return words[slot[p.po_index]]
+
+    def slot_words(self, pi_words: np.ndarray, slot: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`out` (rows, words) after simulating every gate over the packed PI
+        words `pi_words`, signal row r in row slot[r] of `out`, as
+        `LogicProgram.word_slots` assigns them."""
+        p = self.program
+        out[0] = 0
+        out[1] = _FULL
+        out[slot[p.pi_index]] = pi_words
+        _kernels.eval_words(p.ops, *slot[p.fanin].T, slot[p.out], out)
+        return out
 
     def po_bits(self, ds: SimulationDataset) -> np.ndarray:
         """(N, n_po) output bit matrix.  It is column-major, so each column

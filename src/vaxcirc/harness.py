@@ -20,7 +20,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import _kernels
-from ._compile import TimingProgram, compile_timing
+from ._compile import TimingProgram, compile_timing, scan_slots
 from .approx import (
     CandidateSet,
     TieFold,
@@ -36,7 +36,7 @@ from .celllib import (
     sample_matrix,
     save_variation_library,
 )
-from .errsim import Evaluator, SimulationDataset, generate_dataset, nmed_words
+from .errsim import Evaluator, SimulationDataset, generate_dataset, mapped_words, nmed_words
 from .errsim import simulate_metrics, stale_words
 from .netlist import Gate, Netlist, NetlistError, netlist_fingerprint, parse_netlist, write_netlist
 from .optimize import GaConfig, nsga2_run, pareto_front_indices
@@ -300,79 +300,95 @@ def _mc_result(design_id, cpd, nmed, seed, clock_ps) -> McEvaluation:
 class MonteCarloFront:
     """`monte_carlo_evaluate(apply_chromosome(n, cs, genes), ...)` for many
     chromosomes of one baseline `n`, without building a netlist per design,
-    from `n`'s `Evaluator` `ev` and its `compile_timing` `program` under the
-    library the delay rows `delays` were drawn from.
+    from `n`'s `Evaluator` `ev` and its `compile_timing` `program`.  Of the
+    report dataset `ds` it keeps only the packed PI words.
 
     `evaluate` folds its designs in one `approx.TieFold.batch` call, scores
-    each one's NMED over the report dataset `ds`, then times them all in one
-    `timing.stacked_cpds` call under the shared library draw `delays`: the
-    baseline over every edge once, each design over its fold cone's edges
-    only, reading the baseline's arrivals outside the cone.
+    each one's NMED over `ds`, then times them all in one
+    `timing.stacked_cpds` call under the shared library draw: the baseline
+    over every edge once, each design over its fold cone's edges only,
+    reading the baseline's arrivals outside the cone.
 
-    One buffer serves both: the baseline's signal words over `ds`, a head
-    of constant and PI words that never changes, then the gate rows.  A
-    design's NMED simulates, with aliased fanins, only its kept gates in
-    its fold's cone or whose row is dirty (written by an earlier design's
-    cone or by an earlier timing); every other row holds the baseline's
-    words, which are the design's too.  The PO words go straight to
-    `errsim.nmed_words`.  The timing then uses the gate rows as its scratch
-    memory and sizes its row blocks and chunks of designs to fit there,
-    which dirties every gate row.  Blocks that large allocated per call
-    fragment the heap and raise the peak RSS.  After construction the
-    front needs nothing of `ds`.
+    The NMED simulates in linear-scan word slots (`_compile.scan_slots`)
+    that `_plan` lays out from the folds.  The baseline runs every gate, and
+    keeps to the end only its PO rows and the frontier: the rows some design
+    reads through its alias from outside its cone, at a cone gate's pin or
+    as a PO.  Outside its cone a design's words are the baseline's, so each
+    design then runs only its cone's gates, with aliased fanins, into
+    scratch slots laid out once for every design's cone.  The PO words go
+    straight to `errsim.nmed_words`.  The timing then reuses that memory as
+    its scratch, (gate rows) x words float64s, and sizes its row blocks and
+    chunks of designs to fit there.  It is mapped in huge pages
+    (`errsim.mapped_words`), not taken from the heap: blocks that large
+    fragment the heap and raise the peak RSS, and 4 KB pages fault once each.
     """
 
     def __init__(
         self, ev: Evaluator, program: TimingProgram, cs: CandidateSet, ds: SimulationDataset,
-        delays: np.ndarray | None, seed: int, clock_ps: float,
+        seed: int, clock_ps: float,
     ):
-        p = ev.program
-        self._fold = TieFold(p, cs)
+        ev._check(ds)
+        self._ev = ev
+        self._fold = TieFold(ev.program, cs)
         self._timing = program
-        n_words = (ds.n_vectors + 63) // 64
-        size = p.n_signals * n_words
-        self._head = self._fold.first_gate * n_words  # GND, VDD and the PI words
-        self._buf = np.empty(size, np.uint64)
-        self._words = ev.signal_words(ds, out=self._buf)
-        self._dirty = np.zeros(len(p.ops), dtype=bool)  # per gate row
+        self._pi_words = ds.words
         self._ds = (ds.n_vectors, ds.signed)  # what `nmed_words` needs of `ds`
-        self._exact = self._words[p.po_index]
-        self._logic = p
-        self._edge_gate = self._timing.dst - self._fold.first_gate
-        self._delays = delays
-        self._seed = seed
-        self._clock = clock_ps
+        self._edge_gate = program.dst - self._fold.first_gate
+        self._seed, self._clock = seed, clock_ps
 
-    def evaluate(self, designs: list[tuple[str, np.ndarray]], delays=None) -> list[McEvaluation]:
+    def _plan(self, folds):
+        """The NMED's word rows for the designs `folds`: the baseline's slot
+        of each signal row; per design, the word row it reads or writes each
+        signal row in, a scratch slot after the baseline's inside its cone;
+        and the word row count.  The scratch slots come from one `scan_slots`
+        over every design's reads inside its cone, deduplicated and by gate,
+        so a slot is free only after its row's last reader in any design; a
+        read from outside the cone reads GND there."""
+        p, alias, cone = self._ev.program, folds.alias, folds.cone
+        n = alias.shape[1]
+        inside = np.pad(cone, ((0, 0), (self._fold.first_gate, 0)))  # per design, its cone's rows
+        d, g = np.nonzero(cone)
+        reads = alias[d[:, None], p.fanin[g]]
+        own = inside[d[:, None], reads]
+        po = alias[:, p.po_index]
+        po_own = np.take_along_axis(inside, po, axis=1)
+        base, n_base = p.word_slots(np.concatenate([reads[~own], po[~po_own], p.po_index]))
+        reads[~own] = 0
+        edges = (p.out[g, None].astype(np.int64) * n + reads).ravel()
+        edges.sort()  # deduplicated by hand: `np.unique` would import numpy.ma
+        edges = np.concatenate([edges[:1], edges[1:][edges[1:] != edges[:-1]]])
+        scratch, n_scratch, _ = scan_slots(edges % n, edges // n, po[po_own], (), [0], n)
+        return base, np.where(inside, scratch + (n_base - 2), base), n_base + n_scratch - 2
+
+    def evaluate(self, designs: list[tuple[str, np.ndarray]], delays) -> list[McEvaluation]:
         """The `McEvaluation` of each (design_id, validated genes) under the
-        library draw `delays`, by default the constructor's.  POs are read
-        through the alias, so a tied net or PI never counts as one, and the
-        arrivals of the gates that no longer reach a PO are never read."""
+        library draw `delays`.  POs are read through the alias, so a tied
+        net or PI never counts as one, and the arrivals of the gates that no
+        longer reach a PO are never read."""
         if not designs:
             return []
         folds = self._fold.batch(np.array([genes for _, genes in designs]))
-        p = self._logic
+        p = self._ev.program
+        base, where, n_rows = self._plan(folds)
+        words = mapped_words(max(n_rows, len(p.ops)), self._pi_words.shape[1], huge=True)
+        exact = self._ev.slot_words(self._pi_words, base, words)[base[p.po_index]]
         nmeds, forwards, po_rows = [], [], []
-        for alias, dropped, cone in zip(folds.alias, folds.dropped, folds.cone):
-            gates = np.flatnonzero(cone | (self._dirty & ~dropped))
-            ins = alias[p.fanin[gates]].T
-            _kernels.eval_words(p.ops[gates], *ins, p.out[gates], self._words)
-            self._dirty = (self._dirty & dropped) | cone
+        for rows, alias, dropped, cone in zip(where, folds.alias, folds.dropped, folds.cone):
+            gates = np.flatnonzero(cone)
+            ins = rows[alias[p.fanin[gates]]].T
+            _kernels.eval_words(p.ops[gates], *ins, rows[p.out[gates]], words)
             po = alias[p.po_index]
-            nmeds.append(nmed_words(self._exact, self._words[po][:, None], *self._ds)[0])
+            nmeds.append(nmed_words(exact, words[rows[po]][:, None], *self._ds)[0])
             po_rows.append(po)
             # a dropped gate aliased to a net forwards that net's arrivals
             out = p.out[dropped]
             out = out[alias[out] >= 2]
             forwards.append(np.column_stack([alias[out], out]))
-        self._dirty[:] = True
         # a design times its cone's edges whose source is not a constant
         src = folds.alias[:, self._timing.src]
         timed = folds.cone[:, self._edge_gate] & (src >= 2)
-        cpds = stacked_cpds(
-            self._timing, timed, forwards, po_rows, self._delays if delays is None else delays,
-            self._buf[self._head :].view(np.float64),
-        )
+        floats = words.reshape(-1)[: len(p.ops) * words.shape[1]].view(np.float64)
+        cpds = stacked_cpds(self._timing, timed, forwards, po_rows, delays, floats)
         return [
             _mc_result(d, cpd, nmed, self._seed, self._clock)
             for (d, _), cpd, nmed in zip(designs, cpds, nmeds)
@@ -717,9 +733,10 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
     clock = config["clock_ps"]
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
     program = compile_timing(baseline, vlib.arc_index())
-    front = MonteCarloFront(Evaluator(baseline), program, cs, ds, None, mc_seed, clock)
-    del ds  # the front keeps the PI words it needs
-    # drawn only now: neither it nor the dataset is alive beside the front's buffer
+    front = MonteCarloFront(Evaluator(baseline), program, cs, ds, mc_seed, clock)
+    del ds  # the front keeps only its PI words
+    # drawn once the dataset is gone: the draw and the PI words are all that is
+    # alive beside the word memory that `evaluate` maps
     delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
     base_eval, *evals = front.evaluate(designs, delays)
     _remove_outputs(run_dir, ("mc/meta.json", "report/*"))

@@ -650,27 +650,19 @@ class TestPipelineDeterminism:
         )
 
 
-def test_front_takes_the_library_draw_at_evaluate(rca8, default_lib):
-    """A front built before its libraries are drawn, as `run_evaluate` builds
-    it, scores as one given the draw at construction."""
-    from vaxcirc.approx import build_candidates, exact_chromosome
-    from vaxcirc.timing import annotate_edge_transitions, ssta_traverse
-
-    tmap = annotate_edge_transitions(rca8, default_lib, 20)
-    cs = build_candidates(rca8, ssta_traverse(rca8, default_lib, tmap))
-    rng = np.random.default_rng(3)
-    designs = [("baseline", exact_chromosome(cs))] + [
-        (f"d{i}", np.where(rng.random(len(cs)) < 0.3, rng.integers(0, 2, len(cs)), -1)
-         .astype(np.int8))
-        for i in range(4)
-    ]
-    delays = sample_matrix(default_lib, range(9000, 9040))
-
-    def front(given):
-        program = compile_timing(rca8, default_lib.arc_index())
-        ds = generate_dataset(rca8, 500, seed=1)
-        return harness.MonteCarloFront(Evaluator(rca8), program, cs, ds, given, 9000, 60.0)
-
-    late = front(None).evaluate(designs, delays)
-    assert list(map(repr, late)) == list(map(repr, front(delays).evaluate(designs)))
-    assert {e.violations for e in late} != {0}  # the clock binds in some library
+def test_front_simulates_its_nmed_in_few_word_rows(tmp_path, default_lib, monkeypatch):
+    """On array_multiplier(16), a short search's front at the 100k report
+    vectors scores its NMED in under 400 word rows of its 1442 signals: the
+    baseline keeps only the rows its designs read from outside their cones
+    and its POs, and the cones share scratch slots."""
+    n = array_multiplier(16)
+    run_optimize(tmp_path, n, default_lib, GaConfig(population=16, generations=4, seed=0))
+    plans, plan = [], harness.MonteCarloFront._plan
+    monkeypatch.setattr(
+        harness.MonteCarloFront, "_plan", lambda self, f: plans.append(plan(self, f)) or plans[-1]
+    )
+    _, evals = run_evaluate(tmp_path, mc_count=2)
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["report_vectors"] == 100_000 and len(evals) >= 10
+    (base, _, rows), = plans
+    assert base.size == 1442 and rows <= 400

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,32 @@ class TestSearchProgram:
         for g, s in zip(rows[:2], scores):
             d = evaluate_individual(rca4, cs, g, default_lib, tmap, ds, cfg)
             assert (d.nmed, d.mu_cpd, d.sigma_cpd, d.confidence) == s
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_fills_its_own_arena(self, rca4, default_lib, rca4_setup):
+        """The arena is mapped private: a child forked after the program is
+        built scores a batch without writing into its parent's arena."""
+        tmap, _, cs, ds = rca4_setup
+        program = SearchProgram(Evaluator(rca4), cs, default_lib, tmap, ds)
+        tied = exact_chromosome(cs)
+        tied[0] = 0
+        program.score_batch(np.array([exact_chromosome(cs), tied]))
+        before = program._arena.copy()
+        rows = np.array([np.zeros(len(cs), np.int8), np.ones(len(cs), np.int8)])
+        pid = os.fork()
+        if pid == 0:  # the child never returns into the test runner
+            code = 1
+            try:
+                program.score_batch(rows)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert np.array_equal(program._arena, before)
+        scores = program.score_batch(rows)  # the child's fills differ from the parent's
+        assert not np.array_equal(program._arena, before)
+        assert scores == SearchProgram(Evaluator(rca4), cs, default_lib, tmap, ds).score_batch(rows)
 
     def test_baseline_without_po_scores_zero_error(self, default_lib):
         """A fill whose chromosomes have no PO word to score still scores."""

@@ -760,14 +760,14 @@ def _front_matches_standalone(base, cs, rows, count, seed, ds):
     )[0]  # half the baseline's CPD in one library, so violations vary
     delays = sample_matrix(_LIB, range(seed, seed + count))
     front = MonteCarloFront(
-        Evaluator(base), compile_timing(base, _LIB.arc_index()), cs, ds, delays, seed, clock
+        Evaluator(base), compile_timing(base, _LIB.arc_index()), cs, ds, seed, clock
     )
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     want = [_standalone(base, cs, g, count, seed, clock, ds, d) for d, g in designs]
     # repr keeps the comparison exact, down to the sign of a zero
     want_reprs = list(map(repr, want))
-    assert [repr(front.evaluate([d])[0]) for d in designs] == want_reprs
-    assert list(map(repr, front.evaluate(designs))) == want_reprs
+    assert [repr(front.evaluate([d], delays)[0]) for d in designs] == want_reprs
+    assert list(map(repr, front.evaluate(designs, delays))) == want_reprs
     return want
 
 
@@ -935,7 +935,7 @@ def test_front_times_no_chunk_for_a_design_that_writes_no_net(rca8):
     cs = CandidateSet(("cout", "c1"), 1e-3, netlist_fingerprint(rca8))
     ds = generate_dataset(rca8, 500, seed=1)
     rows = [exact_chromosome(cs), np.array([1, -1], np.int8), np.array([-1, 0], np.int8)]
-    front, clock = _front(rca8, cs, 20, 9000, ds)
+    front, clock, delays = _front(rca8, cs, 20, 9000, ds)
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     want = [repr(_standalone(rca8, cs, g, 20, 9000, clock, ds, d)) for d, g in designs]
     edges, kernel = [], _kernels.sta_forward
@@ -949,9 +949,9 @@ def test_front_times_no_chunk_for_a_design_that_writes_no_net(rca8):
 
     with mock.patch.object(_kernels, "sta_forward", counted):
         for call in ([designs[0]], designs[:2]):
-            assert [repr(e) for e in front.evaluate(call)] == want[: len(call)]
+            assert [repr(e) for e in front.evaluate(call, delays)] == want[: len(call)]
         with mock.patch.object(harness, "stacked_cpds", one_design_a_chunk):
-            assert [repr(e) for e in front.evaluate(designs)] == want
+            assert [repr(e) for e in front.evaluate(designs, delays)] == want
     assert edges and 0 not in edges
 
 
@@ -1043,25 +1043,25 @@ def test_in_place_eval_words_matches_gate_words(seed, n_words, extra):
 
 def _front(base, cs, count, seed, ds):
     """A MonteCarloFront at half the baseline's CPD in one library, so that
-    violations vary, and that clock."""
+    violations vary, that clock, and the `count` libraries from `seed`."""
     clock = 0.5 * cpd_over_delays(
         compile_timing(base, _LIB.arc_index()), sample_matrix(_LIB, [seed])
     )[0]
     delays = sample_matrix(_LIB, range(seed, seed + count))
     program = compile_timing(base, _LIB.arc_index())
-    return MonteCarloFront(Evaluator(base), program, cs, ds, delays, seed, clock), clock
+    return MonteCarloFront(Evaluator(base), program, cs, ds, seed, clock), clock, delays
 
 
 def _front_reuse_matches_standalone(base, cs, rows, count, seed, ds):
     """One MonteCarloFront scores `rows` as the standalone calls do, called
     with each design alone, all at once, in reverse order, and with each
     design twice in a row."""
-    front, clock = _front(base, cs, count, seed, ds)
+    front, clock, delays = _front(base, cs, count, seed, ds)
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     want = {d: repr(_standalone(base, cs, g, count, seed, clock, ds, d)) for d, g in designs}
     calls = [[d] for d in designs] + [designs, designs[::-1]] + [[d, d] for d in designs]
     for call in calls:
-        assert [repr(e) for e in front.evaluate(call)] == [want[d] for d, _ in call]
+        assert [repr(e) for e in front.evaluate(call, delays)] == [want[d] for d, _ in call]
 
 
 def test_monte_carlo_front_reuse_keeps_dropped_dirty_rows_dirty(rca8):
@@ -1095,10 +1095,10 @@ def test_monte_carlo_front_reuse_matches_standalone_calls(case, data):
 def _front_timing(base, cs, rows, count, ds):
     """The arguments `MonteCarloFront.evaluate` passes `stacked_cpds` for
     `rows`, but for its scratch memory."""
-    front, _ = _front(base, cs, count, 9000, ds)
+    front, _, delays = _front(base, cs, count, 9000, ds)
     designs = [(f"design_{i:03d}", genes) for i, genes in enumerate(rows)]
     with mock.patch.object(harness, "stacked_cpds", wraps=stacked_cpds) as timed:
-        front.evaluate(designs)
+        front.evaluate(designs, delays)
     return timed.call_args.args[:5]
 
 
