@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .netlist import GND, NEGATIVE, NON_UNATE, VDD, Netlist
+from .celllib import LibraryError
+from .netlist import CELLS, GND, NEGATIVE, NON_UNATE, OP_KINDS, PIN_COUNT, POSITIVE, VDD, Netlist
 
 
 @dataclass
@@ -39,20 +40,13 @@ class LogicProgram:
         return scan_slots(*reads, self.n_signals)[:2]
 
 
-def _net_rows(n: Netlist):
-    """The row of each net, GND 0, VDD 1, the PIs in order, then each gate
-    output in topological order; and that order."""
+def compile_logic(n: Netlist) -> LogicProgram:
     index: dict[str, int] = {GND: 0, VDD: 1}
     for pi in n.inputs:
         index[pi] = len(index)
     topo = n.topological_order()
     for g in topo:
         index[g.output] = len(index)
-    return index, topo
-
-
-def compile_logic(n: Netlist) -> LogicProgram:
-    index, topo = _net_rows(n)
     ops = np.array([_kernels.OP_CODES[g.kind] for g in topo], dtype=np.int8)
     fanin = np.zeros((len(topo), 3), dtype=np.int32)
     for i, g in enumerate(topo):
@@ -197,36 +191,35 @@ def scan_slots(src, dst, keep, preload, zero, n: int) -> tuple[np.ndarray, int, 
     return np.array(slot, dtype=np.int32), n_rows, first
 
 
-_UNATE_CODE = {NEGATIVE: _kernels.UN_NEG, NON_UNATE: _kernels.UN_NON}  # else UN_POS
+_UNATE_CODE = {POSITIVE: _kernels.UN_POS, NEGATIVE: _kernels.UN_NEG, NON_UNATE: _kernels.UN_NON}
+# per op code and pin: the pin's `sta_forward` unateness code, UN_POS for a pin the kind lacks
+_UNATE = np.array([[_UNATE_CODE[u] for u in (CELLS[kind].unateness + (POSITIVE,) * 2)[:3]]
+                   for kind in OP_KINDS], dtype=np.int8)
+
+
+def _arc_rows(arc_index: dict, ops) -> np.ndarray:
+    """The rows of `arc_index` per ([rise, fall], op code, pin) for the op
+    codes `ops`, 0 elsewhere; refuses, naming it, a kind that lacks an arc."""
+    table = np.zeros((2, len(OP_KINDS), 3), dtype=np.int32)
+    for op in set(ops):
+        kind = OP_KINDS[op]
+        try:
+            table[:, op, : PIN_COUNT[op]] = [
+                [arc_index[(kind, pin, edge)] for pin in CELLS[kind].input_pins]
+                for edge in ("rise", "fall")
+            ]
+        except KeyError:
+            raise LibraryError(f"the library has no arcs for cell kind {kind}") from None
+    return table
 
 
 def compile_timing(n: Netlist, arc_index: dict) -> TimingProgram:
-    net_index, topo = _net_rows(n)
-
-    src, dst, unate, a_rise, a_fall = [], [], [], [], []
-    for g in topo:
-        cell = g.cell
-        for pin, un in zip(cell.input_pins, cell.unateness):
-            w = g.fanin[pin]
-            if w in (GND, VDD):
-                continue  # constants carry no transitions
-            src.append(net_index[w])
-            dst.append(net_index[g.output])
-            unate.append(_UNATE_CODE.get(un, _kernels.UN_POS))
-            a_rise.append(arc_index[(g.kind, pin, "rise")])
-            a_fall.append(arc_index[(g.kind, pin, "fall")])
-
-    pi_rows = np.array([net_index[pi] for pi in n.inputs], dtype=np.int32)
-    po_rows = np.array([net_index[po] for po in n.outputs], dtype=np.int32)
-    return TimingProgram(
-        n,
-        net_index,
-        np.array(src, dtype=np.int32),
-        np.array(dst, dtype=np.int32),
-        np.array(unate, dtype=np.int8),
-        np.array(a_rise, dtype=np.int32),
-        np.array(a_fall, dtype=np.int32),
-        pi_rows,
-        po_rows,
-        len(net_index),
-    )
+    """The timing edges of `compile_logic(n)`: one per (gate, pin) that
+    reads a net, in gate then pin order.  A constant pin carries no
+    transitions, and a pin the gate lacks reads GND, so both are left out."""
+    p = compile_logic(n)
+    gate, pin = np.nonzero(p.fanin >= 2)
+    ops = p.ops[gate]
+    a_rise, a_fall = (table[ops, pin] for table in _arc_rows(arc_index, ops.tolist()))
+    return TimingProgram(n, p.signal_index, p.fanin[gate, pin], p.out[gate], _UNATE[ops, pin],
+                         a_rise, a_fall, p.pi_index, p.po_index, p.n_signals)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compile import LogicProgram
-from .netlist import CONSTANT_NETS, FOLD_TABLE, GND, VDD, Gate, Netlist
+from .netlist import CONSTANT_NETS, FOLD_TABLE, GND, PIN_COUNT, VDD, Gate, Netlist
 from .netlist import netlist_fingerprint, simplify_constants
 from .timing import SstaResult
 
@@ -160,8 +160,7 @@ class TieFold:
         level = np.array(level, dtype=np.int64)[p.out]
         self.order = np.lexsort((p.ops, level))
         level, ops = level[self.order], p.ops[self.order]
-        pins = np.array([len(g.cell.input_pins) for g in p.netlist.topological_order()],
-                        dtype=np.int64)[self.order]
+        pins = PIN_COUNT[ops]
         self.out, self.fanin = p.out[self.order], p.fanin[self.order]
         self.readers = np.where(np.arange(3) < pins[:, None], self.fanin, self.n_rows)
         self.folds = FOLD_TABLE[ops]  # (gates, 27): the fold of each position

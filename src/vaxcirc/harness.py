@@ -30,6 +30,7 @@ from .approx import (
     save_chromosome,
 )
 from .celllib import (
+    LibraryError,
     VariationLibrary,
     check_seeds,
     load_variation_library,
@@ -603,6 +604,8 @@ def run_optimize(
         cfg, error_bound=0.0 if error_bound is None else error_bound
     )
     cfg.validate()  # reject bad settings before the run directory is touched
+    ev = Evaluator(n)  # the baseline's programs, compiled once for the stage
+    program = compile_timing(n, vlib.arc_index())  # refuses a library without n's arcs
     _remove_outputs(run_dir, (
         "config.json", "fronts/gen_*.csv", "fronts/final_front.csv",
         "fronts/chromosomes/*.chrom", "mc/*", "report/*",
@@ -614,8 +617,6 @@ def run_optimize(
         f.write(write_netlist(n))
     save_variation_library(os.path.join(run_dir, "libs", "variation.json"), vlib)
 
-    ev = Evaluator(n)  # the baseline's programs, compiled once for the stage
-    program = compile_timing(n, vlib.arc_index())
     clock, tmap = _clock_and_tmap(program, vlib, tmap_count, tmap_seed)
     ssta = ssta_traverse(n, vlib, tmap)
     cs = build_candidates(n, ssta, cpb_threshold)
@@ -731,12 +732,14 @@ def run_evaluate(run_dir, mc_count: int = 1000, mc_seed: int = 9000):
         chrom = os.path.join(run_dir, "fronts", "chromosomes", f"{r['design_id']}.chrom")
         designs.append((r["design_id"], load_chromosome(chrom, cs)))
     clock = config["clock_ps"]
+    try:
+        program = compile_timing(baseline, vlib.arc_index())
+    except LibraryError as e:
+        raise HarnessError(f"{os.path.join(run_dir, 'libs', 'variation.json')}: {e}") from None
     ds = generate_dataset(baseline, config["report_vectors"], config["report_seed"])
-    program = compile_timing(baseline, vlib.arc_index())
     front = MonteCarloFront(Evaluator(baseline), program, cs, ds, mc_seed, clock)
-    del ds  # the front keeps only its PI words
-    # drawn once the dataset is gone: the draw and the PI words are all that is
-    # alive beside the word memory that `evaluate` maps
+    # the front holds the dataset's PI words, all it has but three scalars;
+    # beside them and the word memory that `evaluate` maps, only the draw is alive
     delays = sample_matrix(vlib, range(mc_seed, mc_seed + mc_count))
     base_eval, *evals = front.evaluate(designs, delays)
     _remove_outputs(run_dir, ("mc/meta.json", "report/*"))

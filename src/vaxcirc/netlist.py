@@ -45,9 +45,6 @@ class CellKind:
     input_pins: tuple[str, ...]
     unateness: tuple[str, ...]  # aligned with input_pins
 
-    def pin_unateness(self, pin: str) -> str:
-        return self.unateness[self.input_pins.index(pin)]
-
     def evaluate(self, values: dict[str, int]) -> int:
         return _CELL_FUNCS[self.name](values)
 
@@ -414,10 +411,10 @@ def _fold_table(kind: str) -> np.ndarray:
     return table
 
 
-# row `op` is the `_fold_table` of the kind whose `_kernels` op code is `op`
-FOLD_TABLE = np.stack(
-    [_fold_table(kind) for kind, _ in sorted(OP_CODES.items(), key=lambda t: t[1])]
-)
+# per `_kernels` op code: its cell kind, that kind's pin count, and its `_fold_table`
+OP_KINDS = tuple(sorted(OP_CODES, key=OP_CODES.get))
+PIN_COUNT = np.array([len(CELLS[kind].input_pins) for kind in OP_KINDS], dtype=np.int64)
+FOLD_TABLE = np.stack([_fold_table(kind) for kind in OP_KINDS])
 
 
 def simplify_constants(n: Netlist) -> Netlist:

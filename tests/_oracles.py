@@ -53,8 +53,7 @@ def _path_arrival(n: Netlist, net: str, edge: str, delay) -> float:
     g = n.driver_of(net)
     flip = {"rise": "fall", "fall": "rise"}
     best = float("-inf")
-    for pin in g.cell.input_pins:
-        un = g.cell.pin_unateness(pin)
+    for pin, un in zip(g.cell.input_pins, g.cell.unateness):
         if un == POSITIVE:
             in_edges = (edge,)
         elif un == NEGATIVE:

@@ -460,6 +460,18 @@ def _bad_library(tmp_path):
     return str(path)
 
 
+def _drop_xor2(doc):
+    del doc["cells"]["XOR2"]
+
+
+def _library_without_xor2(tmp_path):
+    """The default library without the XOR2 arcs, which `rca_adder` needs."""
+    path = tmp_path / "no_xor2.json"
+    save_variation_library(path, default_library())
+    _json_edit(_drop_xor2)(path)
+    return str(path)
+
+
 class TestErrorContract:
     """Bad user input ends in exit 2 and a single `error:` line on stderr."""
 
@@ -474,7 +486,9 @@ class TestErrorContract:
          "ssta_tmap_samples_negative", "optimize_lambda_nan", "optimize_lambda_inf",
          "optimize_report_vectors_zero", "simulate_clock_nan",
          "ssta_cpb_threshold_nan", "sample_libs_rho_two", "sample_libs_seed_negative",
-         "sta_seed_negative", "optimize_pop_not_int", "sample_libs_rho_minus_inf"],
+         "sta_seed_negative", "optimize_pop_not_int", "sample_libs_rho_minus_inf",
+         "sta_no_xor2_arcs", "ssta_no_xor2_arcs", "simulate_clock_no_xor2_arcs",
+         "optimize_no_xor2_arcs"],
     )
     def test_one_error_line_no_traceback(self, case, capsys, tmp_path, rca4_file):
         cfg = tmp_path / "cfg.json"
@@ -530,7 +544,15 @@ class TestErrorContract:
             "optimize_pop_not_int": ["optimize", "--netlist", "x", "--pop", "abc"],
             "sample_libs_rho_minus_inf": ["sample-libs", "--rho", "-inf",
                                           "--out", str(tmp_path / "run")],
+            "sta_no_xor2_arcs": ["sta", "--netlist", rca4_file],
+            "ssta_no_xor2_arcs": ["ssta", "--netlist", rca4_file],
+            "simulate_clock_no_xor2_arcs": ["simulate", "--netlist", rca4_file,
+                                            "--reference", rca4_file, "--clock", "100"],
+            "optimize_no_xor2_arcs": ["optimize", "--netlist", rca4_file, *_SMALL_OPTIMIZE,
+                                      "--out", str(tmp_path / "run")],
         }[case]
+        if case.endswith("_no_xor2_arcs"):
+            argv += ["--library", _library_without_xor2(tmp_path)]
         cfg.write_text({
             "malformed_config": "{not json",
             "section_number": '{"sta": 5}',
@@ -544,7 +566,7 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         flag = {"optimize_pop_not_int": "--pop", "sample_libs_rho_minus_inf": "--rho"}
-        assert flag.get(case, "error:") in lines[0]
+        assert flag.get(case, "XOR2" if "xor2" in case else "error:") in lines[0]
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
@@ -594,6 +616,32 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert all(flag in lines[0] for flag in flags), err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate"])
+def test_library_without_a_used_kind_keeps_finished_run(command, capsys, tmp_path,
+                                                        rca4_reported):
+    """A library without the arcs of a cell kind the baseline uses, given to
+    `optimize` or left in a run's libs/variation.json, ends in exit 2 and one
+    `error:` line naming the kind, before any file of a finished run is
+    removed or written; `evaluate`'s line also names the library file."""
+    run = tmp_path / "run"
+    shutil.copytree(rca4_reported, run)  # keeps the modification times
+    library = run / "libs" / "variation.json"
+    if command == "optimize":
+        argv = ["optimize", "--netlist", str(rca4_reported.parent / "rca4.nl"),
+                "--library", _library_without_xor2(tmp_path), *_SMALL_OPTIMIZE,
+                "--out", str(run)]
+    else:
+        _json_edit(_drop_xor2)(library)
+        argv = ["evaluate", "--run", str(run), "--samples", "8"]
+    before = _snapshot(run)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "XOR2" in lines[0], err
+    assert command == "optimize" or str(library) in lines[0], err
+    assert _snapshot(run) == before
 
 
 def _snapshot(root):
@@ -699,7 +747,8 @@ _TAMPER = [
             id_empty=_csv_edit("design_id", "")),
     *_cases("netlists/baseline.nl", _EVALUATE, **_COMMON, garbage=_write("circuit\n")),
     *_cases("libs/variation.json", _EVALUATE, **_COMMON, object_empty=_write("{}"),
-            no_cells=_drop("cells"), mu_text=_json_edit(_mu_text)),
+            no_cells=_drop("cells"), mu_text=_json_edit(_mu_text),
+            no_xor2=_json_edit(_drop_xor2)),
     *_cases("netlists/candidates.csv", _EVALUATE, **_COMMON, header_only=_header_only,
             no_cpb=_csv_edit("cpb"), cpb_text=_csv_edit("cpb", "abc"),
             cpb_empty=_csv_edit("cpb", ""), foreign_net=_csv_edit("net", "nope")),

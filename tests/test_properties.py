@@ -59,6 +59,9 @@ from vaxcirc.harness import (
 from vaxcirc.netlist import (
     CELLS,
     GND,
+    NEGATIVE,
+    NON_UNATE,
+    POSITIVE,
     VDD,
     Gate,
     Netlist,
@@ -331,6 +334,65 @@ def test_compacted_po_arrivals_match_full_forward_on_families(family, width, tap
         extra = rng.choice(program.n_nets, size=8)
         po_rows = np.concatenate([program.po_rows, extra, [-1]]).astype(np.int32)
         _assert_compact_matches_full(replace(program, po_rows=po_rows), delays)
+
+
+def _timing_by_gate_walk(n, arc_index):
+    """`compile_timing`'s fields by a walk over each gate's pins: one edge per
+    pin that reads no constant, in topological gate order, then pin order."""
+    rows = {GND: 0, VDD: 1}
+    for w in n.inputs + tuple(g.output for g in n.topological_order()):
+        rows[w] = len(rows)
+    code = {POSITIVE: _kernels.UN_POS, NEGATIVE: _kernels.UN_NEG, NON_UNATE: _kernels.UN_NON}
+    edges = [
+        (rows[g.fanin[pin]], rows[g.output], code[un],
+         arc_index[(g.kind, pin, "rise")], arc_index[(g.kind, pin, "fall")])
+        for g in n.topological_order()
+        for pin, un in zip(g.cell.input_pins, g.cell.unateness)
+        if g.fanin[pin] not in (GND, VDD)
+    ]
+    src, dst, unate, arc_rise, arc_fall = np.array(edges, dtype=np.int64).reshape(-1, 5).T
+    return dict(
+        src=src.astype(np.int32), dst=dst.astype(np.int32), unate=unate.astype(np.int8),
+        arc_rise=arc_rise.astype(np.int32), arc_fall=arc_fall.astype(np.int32),
+        pi_rows=np.array([rows[w] for w in n.inputs], dtype=np.int32),
+        po_rows=np.array([rows[w] for w in n.outputs], dtype=np.int32),
+        n_rows=len(rows),
+    )
+
+
+def _assert_timing_matches_gate_walk(n):
+    program = compile_timing(n, _LIB.arc_index())
+    for field, want in _timing_by_gate_walk(n, _LIB.arc_index()).items():
+        got = getattr(program, field)
+        assert type(got) is type(want), field
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert np.array_equal(got, want), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_dag(), st.data())
+def test_compile_timing_matches_gate_walk(case, data):
+    """The edges read off the logic program are a per-pin walk's, in value
+    and dtype, on DAGs with constant fanins, XOR2 and MUX2 gates."""
+    n, _, tied = case
+    for base in (n, tied):
+        net = _with_non_unate_gates(_with_corner_gates(base, data), data)
+        _assert_timing_matches_gate_walk(net)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_perfbench_workloads()))
+def test_compile_timing_matches_gate_walk_on_perfbench_circuits(name):
+    family, *shape = _perfbench_workloads()[name]["circuit"]
+    _assert_timing_matches_gate_walk(getattr(vaxcirc, family)(*shape))
 
 
 def _bus_values(max_width, max_rows, per_row=1):
@@ -682,11 +744,7 @@ def test_score_batch_is_the_same_at_any_capacity():
 def test_no_perfbench_workload_fills_the_arena_twice():
     """Each perfbench workload's generation fits in one fill, so its
     `optimize_s` measures one gate pass per generation."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for w in workloads.WORKLOADS.values():
+    for w in _perfbench_workloads().values():
         family, *shape = w["circuit"]
         n = getattr(vaxcirc, family)(*shape)
         cfg = GaConfig(**w["ga"])
@@ -1064,10 +1122,11 @@ def _front_reuse_matches_standalone(base, cs, rows, count, seed, ds):
         assert [repr(e) for e in front.evaluate(call, delays)] == [want[d] for d, _ in call]
 
 
-def test_monte_carlo_front_reuse_keeps_dropped_dirty_rows_dirty(rca8):
-    """Tying a0 changes c1's words; the next design ties c1, so it drops
-    c1's driver and leaves those words in place; the exact design after it
-    keeps that driver outside its cone, so it must still simulate it."""
+def test_monte_carlo_front_simulates_a_driver_that_another_design_drops(rca8):
+    """A design ties a0, which changes c1's words inside its cone; the next
+    ties c1, so it drops c1's driver; the exact design after them keeps
+    that driver outside its cone, so the slot plan must still simulate the
+    driver for it."""
     nets = ("a0", "c1")
     cs = CandidateSet(nets, 1e-3, netlist_fingerprint(rca8))
     rows = [np.array(g, dtype=np.int8) for g in ((1, -1), (-1, 0), (-1, -1))]
